@@ -45,8 +45,8 @@ func (r *Router) Expand(srcAS topology.ASN, srcCity int, dstAS topology.ASN, dst
 }
 
 // ExpandInto is Expand writing into a caller-owned PopPath, reusing its
-// ASPath and Cities capacity: the allocation-free variant one-shot path
-// pricing loops over. On error the PopPath contents are undefined.
+// ASPath and Cities capacity, so a caller expanding many paths can
+// recycle one buffer. On error the PopPath contents are undefined.
 func (r *Router) ExpandInto(p *PopPath, srcAS topology.ASN, srcCity int, dstAS topology.ASN, dstCity int) error {
 	if srcCity < 0 || srcCity >= len(r.topo.Cities) {
 		return fmt.Errorf("bgp: source city %d out of range", srcCity)

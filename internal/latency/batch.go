@@ -7,15 +7,12 @@ type EndpointPair struct {
 	A, B Endpoint
 }
 
-// PairHandle is a batch-resolved pair, ready for train pricing without
-// any further cache traffic: the interior state pointer (valid forever —
-// cache entries are immutable and never move), the pair's FNV draw
-// identity, the direction-resolved asymmetry, and the overlay effect.
+// PairHandle is a resolved pair, ready for train pricing without any
+// further cache traffic: the composed path state of the pair, carried
+// by value, and the overlay effect.
 type PairHandle struct {
-	st   *pathState
-	hp   uint64
-	asym float64
-	eff  Effect
+	st  pathState
+	eff Effect
 }
 
 // resolveBatchChunk bounds how many lookups ResolveBatch keeps in
@@ -27,15 +24,14 @@ const resolveBatchChunk = 16
 // ResolveBatch resolves out[i] for pairs[i], len(out) must equal
 // len(pairs). It prices exactly what per-pair resolution would price —
 // same cached states, same draw identities — but restructures the
-// lookups to run memory-parallel: a warm get is two dependent DRAM
-// misses (hash lane, then wide lane) against tables far larger than
-// LLC, and resolving pairs one at a time serializes those misses behind
-// each train's pricing work. Here a chunk of 16 pairs first hashes and
-// probes all 16 hash lanes — independent loads the core overlaps — then
-// touches the 16 wide lanes likewise, so the per-pair memory stall
-// approaches latency/chunk instead of 2×latency. Pairs that miss the
-// cache (only cold rounds have any) fall back to the ordinary locked
-// admission path, one at a time.
+// lookups to run memory-parallel: a warm get is two dependent cache
+// misses (hash lane, then wide lane), and resolving pairs one at a time
+// serializes those misses behind each train's pricing work. Here a
+// chunk of 16 pairs first hashes and probes all 16 hash lanes —
+// independent loads the core overlaps — then touches the 16 wide lanes
+// likewise, so the per-pair memory stall approaches latency/chunk
+// instead of 2×latency. Attachment pairs that miss the cache fall back
+// to the ordinary locked admission path, one at a time.
 func (v View) ResolveBatch(pairs []EndpointPair, out []PairHandle) error {
 	e := v.e
 	for base := 0; base < len(pairs); base += resolveBatchChunk {
@@ -49,15 +45,15 @@ func (v View) ResolveBatch(pairs []EndpointPair, out []PairHandle) error {
 			tabs [resolveBatchChunk]*pairTable
 			idxs [resolveBatchChunk]int64
 		)
-		// Pass 1: hash every pair and probe its hash lane to the first
-		// hash match (or the chain's end). The loop body is short ALU
-		// work ahead of one independent miss per pair, which is what
-		// lets the misses overlap.
+		// Pass 1: hash every attachment pair and probe its hash lane to
+		// the first hash match (or the chain's end). The loop body is
+		// short ALU work ahead of one independent miss per pair, which
+		// is what lets the misses overlap.
 		for j := 0; j < n; j++ {
 			p := &pairs[base+j]
 			key := canonicalKey(p.A, p.B)
 			keys[j] = key
-			h := tableHash(key)
+			h := tableHash(key.net())
 			hs[j] = h
 			idxs[j] = -1
 			t := e.shards[e.shardOf(h)].tab.Load()
@@ -86,47 +82,37 @@ func (v View) ResolveBatch(pairs []EndpointPair, out []PairHandle) error {
 			if i < 0 {
 				continue
 			}
-			kv := &tabs[j].kv[i]
-			if !keyEq(&kv.key, &keys[j]) {
+			if nk := keys[j].net(); !keyEq(&tabs[j].kv[i].key, &nk) {
 				idxs[j] = -1
 			}
 		}
-		// Pass 3: fill handles; misses take the ordinary admission path.
+		// Pass 3: compose handles; misses take the ordinary admission
+		// path.
 		for j := 0; j < n; j++ {
-			var st *pathState
+			var ns *netState
 			if i := idxs[j]; i >= 0 {
-				st = &tabs[j].kv[i].st
+				ns = &tabs[j].kv[i].st
 			} else {
 				var err error
-				st, err = e.stateByHash(hs[j], keys[j])
+				ns, err = e.netStateByHash(hs[j], keys[j].net())
 				if err != nil {
 					return err
 				}
 			}
 			p := &pairs[base+j]
-			h := &out[base+j]
-			h.st = st
-			h.hp = hashPair(keys[j])
-			h.asym = st.fwdAsym
-			if p.A.Key() != keys[j].lo {
-				h.asym = st.revAsym
-			}
-			h.eff = NeutralEffect()
-			if v.ov != nil {
-				h.eff = v.ov.PairEffect(p.A.City, p.B.City)
-			}
+			out[base+j] = PairHandle{st: e.compose(ns, keys[j], p.A), eff: v.effect(p.A, p.B)}
 		}
 	}
 	return nil
 }
 
-// PingTrainSchedHandle prices one train for a batch-resolved pair on a
+// PingTrainSchedHandle prices one train for a resolved pair on a
 // pre-decomposed slot schedule (see PingTrainSched) — bit-identical to
 // the per-pair entry points, with pair resolution already paid by
 // ResolveBatch.
 func (v View) PingTrainSchedHandle(h *PairHandle, round int, hourFrac []float64, out []PingSample) {
 	for slot := range out {
-		rtt, ok := v.e.pingSlot(h.st, h.hp, h.asym, round, slot, hourFrac[slot], h.eff)
+		rtt, ok := v.e.pingSlot(&h.st, round, slot, hourFrac[slot], h.eff)
 		out[slot] = PingSample{RTT: rtt, OK: ok}
 	}
 }

@@ -5,7 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// cacheShard is one stripe of the path-state cache. Reads are lock-free:
+// cacheShard is one stripe of the path-state cache, which maps each
+// attachment pair (netKey) to its netState. Reads are lock-free:
 // the shard publishes its table through an atomic pointer, and the table
 // publishes each entry by release-storing its hash word after the wide
 // lane is written, so an acquire-load of a nonzero hash guarantees the
@@ -28,7 +29,7 @@ type cacheShard struct {
 }
 
 // lookup is the lock-free read path: nil if the pair is not cached.
-func (s *cacheShard) lookup(h uint64, key pairKey) *pathState {
+func (s *cacheShard) lookup(h uint64, key netKey) *netState {
 	t := s.tab.Load()
 	if t == nil {
 		return nil
@@ -41,7 +42,7 @@ func (s *cacheShard) lookup(h uint64, key pairKey) *pathState {
 // the key is absent. Growth builds the doubled table off to the side
 // and publishes it before the new entry goes in, so readers never
 // observe a half-rehashed table.
-func (s *cacheShard) insertLocked(h uint64, key pairKey, st pathState) *pathState {
+func (s *cacheShard) insertLocked(h uint64, key netKey, st netState) *netState {
 	t := s.tab.Load()
 	if t == nil || pairTableMaxLoadDen*(t.n+1) > pairTableMaxLoadNum*len(t.hashes) {
 		t = t.grown()
@@ -50,22 +51,19 @@ func (s *cacheShard) insertLocked(h uint64, key pairKey, st pathState) *pathStat
 	return t.putSlot(h, key, st)
 }
 
-// pairTable is an open-addressed hash table mapping pairKey to an inline
-// pathState value — the storage behind each cache shard. Compared with
-// the previous map[pairKey]*pathState it removes one heap object and one
-// pointer chase per cached pair, and because an entry contains no
-// pointers at all, a sweep caching hundreds of thousands of pairs adds
-// zero GC scan work.
+// pairTable is an open-addressed hash table mapping netKey to an inline
+// netState value — the storage behind each cache shard. Compared with a
+// map[netKey]*netState it removes one heap object and one pointer chase
+// per cached pair, and because an entry contains no pointers at all,
+// caching any number of attachment pairs adds zero GC scan work.
 //
 // The layout is split (struct-of-arrays): an 8-byte hash lane per slot,
-// and a parallel key+value lane touched only on a hash match. Probing is
-// memory-bound at scale — a warm 100k-endpoint round performs ~1.4M gets
-// against a table far larger than LLC, where every probed line is a DRAM
-// miss — and linear probing's displacement tail is heavy (mean ~2.5
-// slots here, a few percent of lookups past 8). With interleaved 96-byte
-// entries that tail drags whole key+state lines through the cache per
-// probe; with the split lanes a probe chain scans 8 slots per line and a
-// get touches the wide lane exactly once.
+// and a parallel key+value lane touched only on a hash match. A round
+// performs millions of gets, and linear probing's displacement tail is
+// heavy (a few percent of lookups probe past 8 slots). With interleaved
+// 72-byte entries that tail would drag whole key+state lines through the
+// cache per probe; with the split lanes a probe chain scans 8 slots per
+// line and a get touches the wide lane exactly once.
 type pairTable struct {
 	hashes []uint64 // len is the capacity, always a power of two; 0 = empty
 	kv     []pairKV // parallel wide lane: key + state of each occupied slot
@@ -75,8 +73,8 @@ type pairTable struct {
 // pairKV is the wide lane of one slot: the full key for collision
 // resolution and the state value stored inline.
 type pairKV struct {
-	key pairKey
-	st  pathState
+	key netKey
+	st  netState
 }
 
 // pairTableMinCap is the capacity of a shard's first slab. Small, so an
@@ -101,43 +99,38 @@ func normPairHash(h uint64) uint64 {
 	return h
 }
 
-// tableHash is the cache's own pair hash — deliberately NOT hashPair.
-// The FNV fold that names a pair's draw streams walks 40 bytes through
-// a serial multiply chain; fine once per train, but on the cache read
-// path it is the critical-path head of every lookup, and its ~150 µops
-// fill the out-of-order window so consecutive gets cannot overlap their
-// DRAM misses (measured: a warm get costs the same with locks and call
-// depth removed — the probe loads never parallelise behind the fold).
-// Six independent multiplies plus a murmur-style finalizer hash the
-// same identity in ~20 cycles of latency. The cache hash names nothing
-// outside the table (draw identities still come from hashPair), so
-// changing it is pure layout.
-func tableHash(key pairKey) uint64 {
+// tableHash is the cache's own pair hash — deliberately NOT hashNetPath.
+// An FNV fold walks its bytes through a serial multiply chain; fine
+// once per path, but on the cache read path it is the critical-path
+// head of every lookup, and its µops fill the out-of-order window so
+// consecutive gets cannot overlap their cache misses. Four independent
+// multiplies plus a murmur-style finalizer hash the same identity in
+// ~20 cycles of latency. The cache hash names nothing outside the
+// table (draw identities still come from the FNV folds), so changing it
+// is pure layout.
+func tableHash(key netKey) uint64 {
 	x := uint64(key.lo.AS)*0x9e3779b97f4a7c15 ^
 		uint64(key.lo.City)*0xbf58476d1ce4e5b9 ^
-		uint64(key.lo.Access)*0x94d049bb133111eb ^
 		uint64(key.hi.AS)*0x2545f4914f6cdd1d ^
-		uint64(key.hi.City)*0xff51afd7ed558ccd ^
-		uint64(key.hi.Access)*0xc4ceb9fe1a85ec53
+		uint64(key.hi.City)*0xff51afd7ed558ccd
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
 	return normPairHash(x)
 }
 
-// keyEq reports a == b, compiled branchless: the probe loop compares the
-// 48-byte key on a hash match, where the generic struct comparison
-// lowers to a runtime memequal call — avoidable overhead at millions of
-// warm gets per round.
-func keyEq(a, b *pairKey) bool {
-	return (uint64(a.lo.AS^b.lo.AS) | uint64(a.lo.City^b.lo.City) | uint64(a.lo.Access^b.lo.Access) |
-		uint64(a.hi.AS^b.hi.AS) | uint64(a.hi.City^b.hi.City) | uint64(a.hi.Access^b.hi.Access)) == 0
+// keyEq reports a == b without branches: the probe loop compares the
+// key on every hash match, millions of times per round, and or-ing the
+// field differences keeps that compare a single test.
+func keyEq(a, b *netKey) bool {
+	return (uint64(a.lo.AS^b.lo.AS) | uint64(a.lo.City^b.lo.City) |
+		uint64(a.hi.AS^b.hi.AS) | uint64(a.hi.City^b.hi.City)) == 0
 }
 
 // get returns the cached state for key, or nil. h must be normalized.
 // Safe without any lock: hash words are acquire-loaded, and a nonzero
 // hash happens-after the release-store that published its wide lane.
-func (t *pairTable) get(h uint64, key pairKey) *pathState {
+func (t *pairTable) get(h uint64, key netKey) *netState {
 	mask := uint64(len(t.hashes) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		hh := atomic.LoadUint64(&t.hashes[i])
@@ -158,7 +151,7 @@ func (t *pairTable) get(h uint64, key pairKey) *pathState {
 // been ensured (insertLocked does all three). The wide lane is written
 // first; the release-store of the hash word is what makes the entry
 // visible to lock-free readers.
-func (t *pairTable) putSlot(h uint64, key pairKey, st pathState) *pathState {
+func (t *pairTable) putSlot(h uint64, key netKey, st netState) *netState {
 	mask := uint64(len(t.hashes) - 1)
 	i := h & mask
 	for t.hashes[i] != 0 {
@@ -174,7 +167,7 @@ func (t *pairTable) putSlot(h uint64, key pairKey, st pathState) *pathState {
 // grown returns a new table of double capacity (or the first minimum
 // slab for a nil receiver) holding every entry of t. The receiver is
 // left untouched — readers still holding it keep a consistent, merely
-// stale, view — and interior *pathState pointers handed out from it
+// stale, view — and interior *netState pointers handed out from it
 // remain valid forever.
 func (t *pairTable) grown() *pairTable {
 	newCap := pairTableMinCap
@@ -223,7 +216,8 @@ func (s CacheShardStats) LoadFactor() float64 {
 }
 
 // CacheStats reports per-shard occupancy of the path-state cache, in
-// shard order. CachedPairs is the sum of Entries across the result;
+// shard order; each entry is one attachment pair. CachedPairs is the
+// sum of Entries across the result;
 // this view additionally exposes how full each open-addressed table is,
 // so skewed shard hashing or runaway growth is observable.
 func (e *Engine) CacheStats() []CacheShardStats {

@@ -7,11 +7,11 @@ import (
 	"shortcuts/internal/topology"
 )
 
-// synthKey builds a distinct canonical pairKey from an integer.
-func synthKey(i int) pairKey {
-	a := EndpointKey{AS: topology.ASN(100 + i), City: i % 37, Access: time.Duration(i) * time.Microsecond}
-	b := EndpointKey{AS: topology.ASN(100000 + i), City: i % 53, Access: time.Duration(i%11) * time.Millisecond}
-	return pairKey{lo: a, hi: b}
+// synthKey builds a distinct canonical netKey from an integer.
+func synthKey(i int) netKey {
+	a := attachment{AS: topology.ASN(100 + i), City: i % 37}
+	b := attachment{AS: topology.ASN(100000 + i), City: i % 53}
+	return netKey{lo: a, hi: b}
 }
 
 // TestPairTableGrowth inserts far more keys than the initial slab holds
@@ -22,12 +22,12 @@ func TestPairTableGrowth(t *testing.T) {
 	const n = 50 * pairTableMinCap
 	for i := 0; i < n; i++ {
 		key := synthKey(i)
-		h := normPairHash(hashPair(key))
+		h := normPairHash(hashNetPath(key))
 		if got := shard.lookup(h, key); got != nil {
 			t.Fatalf("key %d present before insert", i)
 		}
-		st := shard.insertLocked(h, key, pathState{static: float64(i), midLon: float64(i % 360)})
-		if st == nil || st.static != float64(i) {
+		st := shard.insertLocked(h, key, netState{wide: float64(i), midLon: float64(i % 360)})
+		if st == nil || st.wide != float64(i) {
 			t.Fatalf("insert %d returned wrong state: %+v", i, st)
 		}
 	}
@@ -40,33 +40,33 @@ func TestPairTableGrowth(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		key := synthKey(i)
-		st := shard.lookup(normPairHash(hashPair(key)), key)
+		st := shard.lookup(normPairHash(hashNetPath(key)), key)
 		if st == nil {
 			t.Fatalf("key %d lost after growth", i)
 		}
-		if st.static != float64(i) || st.midLon != float64(i%360) {
+		if st.wide != float64(i) || st.midLon != float64(i%360) {
 			t.Fatalf("key %d resolves to wrong state %+v", i, st)
 		}
 	}
 }
 
 // TestPairTablePointerStability verifies the contract the ping hot path
-// relies on: a *pathState returned before growth still reads the same
+// relies on: a *netState returned before growth still reads the same
 // immutable values after the table has rehashed several times.
 func TestPairTablePointerStability(t *testing.T) {
 	var shard cacheShard
-	early := make([]*pathState, 16)
+	early := make([]*netState, 16)
 	for i := range early {
 		key := synthKey(i)
-		early[i] = shard.insertLocked(normPairHash(hashPair(key)), key, pathState{static: float64(1000 + i)})
+		early[i] = shard.insertLocked(normPairHash(hashNetPath(key)), key, netState{wide: float64(1000 + i)})
 	}
 	for i := 16; i < 20*pairTableMinCap; i++ {
 		key := synthKey(i)
-		shard.insertLocked(normPairHash(hashPair(key)), key, pathState{static: float64(1000 + i)})
+		shard.insertLocked(normPairHash(hashNetPath(key)), key, netState{wide: float64(1000 + i)})
 	}
 	for i, st := range early {
-		if st.static != float64(1000+i) {
-			t.Fatalf("early pointer %d mutated: %v", i, st.static)
+		if st.wide != float64(1000+i) {
+			t.Fatalf("early pointer %d mutated: %v", i, st.wide)
 		}
 	}
 }

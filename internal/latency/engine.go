@@ -15,12 +15,19 @@
 // identity, round, slot), never from call order, so concurrent campaigns
 // are bit-for-bit reproducible.
 //
+// Every wide-area trait of a path (its BGP routes, congestion, asymmetry
+// and diurnal load) derives from the pair's two (AS, city) attachment
+// points; only the access delay belongs to the endpoint itself. The
+// path-state cache is therefore keyed by the attachment pair, and holds
+// the congestion-scaled wide-area RTT, both asymmetry factors and the
+// diurnal traits. Each resolve adds the two endpoints' access terms on
+// the stack, so every host behind the same attachments shares one entry.
+//
 // The ping path is allocation-free: per-ping draws come from value-type
 // rng.Streams (a Derive is a hash, not a generator allocation), pair
 // identities are hashed with an inlined FNV-1a over fixed-size buffers,
-// and the cached pathState carries the precomputed congestion-scaled
-// static RTT and per-direction asymmetry factors, so a warm-cache Ping
-// touches no heap at all.
+// and the composed pathState is a stack value, so pricing any endpoint
+// pair over a cached attachment pair touches no heap at all.
 package latency
 
 import (
@@ -30,12 +37,13 @@ import (
 	"shortcuts/internal/bgp"
 	"shortcuts/internal/geo"
 	"shortcuts/internal/rng"
+	"shortcuts/internal/topology"
 )
 
 // Engine computes RTTs. Safe for concurrent use.
 //
-// The per-pair path-state cache is split into power-of-two shards keyed
-// by the pair hash, so a worker pool hammering the cache contends on
+// The attachment-pair path-state cache is split into power-of-two shards
+// keyed by the pair hash, so a worker pool hammering the cache contends on
 // 1/N-th of the lock traffic instead of one global RWMutex. The shard
 // count is a pure performance knob: results are bit-for-bit identical
 // for any value (all stochastic draws derive from path identity, never
@@ -62,6 +70,8 @@ type Engine struct {
 }
 
 // pairKey is the canonical (unordered) identity of an endpoint pair.
+// The ping draws, the direction of the asymmetry factor and the access
+// factors key on it; the path-state cache keys on its attachment pair.
 type pairKey struct {
 	lo, hi EndpointKey
 }
@@ -84,18 +94,53 @@ func less(a, b EndpointKey) bool {
 	return a.Access < b.Access
 }
 
-// pathState is the cached, deterministic state of one endpoint pair. It
-// holds scalars only: campaigns cache hundreds of thousands of pairs, so
-// the PoP polylines are recomputed on demand (the router memoises its
-// routing trees, which makes re-expansion cheap). Everything a ping
-// multiplies by is precomputed here, once per pair instead of once per
-// slot.
-type pathState struct {
-	static     float64 // congestion-scaled static RTT, in float ns
+// attachment is the (AS, city) point an endpoint attaches at: its
+// identity without the access delay.
+type attachment struct {
+	AS   topology.ASN
+	City int
+}
+
+// netKey is the canonical identity of an attachment pair, the key of
+// the path-state cache.
+type netKey struct {
+	lo, hi attachment
+}
+
+// net returns the attachment pair of an endpoint pair. less orders by
+// (AS, city) before access, so the result is canonical too: access only
+// breaks ties between two endpoints on one attachment, where lo and hi
+// are the same point either way.
+func (k pairKey) net() netKey {
+	return netKey{
+		lo: attachment{AS: k.lo.AS, City: k.lo.City},
+		hi: attachment{AS: k.hi.AS, City: k.hi.City},
+	}
+}
+
+// netState is the cached state of one attachment pair: everything about
+// a path that derives from its two (AS, city) points. It holds scalars
+// only: the PoP polylines are recomputed on demand (the router memoises
+// its routing trees, which makes re-expansion cheap).
+type netState struct {
+	wide       float64 // congestion-scaled wide-area RTT, in float ns
 	fwdAsym    float64 // multiplier in the canonical lo->hi direction
 	revAsym    float64 // multiplier in the hi->lo direction
 	diurnalAmp float64
 	midLon     float64 // longitude of the path midpoint, for local time
+}
+
+// pathState is the resolved state of one endpoint pair in one
+// direction: its attachment pair's netState plus the pair's access term,
+// with the direction's asymmetry factor picked, and the pair's ping-draw
+// identity. Resolves compose it by value on the stack; everything a ping
+// multiplies by is here, once per train instead of once per slot.
+type pathState struct {
+	static     float64 // wide-area RTT plus line-scaled access, in float ns
+	asym       float64 // asymmetry factor of the priced direction
+	diurnalAmp float64
+	midLon     float64
+	hp         uint64 // hashPair: the key of the per-ping draw streams
 }
 
 // DefaultCacheShards is the path-state shard count used when
@@ -150,59 +195,50 @@ func (e *Engine) Params() Params { return e.p }
 // NumShards reports the path-state cache shard count.
 func (e *Engine) NumShards() int { return len(e.shards) }
 
-// state returns (computing if needed) the deterministic path state.
-func (e *Engine) state(a, b Endpoint) (*pathState, error) {
-	return e.stateByKey(canonicalKey(a, b))
+// netStateOf returns the cached state of an attachment pair, computing
+// and admitting it on a miss. It hashes with the cheap tableHash — not
+// an FNV draw identity — so the read path's critical chain is a few
+// multiplies ahead of the probe loads (see tableHash).
+func (e *Engine) netStateOf(key netKey) (*netState, error) {
+	return e.netStateByHash(tableHash(key), key)
 }
 
-// stateByKey is the cache lookup. It hashes with the cheap tableHash —
-// not the pair's FNV draw identity — so the read path's critical chain
-// is a few multiplies ahead of the probe loads (see tableHash).
-func (e *Engine) stateByKey(key pairKey) (*pathState, error) {
-	return e.stateByHash(tableHash(key), key)
-}
-
-// stateByHash is stateByKey with the table hash already in hand (the
+// netStateByHash is netStateOf with the table hash already in hand (the
 // batched resolver computes it during its prefetch pass). The fast path
 // is a single lock-free shard lookup; only a miss takes the shard
 // mutex, and then solely to admit the freshly computed state.
-func (e *Engine) stateByHash(h uint64, key pairKey) (*pathState, error) {
+func (e *Engine) netStateByHash(h uint64, key netKey) (*netState, error) {
 	s := &e.shards[e.shardOf(h)]
-	if st := s.lookup(h, key); st != nil {
-		return st, nil
+	if ns := s.lookup(h, key); ns != nil {
+		return ns, nil
 	}
-	computed, err := e.computeState(key)
+	computed, err := e.computeNetState(key)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	st := s.lookup(h, key)
-	if st == nil {
-		st = s.insertLocked(h, key, computed)
+	ns := s.lookup(h, key)
+	if ns == nil {
+		ns = s.insertLocked(h, key, computed)
 	} // else a racing worker won; keep its slot
 	s.mu.Unlock()
-	return st, nil
+	return ns, nil
 }
 
-func (e *Engine) computeState(key pairKey) (pathState, error) {
-	var ps PathScratch
-	return e.computeStateInto(key, &ps)
-}
-
-// computeStateInto is computeState expanding the pair's paths into the
-// caller's scratch buffers, so repeated fresh-pair pricing (the one-shot
-// fast path) reuses two PopPaths instead of allocating two per pair.
-// The produced state is a pure function of the pair identity — exactly
-// what computeState returns.
-func (e *Engine) computeStateInto(key pairKey, ps *PathScratch) (pathState, error) {
+// computeNetState expands both BGP routes of an attachment pair and
+// draws its path traits. The wide-area component is scaled by a
+// per-path congestion factor derived from the attachment pair itself,
+// never from call order, so two hosts behind the same attachments share
+// traits and concurrent campaigns reproduce exactly.
+func (e *Engine) computeNetState(key netKey) (netState, error) {
 	lo, hi := key.lo, key.hi
-	if err := e.router.ExpandInto(&ps.fwd, lo.AS, lo.City, hi.AS, hi.City); err != nil {
-		return pathState{}, err
+	var fwd, rev bgp.PopPath
+	if err := e.router.ExpandInto(&fwd, lo.AS, lo.City, hi.AS, hi.City); err != nil {
+		return netState{}, err
 	}
-	if err := e.router.ExpandInto(&ps.rev, hi.AS, hi.City, lo.AS, lo.City); err != nil {
-		return pathState{}, err
+	if err := e.router.ExpandInto(&rev, hi.AS, hi.City, lo.AS, lo.City); err != nil {
+		return netState{}, err
 	}
-	fwd, rev := &ps.fwd, &ps.rev
 
 	oneway := func(p *bgp.PopPath) time.Duration {
 		prop := geo.PropDelay(p.DistanceKm * e.p.RouteDirectness)
@@ -210,15 +246,7 @@ func (e *Engine) computeStateInto(key pairKey, ps *PathScratch) (pathState, erro
 			time.Duration(p.CityHops())*e.p.PerCityHop
 		return prop + hops
 	}
-	wide := oneway(fwd) + oneway(rev)
-
-	// Access delay is scaled by a per-endpoint line-quality factor; the
-	// wide-area component by a per-path congestion factor. Both derive
-	// from network identity — the (AS, city) attachment pair — never
-	// from call order, so two hosts behind the same attachments share
-	// traits and concurrent campaigns reproduce exactly.
-	access := 2 * (scaleDuration(lo.Access, e.accessFactor(lo)) +
-		scaleDuration(hi.Access, e.accessFactor(hi)))
+	wide := oneway(&fwd) + oneway(&rev)
 
 	g := e.pathPre.At(hashNetPath(key))
 	congestion := e.p.CongestionMedian * g.LogNormal(0, e.p.CoreCongestionSigma)
@@ -229,13 +257,36 @@ func (e *Engine) computeStateInto(key pairKey, ps *PathScratch) (pathState, erro
 	mid := geo.Midpoint(topo.CityLoc(lo.City), topo.CityLoc(hi.City))
 
 	asym := g.Normal(0, e.p.AsymmetrySigma)
-	return pathState{
-		static:     float64(wide)*congestion + float64(access),
+	return netState{
+		wide:       float64(wide) * congestion,
 		fwdAsym:    1 + asym,
 		revAsym:    1 - asym,
 		diurnalAmp: g.Uniform(0, e.p.DiurnalAmpMax),
 		midLon:     mid.Lon,
 	}, nil
+}
+
+// compose resolves the endpoint pair key, priced from a, over its
+// attachment pair's cached state. Access delay is scaled by each
+// endpoint's own line-quality factor and charged out and back; the sum
+// adds to the rounded wide-area product exactly as one
+// wide*congestion + access expression evaluates. The direction keys on
+// the full endpoint identity, so two endpoints on one attachment still
+// pick opposite factors.
+func (e *Engine) compose(ns *netState, key pairKey, a Endpoint) pathState {
+	access := 2 * (scaleDuration(key.lo.Access, e.accessFactor(key.lo)) +
+		scaleDuration(key.hi.Access, e.accessFactor(key.hi)))
+	asym := ns.fwdAsym
+	if a.Key() != key.lo {
+		asym = ns.revAsym
+	}
+	return pathState{
+		static:     ns.wide + float64(access),
+		asym:       asym,
+		diurnalAmp: ns.diurnalAmp,
+		midLon:     ns.midLon,
+		hp:         hashPair(key),
+	}
 }
 
 func scaleDuration(d time.Duration, f float64) time.Duration {
@@ -247,32 +298,35 @@ func scaleDuration(d time.Duration, f float64) time.Duration {
 // a congested DSL line is consistently congested across every path it
 // terminates or relays.
 func (e *Engine) accessFactor(k EndpointKey) float64 {
-	g := e.endpointPre.At(hashEndpointKey(rng.FNVOffset64, k, true))
+	g := e.endpointPre.At(hashEndpointKey(rng.FNVOffset64, k))
 	return g.LogNormal(0, e.p.AccessCongestionSigma)
 }
 
 func hashPair(key pairKey) uint64 {
-	h := hashEndpointKey(rng.FNVOffset64, key.lo, true)
-	return hashEndpointKey(h, key.hi, true)
+	h := hashEndpointKey(rng.FNVOffset64, key.lo)
+	return hashEndpointKey(h, key.hi)
 }
 
-// hashNetPath hashes only the (AS, city) attachment points, ignoring
-// access delay, so path traits are shared by co-attached hosts.
-func hashNetPath(key pairKey) uint64 {
-	h := hashEndpointKey(rng.FNVOffset64, key.lo, false)
-	return hashEndpointKey(h, key.hi, false)
+// hashNetPath hashes an attachment pair, so path traits are shared by
+// co-attached hosts.
+func hashNetPath(key netKey) uint64 {
+	h := hashAttachment(rng.FNVOffset64, key.lo)
+	return hashAttachment(h, key.hi)
 }
 
-// hashEndpointKey folds an endpoint identity into a running FNV-1a hash
+// hashAttachment folds an attachment point into a running FNV-1a hash
 // (rng's inlined zero-alloc fold): 8 little-endian bytes of AS, 4 of
-// city, and (withAccess) 8 of the access delay.
-func hashEndpointKey(h uint64, k EndpointKey, withAccess bool) uint64 {
-	h = rng.FNVUint64(h, uint64(k.AS))
-	h = rng.FNVUint32(h, uint32(k.City))
-	if withAccess {
-		h = rng.FNVUint64(h, uint64(k.Access))
-	}
-	return h
+// city.
+func hashAttachment(h uint64, a attachment) uint64 {
+	h = rng.FNVUint64(h, uint64(a.AS))
+	return rng.FNVUint32(h, uint32(a.City))
+}
+
+// hashEndpointKey folds an endpoint identity into a running FNV-1a
+// hash: its attachment point, then 8 bytes of the access delay.
+func hashEndpointKey(h uint64, k EndpointKey) uint64 {
+	h = hashAttachment(h, attachment{AS: k.AS, City: k.City})
+	return rng.FNVUint64(h, uint64(k.Access))
 }
 
 // BaseRTT returns the load-independent RTT between two endpoints: the
@@ -280,7 +334,7 @@ func hashEndpointKey(h uint64, k EndpointKey, withAccess bool) uint64 {
 // plus the line-scaled access delays. This is what the medians of
 // repeated pings converge to at off-peak hours.
 func (e *Engine) BaseRTT(a, b Endpoint) (time.Duration, error) {
-	st, err := e.state(a, b)
+	st, err := e.resolvePair(a, b)
 	if err != nil {
 		return 0, err
 	}
@@ -327,18 +381,17 @@ func SlotHourFracs(t0 time.Time, interval time.Duration, n int, buf []float64) [
 }
 
 // pingSlot prices one ping slot against resolved path state: the shared
-// core of Ping and PingTrain. asym is the direction factor (fwdAsym or
-// revAsym) the caller resolved once per train; eff is the scenario
-// overlay effect for the pair (NeutralEffect when no scenario is
-// active). A neutral effect is draw-for-draw and bit-for-bit identical
-// to the pre-overlay pricing: Down skips draws only when set, ExtraLoss
-// consumes a draw only when positive, and multiplying by an RTTFactor
-// of exactly 1.0 is exact in IEEE 754.
-func (e *Engine) pingSlot(st *pathState, hp uint64, asym float64, round, slot int, hourFrac float64, eff Effect) (time.Duration, bool) {
+// core of Ping and PingTrain. eff is the scenario overlay effect for the
+// pair (NeutralEffect when no scenario is active). A neutral effect is
+// draw-for-draw and bit-for-bit identical to the pre-overlay pricing:
+// Down skips draws only when set, ExtraLoss consumes a draw only when
+// positive, and multiplying by an RTTFactor of exactly 1.0 is exact in
+// IEEE 754.
+func (e *Engine) pingSlot(st *pathState, round, slot int, hourFrac float64, eff Effect) (time.Duration, bool) {
 	if eff.Down {
 		return 0, false
 	}
-	h := hp ^ uint64(round)<<32 ^ uint64(slot)<<16
+	h := st.hp ^ uint64(round)<<32 ^ uint64(slot)<<16
 	g := e.pingPre.At(h)
 
 	if g.Bool(e.p.LossProb) {
@@ -349,7 +402,7 @@ func (e *Engine) pingSlot(st *pathState, hp uint64, asym float64, round, slot in
 	}
 	rtt := st.static
 	rtt *= diurnalFactorHour(hourFrac, st.diurnalAmp, st.midLon)
-	rtt *= asym
+	rtt *= st.asym
 	rtt *= g.LogNormal(0, e.p.JitterSigma)
 	if g.Bool(e.p.SpikeProb) {
 		spike := time.Duration(g.Pareto(float64(e.p.SpikeMin), e.p.SpikeAlpha))
@@ -362,23 +415,19 @@ func (e *Engine) pingSlot(st *pathState, hp uint64, asym float64, round, slot in
 }
 
 // resolvePair resolves everything a ping or train from a to b needs
-// exactly once: the cached path state, the pair hash (which doubles as
-// the per-ping RNG stream key), and the direction factor for the a->b
-// direction. Every pricing entry point — Engine.Ping, Engine.PingTrain
-// and their overlay View counterparts — goes through this one helper so
-// pair resolution cannot diverge between them.
-func (e *Engine) resolvePair(a, b Endpoint) (st *pathState, hp uint64, asym float64, err error) {
+// exactly once: the attachment pair's cached state composed with the
+// pair's access term, the a->b direction factor and the pair hash (the
+// per-ping RNG stream key). Every per-pair entry point — BaseRTT,
+// Engine.Ping, Engine.PingTrain and their View counterparts — goes
+// through this one helper, and ResolveBatch composes through the same
+// compose, so pair resolution cannot diverge between them.
+func (e *Engine) resolvePair(a, b Endpoint) (pathState, error) {
 	key := canonicalKey(a, b)
-	hp = hashPair(key)
-	st, err = e.stateByKey(key)
+	ns, err := e.netStateOf(key.net())
 	if err != nil {
-		return nil, 0, 0, err
+		return pathState{}, err
 	}
-	asym = st.fwdAsym
-	if a.Key() != key.lo {
-		asym = st.revAsym
-	}
-	return st, hp, asym, nil
+	return e.compose(ns, key, a), nil
 }
 
 // Ping simulates one ping from a to b during measurement round `round`,
@@ -386,11 +435,11 @@ func (e *Engine) resolvePair(a, b Endpoint) (st *pathState, hp uint64, asym floa
 // whether a reply arrived at all. Swapping a and b yields a slightly
 // different value (path asymmetry) drawn from the same path state.
 func (e *Engine) Ping(a, b Endpoint, round, slot int, t time.Time) (time.Duration, bool, error) {
-	st, hp, asym, err := e.resolvePair(a, b)
+	st, err := e.resolvePair(a, b)
 	if err != nil {
 		return 0, false, err
 	}
-	rtt, ok := e.pingSlot(st, hp, asym, round, slot, hourFracOf(t), NeutralEffect())
+	rtt, ok := e.pingSlot(&st, round, slot, hourFracOf(t), NeutralEffect())
 	return rtt, ok, nil
 }
 
@@ -402,8 +451,9 @@ func (e *Engine) Trace(a, b Endpoint) (*bgp.PopPath, error) {
 	return e.router.Expand(a.AS, a.City, b.AS, b.City)
 }
 
-// CachedPairs reports how many endpoint pairs have cached path state,
-// summed across shards. CacheStats (cache.go) exposes the per-shard
+// CachedPairs reports how many attachment pairs have cached path state,
+// summed across shards. Endpoint pairs that differ only in access delay
+// share one entry. CacheStats (cache.go) exposes the per-shard
 // breakdown, including each open-addressed table's load factor.
 func (e *Engine) CachedPairs() int {
 	n := 0

@@ -287,17 +287,34 @@ func TestTraceDirectional(t *testing.T) {
 	}
 }
 
+// TestCachedPairsGrows pins what the cache counts: attachment pairs. A
+// variant of a cached pair that differs only in access delay, in either
+// direction, shares its entry; a new attachment pair adds exactly one.
 func TestCachedPairsGrows(t *testing.T) {
-	e := testEngine(t)
-	before := e.CachedPairs()
+	e := New(testEngine(t).router, DefaultParams(), rng.New(2))
 	a, b := testEndpoints(t)
-	c := a
-	c.Access = 123 * time.Microsecond // distinct endpoint identity
-	if _, err := e.BaseRTT(c, b); err != nil {
-		t.Fatal(err)
+	price := func(x, y Endpoint) int {
+		t.Helper()
+		if _, err := e.BaseRTT(x, y); err != nil {
+			t.Fatal(err)
+		}
+		return e.CachedPairs()
 	}
-	if e.CachedPairs() <= before-1 {
-		t.Fatal("cache did not grow")
+	if n := price(a, b); n != 1 {
+		t.Fatalf("first pair cached %d entries, want 1", n)
+	}
+	c := a
+	c.Access = 123 * time.Microsecond // distinct endpoint identity, same attachment
+	if n := price(c, b); n != 1 {
+		t.Fatalf("access-only variant changed CachedPairs to %d, want 1", n)
+	}
+	if n := price(b, c); n != 1 {
+		t.Fatalf("reversed variant changed CachedPairs to %d, want 1", n)
+	}
+	eye := cachedTopo.ASesOfType(topology.Eyeball)[1] // neither a's AS nor b's
+	d := Endpoint{AS: eye.ASN, City: eye.HomeCity(), Access: a.Access}
+	if n := price(d, b); n != 2 {
+		t.Fatalf("new attachment pair left CachedPairs at %d, want 2", n)
 	}
 }
 

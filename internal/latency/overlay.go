@@ -51,18 +51,27 @@ func (e *Engine) View(ov Overlay) View { return View{e: e, ov: ov} }
 // Engine returns the underlying engine.
 func (v View) Engine() *Engine { return v.e }
 
+// effect is the overlay's effect on pings from a to b, or NeutralEffect
+// for the neutral view.
+func (v View) effect(a, b Endpoint) Effect {
+	if v.ov == nil {
+		return NeutralEffect()
+	}
+	return v.ov.PairEffect(a.City, b.City)
+}
+
 // Ping prices one ping like Engine.Ping, additionally applying the
 // overlay's effect for the endpoint pair.
 func (v View) Ping(a, b Endpoint, round, slot int, t time.Time) (time.Duration, bool, error) {
 	if v.ov == nil {
 		return v.e.Ping(a, b, round, slot, t)
 	}
-	st, hp, asym, err := v.e.resolvePair(a, b)
+	st, err := v.e.resolvePair(a, b)
 	if err != nil {
 		return 0, false, err
 	}
 	eff := v.ov.PairEffect(a.City, b.City)
-	rtt, ok := v.e.pingSlot(st, hp, asym, round, slot, hourFracOf(t), eff)
+	rtt, ok := v.e.pingSlot(&st, round, slot, hourFracOf(t), eff)
 	return rtt, ok, nil
 }
 
@@ -77,14 +86,14 @@ func (v View) PingTrain(a, b Endpoint, round int, t0 time.Time, interval time.Du
 	if len(out) == 0 {
 		return nil
 	}
-	st, hp, asym, err := v.e.resolvePair(a, b)
+	st, err := v.e.resolvePair(a, b)
 	if err != nil {
 		return err
 	}
 	eff := v.ov.PairEffect(a.City, b.City)
 	for slot := range out {
 		at := t0.Add(time.Duration(slot) * interval)
-		rtt, ok := v.e.pingSlot(st, hp, asym, round, slot, hourFracOf(at), eff)
+		rtt, ok := v.e.pingSlot(&st, round, slot, hourFracOf(at), eff)
 		out[slot] = PingSample{RTT: rtt, OK: ok}
 	}
 	return nil

@@ -23,13 +23,13 @@ func (e *Engine) PingTrain(a, b Endpoint, round int, t0 time.Time, interval time
 	if len(out) == 0 {
 		return nil
 	}
-	st, hp, asym, err := e.resolvePair(a, b)
+	st, err := e.resolvePair(a, b)
 	if err != nil {
 		return err
 	}
 	for slot := range out {
 		at := t0.Add(time.Duration(slot) * interval)
-		rtt, ok := e.pingSlot(st, hp, asym, round, slot, hourFracOf(at), NeutralEffect())
+		rtt, ok := e.pingSlot(&st, round, slot, hourFracOf(at), NeutralEffect())
 		out[slot] = PingSample{RTT: rtt, OK: ok}
 	}
 	return nil
@@ -40,22 +40,18 @@ func (e *Engine) PingTrain(a, b Endpoint, round int, t0 time.Time, interval time
 // SlotHourFracs over the same (t0, interval). Every pair of a campaign
 // round prices against the same slot schedule, so the per-ping time
 // decomposition hoists to once per round; the samples are bit-identical
-// to PingTrain's. len(hourFrac) must cover len(out).
+// to PingTrain's. len(hourFrac) must cover len(out). Once the pair's
+// attachment pair is cached, it allocates nothing, even for an endpoint
+// pair never priced before: this is the sampled direct-pair path.
 func (v View) PingTrainSched(a, b Endpoint, round int, hourFrac []float64, out []PingSample) error {
 	if len(out) == 0 {
 		return nil
 	}
-	st, hp, asym, err := v.e.resolvePair(a, b)
+	st, err := v.e.resolvePair(a, b)
 	if err != nil {
 		return err
 	}
-	eff := NeutralEffect()
-	if v.ov != nil {
-		eff = v.ov.PairEffect(a.City, b.City)
-	}
-	for slot := range out {
-		rtt, ok := v.e.pingSlot(st, hp, asym, round, slot, hourFrac[slot], eff)
-		out[slot] = PingSample{RTT: rtt, OK: ok}
-	}
+	h := PairHandle{st: st, eff: v.effect(a, b)}
+	v.PingTrainSchedHandle(&h, round, hourFrac, out)
 	return nil
 }

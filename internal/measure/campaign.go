@@ -473,14 +473,9 @@ func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline
 	fwd, rev := scr.fwd, scr.rev
 	clear(fwd)
 	clear(rev)
-	// Sampled rounds price direct pairs one-shot: the pair set changes
-	// every round at scale, so admitting their path states would churn
-	// the shared cache without ever serving a hit. Relay legs keep the
-	// cached path (relay populations recur across rounds). The one-shot
-	// path still reads the cache and computes the identical state — the
-	// emitted values are unchanged (path states are pure functions of
-	// pair identity).
-	oneShot := plan.idx != nil
+	// Direct pairs price through the shared path-state cache in every
+	// round. It is keyed by attachment pair, so a sampled round's fresh
+	// endpoint pairs mostly land on entries earlier rounds admitted.
 	var pings atomic.Int64
 	err := c.parallel(scr, np, func(s *scratch, k int) error {
 		i, j := plan.at(k)
@@ -489,11 +484,11 @@ func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline
 			return nil
 		}
 		a, b := cols.Endpoint(eps[i]), cols.Endpoint(eps[j])
-		mf, nf, err := c.medianRTTIn(slot.view, s, a, b, round, hourFrac, oneShot)
+		mf, nf, err := c.medianRTTIn(slot.view, s, a, b, round, hourFrac)
 		if err != nil {
 			return err
 		}
-		mr, nrev, err := c.medianRTTIn(slot.view, s, b, a, round, hourFrac, oneShot)
+		mr, nrev, err := c.medianRTTIn(slot.view, s, b, a, round, hourFrac)
 		if err != nil {
 			return err
 		}
@@ -892,13 +887,11 @@ func (scr *roundScratch) legVal(nrW, ai, pos int) float32 {
 
 // scratch is per-worker reusable state: medianRTT is called millions of
 // times per campaign, so neither its train buffer nor its sample buffer
-// may be reallocated per pair. ps is the one-shot pricing scratch — the
-// path-expansion buffers the cache-bypassing fast path reuses.
+// may be reallocated per pair.
 type scratch struct {
 	train   []latency.PingSample
 	vals    []float64
-	hf      []float64 // slot schedule buffer for windowStart-based callers
-	ps      latency.PathScratch
+	hf      []float64              // slot schedule buffer for windowStart-based callers
 	pairs   []latency.EndpointPair // leg-chunk batch resolve input
 	handles []latency.PairHandle   // leg-chunk batch resolve output
 	pings   int64                  // pings sent by this worker since the last flush
@@ -920,29 +913,19 @@ func (c *campaign) flushPings(scr *roundScratch, pings *atomic.Int64) {
 // than MinValidPings replies arrived) plus the number of pings sent.
 func (c *campaign) medianRTT(view latency.View, s *scratch, a, b latency.Endpoint, round int, windowStart time.Time) (float32, int, error) {
 	s.hf = latency.SlotHourFracs(windowStart, c.cfg.PingInterval, c.cfg.PingsPerPair, s.hf[:0])
-	return c.medianRTTIn(view, s, a, b, round, s.hf, false)
+	return c.medianRTTIn(view, s, a, b, round, s.hf)
 }
 
 // medianRTTIn is medianRTT on the round's precomputed slot schedule
-// (roundScratch.hourFrac), with the pricing path selectable: oneShot
-// prices the pair on the stack (PingTrainOneShotSched) — reading but
-// never populating the shared path-state cache — which sampled rounds
-// use for direct pairs that will never be seen again. Both paths
-// produce identical medians.
-func (c *campaign) medianRTTIn(view latency.View, s *scratch, a, b latency.Endpoint, round int, hourFrac []float64, oneShot bool) (float32, int, error) {
+// (roundScratch.hourFrac): the direct-pair path of every round.
+func (c *campaign) medianRTTIn(view latency.View, s *scratch, a, b latency.Endpoint, round int, hourFrac []float64) (float32, int, error) {
 	n := c.cfg.PingsPerPair
 	if cap(s.train) < n {
 		s.train = make([]latency.PingSample, n)
 		s.vals = make([]float64, 0, n)
 	}
 	train := s.train[:n]
-	var err error
-	if oneShot {
-		err = view.PingTrainOneShotSched(a, b, round, hourFrac, train, &s.ps)
-	} else {
-		err = view.PingTrainSched(a, b, round, hourFrac, train)
-	}
-	if err != nil {
+	if err := view.PingTrainSched(a, b, round, hourFrac, train); err != nil {
 		return 0, 0, err
 	}
 	vals := s.vals[:0]

@@ -103,12 +103,13 @@ func TestFastAvailabilityGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestOneShotPricingAllocs pins the one-shot pricing fast path to zero
-// steady-state allocations: after the path scratch has grown once, a
-// PingTrainOneShot over an uncached pair — the sampled-round hot case,
-// where the state is computed on the stack and never admitted to the
-// cache — must not touch the heap.
-func TestOneShotPricingAllocs(t *testing.T) {
+// TestUnseenEndpointPricingAllocs pins the sampled-round hot case to
+// zero allocations: once an attachment pair is cached, pricing an
+// endpoint pair never priced before on it must not touch the heap, nor
+// add a cache entry. Each run moves one endpoint's access delay by a
+// nanosecond, so every run prices a new endpoint identity, through both
+// PingTrainSched and ResolveBatch + PingTrainSchedHandle.
+func TestUnseenEndpointPricingAllocs(t *testing.T) {
 	w, err := sim.Build(sim.SmallWorldParams(41))
 	if err != nil {
 		t.Fatal(err)
@@ -119,21 +120,36 @@ func TestOneShotPricingAllocs(t *testing.T) {
 	}
 	// Endpoints from opposite ends of the fleet, so the expansion is a
 	// real multi-hop path.
-	pa, pb := probes[0], probes[len(probes)-1]
+	a, b := probes[0].Endpoint(), probes[len(probes)-1].Endpoint()
 	view := w.Engine.View(nil)
-	samples := make([]latency.PingSample, 6)
-	var ps latency.PathScratch
-	// Warm once: grows the scratch's path buffers.
-	if err := view.PingTrainOneShot(pa.Endpoint(), pb.Endpoint(), 0, time.Unix(0, 0), time.Minute, samples, &ps); err != nil {
+	hourFrac := latency.SlotHourFracs(time.Unix(0, 0), time.Minute, 6, nil)
+	samples := make([]latency.PingSample, len(hourFrac))
+	pairs := make([]latency.EndpointPair, 1)
+	handles := make([]latency.PairHandle, 1)
+	// Admit the attachment pair.
+	if err := view.PingTrainSched(a, b, 0, hourFrac, samples); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := view.PingTrainOneShot(pa.Endpoint(), pb.Endpoint(), 1, time.Unix(0, 0), time.Minute, samples, &ps); err != nil {
+	cached := w.Engine.CachedPairs()
+	sched := testing.AllocsPerRun(200, func() {
+		a.Access++
+		if err := view.PingTrainSched(a, b, 1, hourFrac, samples); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("one-shot pricing allocates: %v allocs/op, want 0", allocs)
+	batch := testing.AllocsPerRun(200, func() {
+		a.Access++
+		pairs[0] = latency.EndpointPair{A: a, B: b}
+		if err := view.ResolveBatch(pairs, handles); err != nil {
+			t.Fatal(err)
+		}
+		view.PingTrainSchedHandle(&handles[0], 1, hourFrac, samples)
+	})
+	if sched != 0 || batch != 0 {
+		t.Fatalf("unseen endpoint on a cached attachment pair allocates: PingTrainSched %v, ResolveBatch %v allocs/op, want 0", sched, batch)
+	}
+	if got := w.Engine.CachedPairs(); got != cached {
+		t.Fatalf("unseen endpoints on a cached attachment pair grew the cache from %d to %d entries", cached, got)
 	}
 }
 
