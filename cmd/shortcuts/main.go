@@ -35,7 +35,6 @@ func main() {
 		stream  = flag.Bool("stream", false, "streaming mode: constant-memory aggregates, no per-observation tables")
 		seeds   = flag.String("seeds", "", "comma-separated campaign seeds: sweep them all over ONE shared world (sweeps always run in streaming mode, so -stream is implied)")
 		par     = flag.Int("parallel", 1, "campaigns running concurrently in a -seeds sweep")
-		pipe    = flag.Int("pipeline", 1, "campaign rounds executing concurrently (results are identical at any depth; composes with -parallel under one core budget)")
 		budget  = flag.Int("pairbudget", 0, "endpoint pairs measured per round: 0 = exhaustive n*(n-1)/2, a positive budget switches to deterministic stratified sampling")
 		scale   = flag.Int("scale", 0, "grow the world to roughly this many responsive endpoints and run the scale-tier campaign path (requires -pairbudget; incompatible with -small)")
 		scen    = flag.String("scenario", "", "dynamic-world scenario the campaign runs under: "+strings.Join(shortcuts.ScenarioNames(), "|")+" (empty = static world)")
@@ -50,10 +49,10 @@ func main() {
 	if *seeds != "" && *out != "" {
 		fatal(fmt.Errorf("-out applies to a single campaign; drop -seeds to write figure CSVs"))
 	}
-	if err := validateFlags(*rounds, *par, *pipe, *budget, *scale, *small); err != nil {
+	if err := validateFlags(*rounds, *par, *budget, *scale, *small); err != nil {
 		fatal(err)
 	}
-	if err := validateSelfHeal(*heal, *seeds, *pipe); err != nil {
+	if err := validateSelfHeal(*heal, *seeds); err != nil {
 		fatal(err)
 	}
 	if err := startProfiles(*cpuProf, *memProf); err != nil {
@@ -62,8 +61,7 @@ func main() {
 	defer stopProfiles()
 
 	cfg := shortcuts.Config{Seed: *seed, Rounds: *rounds, SmallWorld: *small,
-		RoundPipeline: *pipe, PairBudget: *budget, ScaleEndpoints: *scale,
-		SelfHeal: *heal}
+		PairBudget: *budget, ScaleEndpoints: *scale, SelfHeal: *heal}
 	if *scen != "" {
 		sc, err := shortcuts.ScenarioByName(*scen)
 		if err != nil {
@@ -200,35 +198,23 @@ func printDisruptions(c *shortcuts.Campaign) {
 	}
 }
 
-// validateSelfHeal rejects flag combinations the self-heal loop cannot
-// honor, with errors that explain the feedback edge.
-func validateSelfHeal(heal bool, seeds string, pipeline int) error {
-	if !heal {
-		return nil
-	}
-	if seeds != "" {
+// validateSelfHeal rejects -selfheal in a -seeds sweep: the loop heals
+// one campaign's relay plan.
+func validateSelfHeal(heal bool, seeds string) error {
+	if heal && seeds != "" {
 		return fmt.Errorf("-selfheal applies to a single campaign; drop -seeds (sweep campaigns share nothing, so each would heal alone anyway)")
-	}
-	if pipeline > 1 {
-		return fmt.Errorf("-selfheal runs rounds sequentially (round r's detections shape round r+1); drop -pipeline %d", pipeline)
 	}
 	return nil
 }
 
 // validateFlags rejects nonsensical flag combinations up front, before
 // minutes of world building, with errors that name the offending flag.
-func validateFlags(rounds, parallel, pipeline, pairBudget, scale int, small bool) error {
+func validateFlags(rounds, parallel, pairBudget, scale int, small bool) error {
 	if rounds <= 0 {
 		return fmt.Errorf("-rounds must be positive, got %d", rounds)
 	}
 	if parallel < 1 {
 		return fmt.Errorf("-parallel must be >= 1, got %d", parallel)
-	}
-	if pipeline < 1 {
-		return fmt.Errorf("-pipeline must be >= 1, got %d", pipeline)
-	}
-	if pipeline > rounds {
-		return fmt.Errorf("-pipeline %d exceeds -rounds %d: a pipeline slot deeper than the campaign can never fill", pipeline, rounds)
 	}
 	if pairBudget < 0 {
 		return fmt.Errorf("-pairbudget must be >= 0 (0 = exhaustive), got %d", pairBudget)

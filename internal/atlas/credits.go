@@ -54,34 +54,6 @@ func (l *Ledger) Spend(day int, credits int64) error {
 	return nil
 }
 
-// Reservation is a pending charge recorded by a measurement round whose
-// credits have not yet been committed against the budget. Pipelined
-// campaigns execute rounds out of order, but budget exhaustion must
-// abort at the same round it would sequentially — so rounds reserve
-// while they run and the emission stage settles the reservations in
-// round order, recreating the exact day-sequential Spend sequence of a
-// sequential campaign.
-type Reservation struct {
-	Day     int
-	Credits int64
-}
-
-// Reserve records a pending charge without touching the budget. The
-// caller commits it later with Settle; until then the ledger state is
-// unchanged, so concurrent rounds cannot consume budget ahead of an
-// earlier round that has not settled yet.
-func Reserve(day int, credits int64) Reservation {
-	return Reservation{Day: day, Credits: credits}
-}
-
-// Settle commits a reservation, with exactly Spend's semantics: the full
-// amount is charged, or *ErrBudget is returned and nothing is. Callers
-// must settle reservations in the same order a sequential execution
-// would have spent them.
-func (l *Ledger) Settle(r Reservation) error {
-	return l.Spend(r.Day, r.Credits)
-}
-
 // SpentOn returns the credits charged against a day so far.
 func (l *Ledger) SpentOn(day int) int64 {
 	l.mu.Lock()

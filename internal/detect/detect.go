@@ -30,10 +30,10 @@
 //
 // Determinism: the Sink contract delivers observations and round
 // boundaries from a single goroutine, in deterministic order, for any
-// Concurrency, engine shard count or RoundPipeline depth — so equal
-// streams produce bit-identical events and plans with no locking and no
-// tie-breaking on schedule. The detector never reads scenario ground
-// truth; everything derives from the emitted stream.
+// Concurrency or engine shard count — so equal streams produce
+// bit-identical events and plans with no locking and no tie-breaking
+// on schedule. The detector never reads scenario ground truth;
+// everything derives from the emitted stream.
 package detect
 
 import (

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"shortcuts/internal/measure"
-	"shortcuts/internal/scenario"
 )
 
 // armFingerprint is everything the determinism matrix compares: the
@@ -26,10 +25,10 @@ func fingerprint(d *Detector) armFingerprint {
 
 // TestDetectorDeterminismMatrix pins the tentpole determinism claim:
 // the same campaign stream produces bit-identical events and plan
-// series at every Concurrency x latency-cache-shards x RoundPipeline
-// combination, in both monitor and self-heal mode. The detector never
-// sees schedule, so any divergence would mean the stream itself (or
-// the self-heal feedback path) leaked nondeterminism.
+// series at every Concurrency x latency-cache-shards combination, in
+// both monitor and self-heal mode. The detector never sees schedule,
+// so any divergence would mean the stream itself (or the self-heal
+// feedback path) leaked nondeterminism.
 func TestDetectorDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run is not short")
@@ -41,62 +40,36 @@ func TestDetectorDeterminismMatrix(t *testing.T) {
 		for _, shards := range []int{1, 8} {
 			w := buildWorld(t, 17, shards)
 			for _, conc := range []int{1, 8} {
-				for _, pipe := range []int{1, 2, 8} {
-					key := fmt.Sprintf("selfheal=%v shards=%d conc=%d pipe=%d", selfHeal, shards, conc, pipe)
-					det := New(w, Options{SelfHeal: selfHeal})
-					cfg := measure.QuickConfig(rtRounds)
-					cfg.Scenario = sc
-					cfg.Concurrency = conc
-					cfg.RoundPipeline = pipe
-					var sink measure.Sink = nopSink{}
-					if selfHeal {
-						cfg.SelfHeal = det
-					} else {
-						sink = det
+				key := fmt.Sprintf("selfheal=%v shards=%d conc=%d", selfHeal, shards, conc)
+				det := New(w, Options{SelfHeal: selfHeal})
+				cfg := measure.QuickConfig(rtRounds)
+				cfg.Scenario = sc
+				cfg.Concurrency = conc
+				var sink measure.Sink = nopSink{}
+				if selfHeal {
+					cfg.SelfHeal = det
+				} else {
+					sink = det
+				}
+				if err := measure.RunStream(w, cfg, sink); err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				fp := fingerprint(det)
+				if ref == nil {
+					ref = &fp
+					refKey = key
+					if len(fp.Events) == 0 {
+						t.Fatalf("%s: no events; the matrix would compare empty runs", key)
 					}
-					if err := measure.RunStream(w, cfg, sink); err != nil {
-						t.Fatalf("%s: %v", key, err)
-					}
-					fp := fingerprint(det)
-					if ref == nil {
-						ref = &fp
-						refKey = key
-						if len(fp.Events) == 0 {
-							t.Fatalf("%s: no events; the matrix would compare empty runs", key)
-						}
-						continue
-					}
-					if !reflect.DeepEqual(fp.Events, ref.Events) {
-						t.Errorf("%s: events diverge from %s:\n got %+v\nwant %+v", key, refKey, fp.Events, ref.Events)
-					}
-					if !reflect.DeepEqual(fp.Plans, ref.Plans) {
-						t.Errorf("%s: plan history diverges from %s", key, refKey)
-					}
+					continue
+				}
+				if !reflect.DeepEqual(fp.Events, ref.Events) {
+					t.Errorf("%s: events diverge from %s:\n got %+v\nwant %+v", key, refKey, fp.Events, ref.Events)
+				}
+				if !reflect.DeepEqual(fp.Plans, ref.Plans) {
+					t.Errorf("%s: plan history diverges from %s", key, refKey)
 				}
 			}
 		}
-	}
-}
-
-// TestSelfHealClampsPipeline pins the feedback-edge rule: with a
-// controller set, a deep pipeline must emit the identical stream as
-// depth 1 (measure clamps it), so detection results match trivially —
-// asserted here through the detector's own outputs under calm too.
-func TestSelfHealClampsPipeline(t *testing.T) {
-	w := buildWorld(t, 17, 0)
-	var fps []armFingerprint
-	for _, pipe := range []int{1, 8} {
-		det := New(w, Options{SelfHeal: true})
-		cfg := measure.QuickConfig(8)
-		cfg.Scenario = scenario.Calm()
-		cfg.RoundPipeline = pipe
-		cfg.SelfHeal = det
-		if err := measure.RunStream(w, cfg, nopSink{}); err != nil {
-			t.Fatal(err)
-		}
-		fps = append(fps, fingerprint(det))
-	}
-	if !reflect.DeepEqual(fps[0], fps[1]) {
-		t.Fatal("self-heal campaign diverged between RoundPipeline 1 and 8")
 	}
 }

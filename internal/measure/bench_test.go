@@ -66,39 +66,6 @@ func BenchmarkCampaignRoundSteadyState(b *testing.B) {
 	b.ReportMetric(float64(pairs), "pairs_usable")
 }
 
-// BenchmarkCampaignRoundPipelined times a warm 24-round campaign at
-// pipeline depths 1, 2 and 8 and reports the per-round cost. The world
-// (and its shared path-state cache and feasibility memo) is warmed by a
-// throwaway campaign first, so the numbers isolate what pipelining
-// overlaps: the per-round measurement work itself. On a single-core
-// runner the depths tie — the knob reshapes the schedule, not the work;
-// the speedup shows on multi-core hosts where sequential rounds leave
-// cores idle between parallel sections.
-func BenchmarkCampaignRoundPipelined(b *testing.B) {
-	w := benchWorld(b)
-	const rounds = 24
-	warm := QuickConfig(rounds)
-	warm.DailyCreditLimit = 0
-	if err := RunStream(w, warm, discardSink{}); err != nil {
-		b.Fatal(err)
-	}
-	for _, k := range []int{1, 2, 8} {
-		b.Run(map[int]string{1: "k1", 2: "k2", 8: "k8"}[k], func(b *testing.B) {
-			cfg := QuickConfig(rounds)
-			cfg.DailyCreditLimit = 0
-			cfg.RoundPipeline = k
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := RunStream(w, cfg, discardSink{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rounds), "ns/round")
-		})
-	}
-}
-
 // benchFilterInput reconstructs one round's feasibility workload: the
 // endpoint pairs with a plausible direct-RTT threshold each, and the
 // round's relay positions with their cities.

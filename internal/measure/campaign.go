@@ -16,32 +16,11 @@
 // reused scratch arena with capacity-retaining resets, so steady-state
 // rounds stay off the allocator.
 //
-// # Executor stages
-//
-// Rounds are independent snapshots 12 hours apart, and every stochastic
-// draw is keyed by (seed, round, slot) — never by call order — so rounds
-// may execute out of order as long as they are emitted in order. The
-// executor exploits that in three stages:
-//
-//   - execute: a round runs all its measurement phases and stitches its
-//     observations into a per-slot buffer. Each in-flight round owns one
-//     roundSlot — a full scratch arena, improve arena, and engine view —
-//     drawn from a fixed set of Config.RoundPipeline slots, so concurrent
-//     rounds never share mutable state.
-//   - settle: the round's Atlas credits are only *reserved* during
-//     execution (atlas.Reserve); the emitter commits reservations in
-//     round order (atlas.Ledger.Settle), recreating the exact
-//     day-sequential spend sequence of a sequential campaign, so budget
-//     exhaustion aborts at the identical round.
-//   - emit: completed rounds are released to the Sink strictly in round
-//     order. Workers hand their slot to the emitter and block until it
-//     has been flushed, which bounds buffered output at RoundPipeline
-//     rounds — a slow Sink throttles execution instead of growing a
-//     reorder buffer.
-//
-// With RoundPipeline <= 1 (the default) the executor degenerates to the
-// classic sequential loop over a single slot; the emitted stream is
-// bit-identical for every pipeline depth.
+// Rounds run one at a time. Each round measures, charges its Atlas
+// credits, then stitches its observations into the Sink; parallelism
+// lives inside a round (Config.Concurrency workers), and every
+// stochastic draw is keyed by (seed, round, slot) — never by call order
+// — so the stream is the same for any worker count.
 package measure
 
 import (
@@ -75,9 +54,9 @@ func Run(w *sim.World, cfg Config) (*Results, error) {
 
 // RunStream executes the campaign, pushing observations and per-round
 // summaries into sink as each round completes. Equal seeds produce
-// bit-for-bit identical streams for any Concurrency, any engine shard
-// count, and any RoundPipeline depth: every stochastic draw derives
-// from (seed, path identity, round, slot), never from scheduling.
+// bit-for-bit identical streams for any Concurrency and any engine
+// shard count: every stochastic draw derives from (seed, path
+// identity, round, slot), never from scheduling.
 func RunStream(w *sim.World, cfg Config, sink Sink) error {
 	c, err := newCampaign(w, cfg)
 	if err != nil {
@@ -88,9 +67,6 @@ func RunStream(w *sim.World, cfg Config, sink Sink) error {
 		// so by the time external observers learn round r finished, the
 		// exclusions for round r+1 are already decided.
 		sink = MultiSink(cfg.SelfHeal, sink)
-	}
-	if len(c.slots) > 1 {
-		return c.runPipelined(sink)
 	}
 	for round := 0; round < cfg.Rounds; round++ {
 		info, err := c.runRound(round, sink)
@@ -104,7 +80,7 @@ func RunStream(w *sim.World, cfg Config, sink Sink) error {
 
 // newCampaign validates the configuration and builds the campaign
 // executor: compiled scenario, propagation matrix, city-pair feasibility
-// memo, and the (initially empty) per-slot round scratch arenas.
+// memo, and the (initially empty) round scratch arena.
 func newCampaign(w *sim.World, cfg Config) (*campaign, error) {
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("measure: Rounds must be positive")
@@ -130,29 +106,13 @@ func newCampaign(w *sim.World, cfg Config) (*campaign, error) {
 		nc := len(w.Topo.Cities)
 		return newFeasMemo(w, nc, cityPropDelays(w))
 	}).(*feasMemo)
-	depth := cfg.RoundPipeline
-	if depth < 1 {
-		depth = 1
+	if len(feas.relayCities) >= int(noRelayRank) {
+		return nil, fmt.Errorf("measure: the world has %d relay cities; the feasibility memo ranks at most %d",
+			len(feas.relayCities), noRelayRank-1)
 	}
-	if depth > cfg.Rounds {
-		depth = cfg.Rounds
-	}
-	if cfg.SelfHeal != nil {
-		// Self-healing adds a feedback edge — round r's detections shape
-		// round r+1's feasibility — so rounds are no longer independent.
-		// Collapsing the pipeline keeps the stream identical at any
-		// requested depth instead of deadlocking on the dependency.
-		depth = 1
-	}
-	// One worker budget: an explicit Concurrency is per round, as ever;
-	// the GOMAXPROCS default is divided across the concurrent rounds so
-	// pipelining changes the schedule, never the total parallelism.
 	workers := cfg.Concurrency
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) / depth
-		if workers < 1 {
-			workers = 1
-		}
+		workers = runtime.GOMAXPROCS(0)
 	}
 	g := rng.New(campaignSeed(cfg, w)).Split("campaign")
 	return &campaign{
@@ -167,7 +127,6 @@ func newCampaign(w *sim.World, cfg Config) (*campaign, error) {
 		feas:     feas,
 		scenario: compiled,
 		workers:  workers,
-		slots:    make([]roundSlot, depth),
 	}, nil
 }
 
@@ -199,40 +158,20 @@ type campaign struct {
 	pairBase rng.Stream
 
 	// scenario is the compiled dynamic-world timeline (nil when none is
-	// configured); each slot binds its round's snapshot to its own view.
+	// configured); each round binds its snapshot to view.
 	scenario *scenario.Compiled
 
 	// workers is the per-round worker-pool size (resolved once: explicit
-	// Concurrency, or the GOMAXPROCS budget split across pipeline slots).
+	// Concurrency, or GOMAXPROCS).
 	workers int
 
-	// slots hold every piece of per-round mutable state, one slot per
-	// concurrently executing round. Sequential campaigns use slots[0]
-	// only; the pipelined executor statically assigns round r to slot
-	// r % len(slots), so a slot is always reused by one goroutine with
-	// the same capacity-retaining resets as the sequential loop.
-	slots []roundSlot
-
-	// executed counts rounds whose execution has finished (emitted or
-	// not). The pipelined back-pressure contract — at most len(slots)
-	// rounds past the emission frontier — is asserted against it.
-	executed atomic.Int64
-}
-
-// roundSlot owns the mutable state of one in-flight round: the engine
-// view bound to the round's scenario snapshot, the scratch arena, the
-// improve arena, and (in pipelined mode) the buffered emissions and the
-// round's pending ledger reservation.
-type roundSlot struct {
-	// view is the engine bound to the round's scenario snapshot. It is
-	// rebound at the start of the round, before the worker pool spawns,
-	// and only read by workers.
+	// view is the engine bound to the current round's scenario snapshot.
+	// It is rebound at the start of the round, before the worker pool
+	// spawns, and only read by workers.
 	view latency.View
 
-	// scr holds every per-round buffer, reused across the slot's rounds
-	// (a slot runs one round at a time; only the worker pool inside a
-	// round is parallel, and workers never write these concurrently with
-	// each other's slots).
+	// scr holds every per-round buffer, reused across rounds (only the
+	// worker pool inside a round is parallel).
 	scr roundScratch
 
 	// improving collects one pair's improving relays before the
@@ -242,27 +181,7 @@ type roundSlot struct {
 
 	// block is the reused columnar round buffer handed to BlockSinks.
 	block ObsBlock
-
-	// obs buffers the round's stitched observations in pipelined mode,
-	// flushed to the real sink by the emitter in round order. Sequential
-	// rounds emit directly and leave it empty.
-	obs obsBuffer
-	// info and resv carry the round summary and the pending credit
-	// reservation from execution to ordered emission; err carries an
-	// execution failure to the emitter, which reports it at the round's
-	// in-order position.
-	info RoundInfo
-	resv atlas.Reservation
-	err  error
 }
-
-// obsBuffer is a Sink that builds the slot's in-memory round: the
-// pipelined executor stitches into it during execution and the emitter
-// flushes it once the round's turn comes.
-type obsBuffer []Observation
-
-func (b *obsBuffer) Emit(o Observation)  { *b = append(*b, o) }
-func (b *obsBuffer) RoundDone(RoundInfo) {}
 
 // roundScratch is the arena of per-round buffers. Every field is either
 // fully overwritten each round or explicitly cleared by reset, so a
@@ -270,10 +189,9 @@ func (b *obsBuffer) RoundDone(RoundInfo) {}
 // (regression-tested by the shrinking-world test).
 type roundScratch struct {
 	exclude     map[atlas.ProbeID]bool
-	probes      []*atlas.Probe // endpoint sample buffer (draft-less fallback)
-	eps         []int32        // per endpoint: row in the world's columns
-	asPerm      []int          // drafting: per-country AS-group permutation
-	probePerm   []int          // drafting: per-group row permutation
+	eps         []int32 // per endpoint: row in the world's columns
+	asPerm      []int   // drafting: per-country AS-group permutation
+	probePerm   []int   // drafting: per-group row permutation
 	roundRelays []int
 	hourFrac    []float64 // per ping slot: UTC hour fraction of the round's schedule
 	windowUp    []bool    // per endpoint: answers through the window
@@ -364,25 +282,13 @@ func cityPropDelays(w *sim.World) []time.Duration {
 	return m
 }
 
-// runRound executes one round sequentially on slot 0, settling the
-// round's credits inline and emitting straight into sink — the classic
-// single-slot path RunStream takes when RoundPipeline <= 1.
+// runRound executes one round: it runs every measurement phase,
+// charges the round's credits against the ledger, and stitches the
+// round's observations into sink. The caller reports RoundDone.
 func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
-	info, _, err := c.roundExec(&c.slots[0], round, sink, true)
-	return info, err
-}
-
-// roundExec is the round body shared by the sequential and pipelined
-// executors. It runs every measurement phase of the round on the given
-// slot and stitches the round's observations into emit. With
-// settleInline the round's credits are charged against the ledger
-// between measurement and stitching (sequential semantics); otherwise
-// the charge is only recorded as a reservation for the emitter to
-// settle in round order.
-func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline bool) (RoundInfo, atlas.Reservation, error) {
 	start := c.cfg.Start.Add(time.Duration(round) * c.cfg.RoundInterval)
 	info := RoundInfo{Round: round, Start: start}
-	scr := &slot.scr
+	scr := &c.scr
 
 	// Every train of the round pings on the same slot schedule; the
 	// wall-time decomposition the diurnal factor needs is hoisted here —
@@ -396,9 +302,9 @@ func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline
 	// quiet rounds, bit-identical to a scenario-free campaign.
 	snap := c.scenario.Snapshot(round)
 	if snap != nil {
-		slot.view = c.w.Engine.View(snap)
+		c.view = c.w.Engine.View(snap)
 	} else {
-		slot.view = c.w.Engine.View(nil)
+		c.view = c.w.Engine.View(nil)
 	}
 
 	// Step 1: endpoint selection, drafted over the world's columnar
@@ -484,11 +390,11 @@ func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline
 			return nil
 		}
 		a, b := cols.Endpoint(eps[i]), cols.Endpoint(eps[j])
-		mf, nf, err := c.medianRTTIn(slot.view, s, a, b, round, hourFrac)
+		mf, nf, err := c.medianRTTIn(c.view, s, a, b, round, hourFrac)
 		if err != nil {
 			return err
 		}
-		mr, nrev, err := c.medianRTTIn(slot.view, s, b, a, round, hourFrac)
+		mr, nrev, err := c.medianRTTIn(c.view, s, b, a, round, hourFrac)
 		if err != nil {
 			return err
 		}
@@ -498,7 +404,7 @@ func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline
 	})
 	c.flushPings(scr, &pings)
 	if err != nil {
-		return info, atlas.Reservation{}, err
+		return info, err
 	}
 
 	// Step 3 (feasibility half): relays worth measuring per pair, and
@@ -605,19 +511,6 @@ func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline
 			}
 			continue
 		}
-		if c.feas.slow {
-			// Overflow fallback: the direct arithmetic predicate.
-			for _, pos := range livePos {
-				if c.feasibleDirect(aCity, int(relayCity[pos]), bCity, directRTT) {
-					feasBuf = append(feasBuf, pos)
-					if relayUp[pos] {
-						markLeg(it.i, pos)
-						markLeg(it.j, pos)
-					}
-				}
-			}
-			continue
-		}
 		// Memoized filter: one binary search per pair, then one rank
 		// compare per live relay — exactly equivalent to the direct
 		// arithmetic predicate (see feasMemo).
@@ -690,11 +583,11 @@ func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline
 			relay := &c.w.Catalog.Relays[roundRelays[int(idx%int64(nr))]]
 			pairs[k-lo] = latency.EndpointPair{A: cols.Endpoint(eps[e]), B: relay.Endpoint}
 		}
-		if err := slot.view.ResolveBatch(pairs, handles); err != nil {
+		if err := c.view.ResolveBatch(pairs, handles); err != nil {
 			return err
 		}
 		for j := range handles {
-			m, n := c.medianFromHandle(slot.view, s, &handles[j], round, hourFrac)
+			m, n := c.medianFromHandle(c.view, s, &handles[j], round, hourFrac)
 			legVals[lo+j] = m
 			s.pings += int64(n)
 		}
@@ -702,35 +595,26 @@ func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline
 	})
 	c.flushPings(scr, &pings)
 	if err != nil {
-		return info, atlas.Reservation{}, err
+		return info, err
 	}
 
-	// Credits: all pings of this round land on its calendar day. The
-	// sequential path settles the charge here, before stitching, exactly
-	// as it always has; the pipelined path records a reservation for the
-	// emitter to settle at the round's in-order emission, so out-of-order
-	// execution can never consume budget ahead of an earlier round.
+	// Credits: all pings of this round land on its calendar day, charged
+	// before stitching, so an exhausted budget emits nothing of the round.
 	day := int(start.Sub(c.cfg.Start).Hours() / 24)
-	resv := atlas.Reserve(day, pings.Load()*atlas.PingCost)
-	if settleInline {
-		if err := c.ledger.Settle(resv); err != nil {
-			return info, resv, err
-		}
+	if err := c.ledger.Spend(day, pings.Load()*atlas.PingCost); err != nil {
+		return info, err
 	}
 	info.PingsSent = pings.Load()
 
-	// Step 4 (stitching): build observations in pair order, into the
-	// real sink (sequential) or the slot's buffer (pipelined). Every
+	// Step 4 (stitching): build observations in pair order. Every
 	// observation field is a column read; leg medians come back through
 	// the bitset rank lookup. Sinks that understand columnar delivery
 	// (BlockSink) receive the round as one reused column block instead
 	// of per-observation Emit calls — same values, no per-observation
-	// arena copy or interface dispatch. The pipelined executor buffers
-	// through obsBuffer (not a BlockSink), so blocks flow on the
-	// sequential path.
-	blockSink, _ := emit.(BlockSink)
+	// arena copy or interface dispatch.
+	blockSink, _ := sink.(BlockSink)
 	if blockSink != nil {
-		slot.block.reset(round)
+		c.block.reset(round)
 	}
 	for it := newPairIter(plan); it.next(); {
 		k := it.k
@@ -750,7 +634,7 @@ func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline
 			o.BestRelay[t] = -1
 		}
 		ai, aj := int(activeOf[it.i]), int(activeOf[it.j])
-		slot.improving = slot.improving[:0]
+		c.improving = c.improving[:0]
 		for _, pos := range feasible[k] {
 			ri := roundRelays[pos]
 			r := &c.w.Catalog.Relays[ri]
@@ -770,31 +654,30 @@ func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline
 				o.BestRelay[t] = int32(ri)
 			}
 			if stitched < o.DirectMs {
-				slot.improving = append(slot.improving, ImproveEntry{Relay: int32(ri), RelayedMs: stitched})
+				c.improving = append(c.improving, ImproveEntry{Relay: int32(ri), RelayedMs: stitched})
 			}
 		}
 		if blockSink != nil {
 			// Columnar delivery: the improving entries copy straight into
-			// the block's flat buffer (the block is reused per slot, so no
-			// arena escape bookkeeping is needed).
-			slot.block.append(&o, slot.improving)
+			// the block's flat buffer (the block is reused across rounds,
+			// so no arena escape bookkeeping is needed).
+			c.block.append(&o, c.improving)
 		} else {
 			// Improving entries escape into the sink, so they get an
 			// exact-size arena copy: the scratch absorbs the append growth,
 			// the observation retains not an entry more than it owns.
-			if len(slot.improving) > 0 {
-				o.Improving = slot.arena.alloc(len(slot.improving))
-				copy(o.Improving, slot.improving)
+			if len(c.improving) > 0 {
+				o.Improving = c.arena.alloc(len(c.improving))
+				copy(o.Improving, c.improving)
 			}
-			emit.Emit(o)
+			sink.Emit(o)
 		}
 		info.PairsUsable++
 	}
 	if blockSink != nil {
-		blockSink.EmitBlock(&slot.block)
+		blockSink.EmitBlock(&c.block)
 	}
-	c.executed.Add(1)
-	return info, resv, nil
+	return info, nil
 }
 
 // draftEndpoints draws the round's endpoint rows over the world's draft
@@ -803,19 +686,9 @@ func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline
 // taking responsive rows until the per-country quota — the exact draw
 // sequence of eyeball.SampleEndpointsInto (pinned by the
 // draw-equivalence test), over int32 column rows instead of
-// *atlas.Probe pointers. Hand-assembled worlds without a draft index
-// fall back to the selector walk and keep the classic availability
-// coins.
+// *atlas.Probe pointers.
 func (c *campaign) draftEndpoints(scr *roundScratch, round, perCountry int) []int32 {
 	d := c.w.Draft
-	if d == nil {
-		scr.probes = c.w.Selector.SampleEndpointsInto(c.g, round, perCountry, scr.probes)
-		eps := grown(scr.eps, len(scr.probes))
-		for i, p := range scr.probes {
-			eps[i] = c.cols.Row(p.ID)
-		}
-		return eps
-	}
 	cols := c.cols
 	g := c.g.SplitN("endpoints", round)
 	eps := scr.eps[:0]
@@ -990,7 +863,7 @@ func median(vals []float64) float64 {
 
 // parallel runs fn over [0, n) with the campaign's per-round worker
 // count, each worker carrying its own scratch (retained across rounds
-// in the slot's arena), propagating the first error.
+// in the round arena), propagating the first error.
 func (c *campaign) parallel(scr *roundScratch, n int, fn func(s *scratch, i int) error) error {
 	workers := c.workers
 	if workers > n {

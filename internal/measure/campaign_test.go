@@ -1,10 +1,13 @@
 package measure
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"shortcuts/internal/atlas"
 	"shortcuts/internal/relays"
 	"shortcuts/internal/sim"
 )
@@ -195,6 +198,50 @@ func TestCreditBudgetEnforced(t *testing.T) {
 	if _, err := Run(w, cfg); err == nil {
 		t.Fatal("campaign ran despite a tiny credit budget")
 	}
+}
+
+// TestCreditExhaustionMidCampaign pins the budget-abort contract: a
+// campaign whose Atlas credits run out mid-campaign fails at the
+// exhausting round with *atlas.ErrBudget, having emitted every earlier
+// round and nothing of the failing one (a round is charged before it
+// stitches).
+func TestCreditExhaustionMidCampaign(t *testing.T) {
+	w, err := sim.Build(sim.SmallWorldParams(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := QuickConfig(6)
+	cfg.Concurrency = 2
+
+	// Discover per-round credit costs under the default budget, then set
+	// a daily limit that admits round 0 but not round 1 (both land on
+	// day 0 with the 12 h interval).
+	var full collectSink
+	if err := RunStream(w, cfg, &full); err != nil {
+		t.Fatal(err)
+	}
+	cost := func(r int) int64 { return full.rounds[r].PingsSent * atlas.PingCost }
+	cfg.DailyCreditLimit = cost(0) + cost(1)/2
+
+	var got collectSink
+	err = RunStream(w, cfg, &got)
+	var be *atlas.ErrBudget
+	if !errors.As(err, &be) {
+		t.Fatalf("error is %T, want *atlas.ErrBudget: %v", err, err)
+	}
+	if !strings.HasPrefix(err.Error(), "measure: round 1: ") || be.Day != 0 {
+		t.Fatalf("campaign aborted with %v (day %d), want round 1 on day 0", err, be.Day)
+	}
+	if len(got.rounds) != 1 || got.rounds[0] != full.rounds[0] {
+		t.Fatalf("emitted rounds %+v before aborting, want round 0 only: %+v", got.rounds, full.rounds[0])
+	}
+	round0 := collectSink{rounds: full.rounds[:1]}
+	for _, o := range full.obs {
+		if o.Round == 0 {
+			round0.obs = append(round0.obs, o)
+		}
+	}
+	observationsEqual(t, "exhaustion-prefix", got.results(cfg), round0.results(cfg))
 }
 
 func TestRoundTiming(t *testing.T) {

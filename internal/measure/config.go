@@ -25,21 +25,9 @@ type Config struct {
 	MinValidPings int
 	// Start is the campaign start (the paper ran 20 Apr - 17 May 2017).
 	Start time.Time
-	// Concurrency bounds the per-round worker pool; <= 0 means a
-	// GOMAXPROCS-derived budget (divided across pipeline slots when
-	// RoundPipeline > 1, so the two parallelism axes compose without
-	// oversubscription).
+	// Concurrency bounds the per-round worker pool; <= 0 means
+	// GOMAXPROCS.
 	Concurrency int
-	// RoundPipeline is the number of rounds executed concurrently.
-	// <= 1 (the default) runs the classic sequential loop. Higher
-	// depths overlap up to RoundPipeline rounds, each on its own
-	// scratch arena, while observations and RoundDone callbacks still
-	// reach the Sink strictly in round order — the emitted stream is
-	// bit-identical at every depth. Memory cost is one round arena per
-	// slot. Credit exhaustion aborts at the same round as depth 1:
-	// rounds only reserve credits while executing, and reservations
-	// settle in round order at emission.
-	RoundPipeline int
 	// PairBudget caps the endpoint pairs measured per round. 0 (the
 	// default) measures the exhaustive n*(n-1)/2 universe, exactly as
 	// the paper does at its ~160-endpoint scale. A positive budget below
@@ -47,9 +35,9 @@ type Config struct {
 	// sampling: per-city-pair quotas proportional to the strata's eyeball
 	// population weights, drawn from an rng stream keyed by (seed, round)
 	// — never by schedule — so sampled streams are bit-identical at any
-	// Concurrency, shard count or RoundPipeline depth. A budget at or
-	// above the universe size is a no-op (the round stays exhaustive and
-	// bit-identical to PairBudget 0). Negative budgets are rejected.
+	// Concurrency or shard count. A budget at or above the universe size
+	// is a no-op (the round stays exhaustive and bit-identical to
+	// PairBudget 0). Negative budgets are rejected.
 	PairBudget int
 	// EndpointsPerCountry raises the per-round endpoint quota per
 	// country ( <= 0 or 1 keeps the paper's one probe per country).
@@ -86,10 +74,9 @@ type Config struct {
 	// (before the caller's sink) and is consulted at each round start
 	// for relays to exclude from the feasibility filter — the same
 	// masking path scenario churn rides, so excluded relays neither
-	// count as feasible nor get legs measured. Because round r's
-	// detections shape round r+1's plan, self-healing campaigns run
-	// rounds strictly sequentially: RoundPipeline is clamped to 1 and
-	// the stream is identical at any requested depth. Nil (the
+	// count as feasible nor get legs measured. Round r's detections
+	// shape round r+1's plan; rounds run one at a time, so the
+	// controller always sees round r before round r+1 starts. Nil (the
 	// default) changes nothing: calm and detection-off campaigns stay
 	// bit-identical to every golden digest.
 	SelfHeal SelfHealController

@@ -56,11 +56,6 @@ type feasMemo struct {
 	cfSlab    []cityFeas
 	idealSlab []time.Duration
 	rankSlab  []uint16
-
-	// slow disables the memo for (hypothetical) worlds whose relay-city
-	// count would overflow the uint16 ranks; the round loop then falls
-	// back to the direct arithmetic predicate.
-	slow bool
 }
 
 // noRelayRank marks a city hosting no relays; it compares >= any
@@ -89,7 +84,6 @@ func newFeasMemo(w *sim.World, nc int, prop []time.Duration) *feasMemo {
 			m.relayCities = append(m.relayCities, int32(c))
 		}
 	}
-	m.slow = len(m.relayCities) >= int(noRelayRank)
 	return m
 }
 

@@ -11,9 +11,9 @@ import (
 // TestSampledGoldenStreamDigests pins the PairBudget sampling mode the
 // same way TestGoldenStreamDigests pins the exhaustive mode: SHA-256
 // over the full emitted stream, run across the scheduling matrix
-// (Concurrency 1 and 8 x latency-cache shards 1 and 8 x round-pipeline
-// depth 1, 2 and 8). The digests were recorded at Concurrency 1,
-// shards 1, depth 1 when sampling landed; every other cell passing
+// (Concurrency 1 and 8 with latency-cache shards 1 and 8; cell names
+// keep their historical -k1 suffix). The digests were recorded at
+// Concurrency 1, shards 1 when sampling landed; every other cell passing
 // proves the sampled plan and everything downstream of it derive from
 // (seed, round, stratum) alone — never from scheduling — and any later
 // engine change that perturbs a single sampled observation fails here.
@@ -41,47 +41,43 @@ func TestSampledGoldenStreamDigests(t *testing.T) {
 		{1, 1},
 		{8, 8},
 	}
-	pipelines := []int{1, 2, 8}
 	if testing.Short() {
 		cases = cases[:1]
 	}
 	for _, tc := range cases {
 		for _, sch := range schedules {
-			wp := sim.SmallWorldParams(tc.seed)
-			wp.Latency.CacheShards = sch.shards
-			w, err := sim.Build(wp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, pipe := range pipelines {
-				name := fmt.Sprintf("%s/c%d-s%d-k%d", tc.name, sch.concurrency, sch.shards, pipe)
-				t.Run(name, func(t *testing.T) {
-					cfg := QuickConfig(tc.rounds)
-					cfg.Concurrency = sch.concurrency
-					cfg.RoundPipeline = pipe
-					cfg.PairBudget = tc.budget
-					cfg.EndpointsPerCountry = tc.perCountry
-					// The epc4 case's enlarged endpoint population sends
-					// more pings per round than the paper's daily credit
-					// budget allows; the digest suite is about stream
-					// identity, not budget enforcement.
-					cfg.DailyCreditLimit = 0
-					if tc.preset != "" {
-						sc, err := scenario.ByName(tc.preset)
-						if err != nil {
-							t.Fatal(err)
-						}
-						cfg.Scenario = sc
-					}
-					sink := newDigestSink()
-					if err := RunStream(w, cfg, sink); err != nil {
+			name := fmt.Sprintf("%s/c%d-s%d-k1", tc.name, sch.concurrency, sch.shards)
+			t.Run(name, func(t *testing.T) {
+				wp := sim.SmallWorldParams(tc.seed)
+				wp.Latency.CacheShards = sch.shards
+				w, err := sim.Build(wp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := QuickConfig(tc.rounds)
+				cfg.Concurrency = sch.concurrency
+				cfg.PairBudget = tc.budget
+				cfg.EndpointsPerCountry = tc.perCountry
+				// The epc4 case's enlarged endpoint population sends more
+				// pings per round than the paper's daily credit budget
+				// allows; the digest suite is about stream identity, not
+				// budget enforcement.
+				cfg.DailyCreditLimit = 0
+				if tc.preset != "" {
+					sc, err := scenario.ByName(tc.preset)
+					if err != nil {
 						t.Fatal(err)
 					}
-					if got := sink.sum(); got != tc.want {
-						t.Fatalf("sampled stream digest drifted from golden:\n got %s\nwant %s", got, tc.want)
-					}
-				})
-			}
+					cfg.Scenario = sc
+				}
+				sink := newDigestSink()
+				if err := RunStream(w, cfg, sink); err != nil {
+					t.Fatal(err)
+				}
+				if got := sink.sum(); got != tc.want {
+					t.Fatalf("sampled stream digest drifted from golden:\n got %s\nwant %s", got, tc.want)
+				}
+			})
 		}
 	}
 }

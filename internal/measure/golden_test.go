@@ -71,16 +71,14 @@ func (s *digestSink) sum() string { return fmt.Sprintf("%x", s.h.Sum(nil)) }
 // arena, open-addressed path-state cache). Any single bit of drift in
 // any observation of any covered configuration fails here.
 //
-// Each golden configuration runs across the full scheduling matrix —
-// measurement Concurrency 1 and 8, latency-cache shards 1 and 8, and
-// round-pipeline depth 1, 2 and 8 — and the set spans scenario off,
-// scenario on (outage and churn presets), and the feasibility-filter
-// ablation, so the memoized filter, the scratch arena, the cache
-// layout, and the pipelined executor's ordered emission are all proven
+// Each golden configuration runs across the scheduling matrix —
+// measurement Concurrency 1 and 8 with latency-cache shards 1 and 8 —
+// and the set spans scenario off, scenario on (outage and churn
+// presets), and the feasibility-filter ablation, so the memoized
+// filter, the scratch arena and the cache layout are all proven
 // bit-compatible with the historical stream, not merely
-// self-consistent. The digests themselves predate the pipelined
-// executor: passing at every depth is the proof that pipelining is
-// invisible in the stream.
+// self-consistent. Cell names keep their historical -k1 suffix (round
+// depth 1), so each cell's ID matches earlier runs.
 func TestGoldenStreamDigests(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -108,45 +106,37 @@ func TestGoldenStreamDigests(t *testing.T) {
 		{1, 1},
 		{8, 8},
 	}
-	pipelines := []int{1, 2, 8}
 	if testing.Short() {
 		cases = cases[:1]
 	}
 	for _, tc := range cases {
 		for _, sch := range schedules {
-			// One world build per (case, shards): campaigns never mutate
-			// the world, so every pipeline depth reuses it — which also
-			// exercises digest stability over a warm shared path-state
-			// cache.
-			wp := sim.SmallWorldParams(tc.seed)
-			wp.Latency.CacheShards = sch.shards
-			w, err := sim.Build(wp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, pipe := range pipelines {
-				name := fmt.Sprintf("%s/c%d-s%d-k%d", tc.name, sch.concurrency, sch.shards, pipe)
-				t.Run(name, func(t *testing.T) {
-					cfg := QuickConfig(tc.rounds)
-					cfg.Concurrency = sch.concurrency
-					cfg.RoundPipeline = pipe
-					cfg.DisableFeasibilityFilter = tc.noFilt
-					if tc.preset != "" {
-						sc, err := scenario.ByName(tc.preset)
-						if err != nil {
-							t.Fatal(err)
-						}
-						cfg.Scenario = sc
-					}
-					sink := newDigestSink()
-					if err := RunStream(w, cfg, sink); err != nil {
+			name := fmt.Sprintf("%s/c%d-s%d-k1", tc.name, sch.concurrency, sch.shards)
+			t.Run(name, func(t *testing.T) {
+				wp := sim.SmallWorldParams(tc.seed)
+				wp.Latency.CacheShards = sch.shards
+				w, err := sim.Build(wp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := QuickConfig(tc.rounds)
+				cfg.Concurrency = sch.concurrency
+				cfg.DisableFeasibilityFilter = tc.noFilt
+				if tc.preset != "" {
+					sc, err := scenario.ByName(tc.preset)
+					if err != nil {
 						t.Fatal(err)
 					}
-					if got := sink.sum(); got != tc.want {
-						t.Fatalf("stream digest drifted from pre-PR5 golden:\n got %s\nwant %s", got, tc.want)
-					}
-				})
-			}
+					cfg.Scenario = sc
+				}
+				sink := newDigestSink()
+				if err := RunStream(w, cfg, sink); err != nil {
+					t.Fatal(err)
+				}
+				if got := sink.sum(); got != tc.want {
+					t.Fatalf("stream digest drifted from pre-PR5 golden:\n got %s\nwant %s", got, tc.want)
+				}
+			})
 		}
 	}
 }

@@ -13,9 +13,8 @@ import "slices"
 // stratum, pairs are drawn uniformly without replacement by Floyd's
 // algorithm from a stream keyed by (campaign seed, "pairs", round,
 // stratum): no draw depends on scheduling or on any other stratum, so
-// the sampled plan is bit-identical at any Concurrency, shard count or
-// RoundPipeline depth, and any stratum's sample can be regenerated in
-// isolation.
+// the sampled plan is bit-identical at any Concurrency or shard count,
+// and any stratum's sample can be regenerated in isolation.
 
 // sampleKey identifies one Floyd draw for the per-round dedup map:
 // stratum ordinal plus within-stratum pair ordinal.
@@ -24,7 +23,7 @@ type sampleKey struct{ s, t int64 }
 // buildPairPlan fills scr.sPairs with the round's stratified pair
 // sample over the round's endpoint rows and returns it. Callers invoke
 // it only when 0 < budget < pairCount(len(eps)). The prologue runs
-// single-threaded on the round's slot, reusing the slot's scratch.
+// single-threaded, reusing the round scratch.
 func (c *campaign) buildPairPlan(scr *roundScratch, eps []int32, round int) []pairIdx32 {
 	ne := len(eps)
 	nc := c.nc

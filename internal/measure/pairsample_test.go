@@ -40,8 +40,8 @@ func TestBuildPairPlanDeterministic(t *testing.T) {
 	c2, eps2 := samplerHarness(t, 300)
 	// buildPairPlan returns a view of the campaign's reused scratch, so
 	// snapshot before any further build call on the same campaign.
-	p1 := append([]pairIdx32(nil), c1.buildPairPlan(&c1.slots[0].scr, eps1, 0)...)
-	p2 := c2.buildPairPlan(&c2.slots[0].scr, eps2, 0)
+	p1 := append([]pairIdx32(nil), c1.buildPairPlan(&c1.scr, eps1, 0)...)
+	p2 := c2.buildPairPlan(&c2.scr, eps2, 0)
 	if len(p1) != len(p2) {
 		t.Fatalf("plan lengths differ: %d vs %d", len(p1), len(p2))
 	}
@@ -51,7 +51,7 @@ func TestBuildPairPlanDeterministic(t *testing.T) {
 		}
 	}
 	// And across rounds the plans must differ (fresh draws per round).
-	p3 := c1.buildPairPlan(&c1.slots[0].scr, eps1, 1)
+	p3 := c1.buildPairPlan(&c1.scr, eps1, 1)
 	same := len(p3) == len(p1)
 	if same {
 		for k := range p1 {
@@ -76,7 +76,7 @@ func TestBuildPairPlanWellFormed(t *testing.T) {
 	if pairCount(ne) < 10*budget {
 		t.Fatalf("universe %d too small to exercise sampling at budget %d", pairCount(ne), budget)
 	}
-	plan := c.buildPairPlan(&c.slots[0].scr, eps, 0)
+	plan := c.buildPairPlan(&c.scr, eps, 0)
 	seen := make(map[pairIdx32]bool, len(plan))
 	for _, p := range plan {
 		if p.i >= p.j || p.i < 0 || int(p.j) >= ne {
@@ -103,7 +103,7 @@ func TestBuildPairPlanQuotas(t *testing.T) {
 	const budget = 300
 	c, eps := samplerHarness(t, budget)
 	cols := c.cols
-	plan := c.buildPairPlan(&c.slots[0].scr, eps, 0)
+	plan := c.buildPairPlan(&c.scr, eps, 0)
 
 	// Recompute weights and strata independently of the sampler.
 	nc := c.nc

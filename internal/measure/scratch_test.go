@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -31,8 +32,7 @@ func (discardSink) RoundDone(RoundInfo) {}
 // endpoints and nr relays, every leg valid, every relay feasible — so
 // any buffer the next round fails to size or clear leaks loudly.
 func poisonScratch(c *campaign, ne, nr int) {
-	slot := &c.slots[0]
-	scr := &slot.scr
+	scr := &c.scr
 	scr.exclude = make(map[atlas.ProbeID]bool, ne)
 	for i := 0; i < ne; i++ {
 		scr.exclude[atlas.ProbeID(10_000+i)] = true
@@ -68,7 +68,6 @@ func poisonScratch(c *campaign, ne, nr int) {
 		scr.feasible[i] = scr.feasBuf[i : i+1]
 	}
 	scr.feasOff[np] = np
-	scr.probes = make([]*atlas.Probe, ne)
 	scr.eps = make([]int32, ne)
 	scr.activeOf = make([]int32, ne)
 	scr.activeList = make([]int32, ne)
@@ -104,11 +103,11 @@ func poisonScratch(c *campaign, ne, nr int) {
 		scr.cityList[i] = int32(i)
 		scr.cityWeight[i] = 3.5
 	}
-	slot.improving = make([]ImproveEntry, 64)
-	for i := range slot.improving {
-		slot.improving[i] = ImproveEntry{Relay: int32(i), RelayedMs: 1}
+	c.improving = make([]ImproveEntry, 64)
+	for i := range c.improving {
+		c.improving[i] = ImproveEntry{Relay: int32(i), RelayedMs: 1}
 	}
-	slot.arena.block = make([]ImproveEntry, improveArenaBlock/2, improveArenaBlock)
+	c.arena.block = make([]ImproveEntry, improveArenaBlock/2, improveArenaBlock)
 }
 
 // TestShrinkingWorldNoStaleScratch is the cross-round scratch-hygiene
@@ -268,5 +267,22 @@ func TestFeasMemoMatchesDirectPredicate(t *testing.T) {
 		if !isRelay[city] && r != noRelayRank {
 			t.Fatalf("city %d hosts no relay but has rank %d", city, r)
 		}
+	}
+}
+
+// TestRelayCityOverflowFailsFast pins the memo's capacity check: a world
+// with more relay cities than the uint16 ranks can hold is refused when
+// the campaign is built, naming the count, instead of running a round.
+func TestRelayCityOverflowFailsFast(t *testing.T) {
+	w, err := sim.Build(sim.SmallWorldParams(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SharedCache("measure.feasMemo", func() any {
+		return &feasMemo{relayCities: make([]int32, noRelayRank)}
+	})
+	_, err = newCampaign(w, QuickConfig(1))
+	if err == nil || !strings.Contains(err.Error(), "65535 relay cities") {
+		t.Fatalf("newCampaign over 65535 relay cities returned %v, want an error naming the count", err)
 	}
 }

@@ -129,32 +129,3 @@ func TestSelfHealNilControllerIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestSelfHealPipelineClamp pins the feedback-edge rule from the
-// measure side: with a controller configured, RoundPipeline depths 1
-// and 8 must produce identical streams (the campaign clamps the
-// pipeline so round r+1 cannot start before round r's detections).
-func TestSelfHealPipelineClamp(t *testing.T) {
-	w := buildSelfHealWorld(t)
-	mask := make([]bool, len(w.Catalog.Relays))
-	for i := 0; i < len(mask); i += 3 {
-		mask[i] = true
-	}
-	var streams []*Results
-	for _, depth := range []int{1, 8} {
-		cfg := QuickConfig(6)
-		cfg.RoundPipeline = depth
-		cfg.SelfHeal = &maskController{FromRound: 2, Mask: mask}
-		res := NewResults(cfg, w)
-		if err := RunStream(w, cfg, res); err != nil {
-			t.Fatal(err)
-		}
-		streams = append(streams, res)
-	}
-	if !reflect.DeepEqual(streams[0].Observations, streams[1].Observations) {
-		t.Fatal("self-heal stream diverged between RoundPipeline 1 and 8")
-	}
-	if !reflect.DeepEqual(streams[0].Rounds, streams[1].Rounds) {
-		t.Fatal("self-heal round summaries diverged between RoundPipeline 1 and 8")
-	}
-}

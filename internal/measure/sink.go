@@ -22,9 +22,8 @@ type SelfHealController interface {
 	// ExcludedRelays returns the catalog-indexed relay mask to exclude
 	// from the given round's feasibility filter (nil or short masks
 	// exclude nothing extra). The campaign guarantees RoundDone(r-1)
-	// has returned before ExcludedRelays(r) is called — self-healing
-	// campaigns run rounds strictly sequentially (RoundPipeline clamps
-	// to 1) because this feedback edge makes rounds dependent.
+	// has returned before ExcludedRelays(r) is called: rounds run one
+	// at a time.
 	ExcludedRelays(round int) []bool
 }
 

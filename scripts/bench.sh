@@ -23,15 +23,11 @@
 #   (BENCH_PR5's rebuild-per-campaign moved 995→1064ms with no code
 #   change on that path), so the trajectory averages a fixed iteration
 #   count over the pinned small-world workload to compare like with
-#   like. The round-pipeline benchmarks (BenchmarkCampaignRoundPipelined
-#   k1/k2/k8 and BenchmarkSweep/shared-world-pipelined) record how
-#   round-level and campaign-level parallelism compose; on a single-core
-#   runner the depths tie by design. The scale-tier benchmark
-#   (BenchmarkMillionEndpointRound/100k) runs one warm sampled round
-#   over a ~100k-endpoint world and records the derived endpoints/sec
-#   throughput alongside ns/op; the 1M tier is opt-in via
-#   SHORTCUTS_BENCH_1M=1 (the world build alone is ~10x the 100k
-#   tier's). The serve-query benchmark (BenchmarkServeQuery,
+#   like. The scale-tier benchmark (BenchmarkMillionEndpointRound/100k)
+#   runs one warm sampled round over a ~100k-endpoint world and records
+#   the derived endpoints/sec throughput alongside ns/op; the 1M tier is
+#   opt-in via SHORTCUTS_BENCH_1M=1 (the world build alone is ~10x the
+#   100k tier's). The serve-query benchmark (BenchmarkServeQuery,
 #   internal/serve) drives /v1/relays/best over a warm render cache at a
 #   pinned iteration count and reports sustained qps plus p99 request
 #   latency (p99-ns) alongside ns/op — the two numbers the relayserve
@@ -209,7 +205,6 @@ PING_BENCH='BenchmarkPingHotPath|BenchmarkPingTrain|BenchmarkBaseRTTWarm'
 ROUND_BENCH='BenchmarkRunStream|BenchmarkCampaignRound$|BenchmarkScenarioRound'
 SWEEP_BENCH='BenchmarkSweep'
 MEASURE_BENCH='BenchmarkCampaignRoundSteadyState|BenchmarkFeasibilityFilter'
-PIPELINE_BENCH='BenchmarkCampaignRoundPipelined'
 SCALE_BENCH='BenchmarkMillionEndpointRound'
 SERVE_BENCH='BenchmarkServeQuery'
 DETECT_BENCH='BenchmarkDetectSink'
@@ -245,9 +240,6 @@ go test -run '^$' -bench "$SWEEP_BENCH" -benchtime=3x -benchmem . | tee -a "$raw
 echo "== campaign steady-state + feasibility benchmarks (internal/measure) ==" >&2
 # shellcheck disable=SC2046
 go test -run '^$' -bench "$MEASURE_BENCH" -benchtime=10x -benchmem $(profile_flags steady) ./internal/measure/ | tee -a "$raw" >&2
-
-echo "== round-pipeline benchmarks (24-round warm campaign, K=1/2/8) ==" >&2
-go test -run '^$' -bench "$PIPELINE_BENCH" -benchtime=1x -benchmem ./internal/measure/ | tee -a "$raw" >&2
 
 echo "== scale-tier benchmark (100k-endpoint sampled round; SHORTCUTS_BENCH_1M=1 adds 1M) ==" >&2
 go test -run '^$' -bench "$SCALE_BENCH" -benchtime=1x -benchmem -timeout 40m ./internal/measure/ | tee -a "$raw" >&2

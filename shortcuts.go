@@ -102,22 +102,16 @@ type Config struct {
 	// with SmallWorld.
 	ScaleEndpoints int
 	// Concurrency bounds the per-round measurement worker pool; 0 means
-	// a GOMAXPROCS-derived budget (shared across pipelined rounds).
+	// GOMAXPROCS.
 	Concurrency int
-	// RoundPipeline is the number of campaign rounds executed
-	// concurrently; 0 or 1 runs rounds sequentially. Results are
-	// bit-identical at every depth — observations and round callbacks
-	// always arrive in round order — so the knob trades one round
-	// arena of memory per slot for wall-clock on multi-core hosts.
-	RoundPipeline int
 	// PairBudget caps the endpoint pairs measured per round. 0 (the
 	// default) measures the exhaustive n*(n-1)/2 universe, exactly as
 	// the paper does. A positive budget below the universe size switches
 	// rounds to deterministic stratified sampling — per-city-pair quotas
 	// weighted by eyeball population, drawn from streams keyed by
 	// (seed, round) — so sampled campaigns stay bit-reproducible at any
-	// Concurrency or RoundPipeline. Budgets at or above the universe
-	// size are a no-op; negative budgets are rejected.
+	// Concurrency. Budgets at or above the universe size are a no-op;
+	// negative budgets are rejected.
 	PairBudget int
 	// Scenario, when non-nil, runs the campaign under a dynamic-world
 	// timeline (see Scenario); nil measures the calm, static world.
@@ -128,10 +122,9 @@ type Config struct {
 	// detector's corridor relay plans re-route onto the best surviving
 	// candidates, with cooldown and periodic re-probing of the masked
 	// city. Detected events are available from Campaign.Disruptions
-	// after the run. Self-healing campaigns run rounds strictly
-	// sequentially (round r's detections shape round r+1), so
-	// RoundPipeline is clamped to 1. Off (the default), campaigns are
-	// bit-identical to earlier releases.
+	// after the run; round r's detections shape round r+1's relay
+	// sample. Off (the default), campaigns are bit-identical to earlier
+	// releases.
 	SelfHeal bool
 }
 

@@ -86,39 +86,6 @@ func TestRoundProgressSink(t *testing.T) {
 	}
 }
 
-// TestRoundPipelineMatchesSequential covers the public knob: a
-// pipelined campaign over the same world must stream identical
-// aggregates, with rounds still reported in order.
-func TestRoundPipelineMatchesSequential(t *testing.T) {
-	camp, res := apiResults(t)
-	piped, err := NewCampaignWith(camp.World(), Config{Seed: 1, Rounds: 2, RoundPipeline: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fired := 0
-	stats, err := piped.RunStream(RoundProgressSink(func(ri RoundInfo) {
-		if ri.Round != fired {
-			t.Fatalf("pipelined round %d fired out of order (want %d)", ri.Round, fired)
-		}
-		fired++
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fired != res.Rounds() {
-		t.Fatalf("pipelined campaign reported %d rounds, want %d", fired, res.Rounds())
-	}
-	if stats.Pairs() != res.Pairs() || stats.TotalPings() != res.TotalPings() {
-		t.Fatalf("pipelined aggregates differ: pairs %d vs %d, pings %d vs %d",
-			stats.Pairs(), res.Pairs(), stats.TotalPings(), res.TotalPings())
-	}
-	for _, ty := range RelayTypes() {
-		if got, want := stats.ImprovedFraction(ty), res.ImprovedFraction(ty); got != want {
-			t.Fatalf("%v improved fraction: pipelined %v vs sequential %v", ty, got, want)
-		}
-	}
-}
-
 func TestRunStreamNilSink(t *testing.T) {
 	camp, _ := apiResults(t)
 	stats, err := camp.RunStream(nil)

@@ -40,13 +40,11 @@ type Sweep struct {
 	// campaigns run, each build receiving an equal share of the
 	// machine's stage-parallelism budget.
 	//
-	// The three parallelism axes — campaigns (this knob), rounds per
-	// campaign (Config.RoundPipeline), and workers per round
-	// (Config.Concurrency) — draw from one GOMAXPROCS-derived budget:
-	// when Config.Concurrency is unset, each campaign's per-round pool
-	// is GOMAXPROCS divided by Parallelism x RoundPipeline, so
-	// composing the knobs reshapes the schedule instead of
-	// oversubscribing the cores.
+	// Campaigns (this knob) and workers per round (Config.Concurrency)
+	// draw from one GOMAXPROCS budget: when Config.Concurrency is unset,
+	// each campaign's per-round pool is GOMAXPROCS divided by
+	// Parallelism, so composing the knobs reshapes the schedule instead
+	// of oversubscribing the cores.
 	Parallelism int
 	// SinkFor, when set, supplies a streaming Sink per seed (it may
 	// return nil). Each campaign's observations flow into its own sink;
@@ -80,33 +78,6 @@ func forEach(n, width int, fn func(i int)) {
 	}
 	close(next)
 	wg.Wait()
-}
-
-// sweepBudget divides one campaign's core share (perCampaign) across its
-// two inner parallelism axes: pipelined rounds and per-round workers.
-// The requested pipeline depth is clamped to the share — a slot needs a
-// core of its own, or the extra in-flight rounds only add arena memory
-// and emitter coordination on top of an already-saturated machine (the
-// measured pipelined-sweep regression: extra slots at one worker each
-// ran ~70% slower than the plain sweep). Emitted streams are
-// bit-identical at every depth, so the clamp changes the schedule, never
-// the results.
-func sweepBudget(perCampaign, pipeline int) (concurrency, depth int) {
-	if perCampaign < 1 {
-		perCampaign = 1
-	}
-	depth = pipeline
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > perCampaign {
-		depth = perCampaign
-	}
-	concurrency = perCampaign / depth
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	return concurrency, depth
 }
 
 // SweepResult is one campaign's outcome.
@@ -162,19 +133,12 @@ func (s Sweep) Run() ([]SweepResult, error) {
 		})
 	}
 
-	// One machine budget across campaign x round x per-round worker
-	// parallelism: with Concurrency unset and several campaigns running
-	// at once, each campaign gets an equal GOMAXPROCS share, divided
-	// across its pipelined rounds — and the pipeline depth itself is
-	// clamped to the share (see sweepBudget).
+	// One machine budget across campaign x per-round worker parallelism:
+	// with Concurrency unset and several campaigns running at once, each
+	// campaign's round pool gets an equal GOMAXPROCS share.
 	ccfgBase := s.Config
 	if ccfgBase.Concurrency <= 0 && workers > 1 {
-		perCampaign := runtime.GOMAXPROCS(0) / workers
-		if perCampaign < 1 {
-			perCampaign = 1
-		}
-		ccfgBase.Concurrency, ccfgBase.RoundPipeline =
-			sweepBudget(perCampaign, ccfgBase.RoundPipeline)
+		ccfgBase.Concurrency = max(runtime.GOMAXPROCS(0)/workers, 1)
 	}
 
 	run := func(i int) {

@@ -43,30 +43,6 @@ func BenchmarkSweep(b *testing.B) {
 		}
 	})
 
-	// shared-world-pipelined is the composed-parallelism shape: two
-	// campaigns at a time, each overlapping two rounds, under the one
-	// GOMAXPROCS budget (rounds raised to 2 so the pipeline has rounds
-	// to overlap). On a single-core runner it tracks shared-world at
-	// double the rounds; multi-core runners show the composition win.
-	b.Run("shared-world-pipelined", func(b *testing.B) {
-		pcfg := cfg
-		pcfg.Rounds = 2
-		pcfg.RoundPipeline = 2
-		for i := 0; i < b.N; i++ {
-			world, err := BuildWorld(pcfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results, err := Sweep{Config: pcfg, Seeds: benchSweepSeeds, World: world, Parallelism: 2}.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if results[len(results)-1].Stats.Pairs() == 0 {
-				b.Fatal("pipelined sweep streamed nothing")
-			}
-		}
-	})
-
 	b.Run("rebuild-per-campaign", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, seed := range benchSweepSeeds {

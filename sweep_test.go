@@ -88,8 +88,8 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 // TestSweepRebuildPoolMatchesSequential proves the rebuild-mode
 // prebuild pool is schedule-free: per-seed worlds built concurrently
 // through the shared pool (with divided build budgets) and campaigns
-// run with composed campaign x round parallelism must reproduce the
-// classic sequential rebuild sweep aggregate-for-aggregate.
+// run two at a time must reproduce the classic sequential rebuild
+// sweep aggregate-for-aggregate.
 func TestSweepRebuildPoolMatchesSequential(t *testing.T) {
 	cfg := Config{Rounds: 2, SmallWorld: true}
 	seeds := []int64{2, 3}
@@ -98,9 +98,7 @@ func TestSweepRebuildPoolMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcfg := cfg
-	pcfg.RoundPipeline = 2
-	par, err := Sweep{Config: pcfg, Seeds: seeds, Parallelism: 2}.Run()
+	par, err := Sweep{Config: cfg, Seeds: seeds, Parallelism: 2}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,34 +192,5 @@ func TestSweepRoundsValidation(t *testing.T) {
 	}
 	if len(results) != 1 || results[0].Err == nil {
 		t.Fatalf("expected per-seed error, got %+v", results)
-	}
-}
-
-// TestSweepBudget pins the campaign-share division across the two inner
-// parallelism axes: pipeline depth is clamped to the campaign's core
-// share (extra slots beyond it only add memory and emitter coordination
-// — the measured pipelined-sweep regression), and workers fill what the
-// clamped depth leaves.
-func TestSweepBudget(t *testing.T) {
-	cases := []struct {
-		perCampaign, pipeline int
-		wantConc, wantDepth   int
-	}{
-		{8, 1, 8, 1}, // no pipelining: the share goes to workers
-		{8, 2, 4, 2}, // split evenly
-		{8, 8, 1, 8}, // all slots, one worker each
-		{4, 8, 1, 4}, // depth clamped to the share
-		{1, 8, 1, 1}, // one core: pipeline off entirely
-		{1, 1, 1, 1}, // degenerate
-		{0, 4, 1, 1}, // defensive: no share still means one worker
-		{6, 4, 1, 4}, // non-divisible share rounds workers down
-		{8, 0, 8, 1}, // unset pipeline behaves as depth 1
-	}
-	for _, tc := range cases {
-		conc, depth := sweepBudget(tc.perCampaign, tc.pipeline)
-		if conc != tc.wantConc || depth != tc.wantDepth {
-			t.Errorf("sweepBudget(%d, %d) = (%d, %d), want (%d, %d)",
-				tc.perCampaign, tc.pipeline, conc, depth, tc.wantConc, tc.wantDepth)
-		}
 	}
 }

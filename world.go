@@ -74,7 +74,6 @@ func NewCampaignWith(w *World, cfg Config) (*Campaign, error) {
 	}
 	mc := measure.QuickConfig(cfg.Rounds)
 	mc.Concurrency = cfg.Concurrency
-	mc.RoundPipeline = cfg.RoundPipeline
 	mc.PairBudget = cfg.PairBudget
 	mc.CampaignSeed = cfg.Seed
 	mc.Scenario = cfg.Scenario.innerScenario()
