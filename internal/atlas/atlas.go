@@ -88,11 +88,10 @@ type Platform struct {
 	// availFast seeds the scale-tier availability coins; respBase and
 	// windBase are its per-probe derivations (indexed by ProbeID like
 	// the labels), so a ResponsiveFast coin is one 8-byte hash fold and
-	// one SplitMix64 step instead of BoolSplitN's pooled generator
-	// reseed (~13µs of lagged-Fibonacci table rebuild per coin — the
-	// dominant cost of a million-endpoint round). The fast coins are a
-	// deliberately different stream family from Responsive/WindowUp:
-	// campaigns opt in per-config and pin their own golden digests.
+	// one SplitMix64 step. The fast coins are a different stream family
+	// from Responsive/WindowUp, kept because the scale-tier golden
+	// digests were recorded with them: campaigns opt in per-config
+	// (measure.Config.FastAvailability).
 	availFast rng.Stream
 	respBase  []rng.Stream
 	windBase  []rng.Stream
@@ -518,12 +517,11 @@ func (pl *Platform) WindowUp(id ProbeID, round int) bool {
 
 // ResponsiveFast is the scale-tier selection-time availability coin: a
 // pure function of (platform seed, probe, round) like Responsive, drawn
-// from the value-type fast-coin family instead of BoolSplitN's pooled
-// generator (whose per-coin reseed rebuilds a ~5KB lagged-Fibonacci
-// table — microseconds per coin, seconds per million-endpoint round).
-// The fast family is NOT draw-compatible with Responsive; campaigns
-// switch whole-config (measure.Config.FastAvailability) and pin their
-// own golden digests.
+// from the value-type fast-coin family. It costs about what a Responsive
+// coin costs; it remains because the scale-tier golden digests were
+// recorded with it. The fast family is NOT draw-compatible with
+// Responsive; campaigns switch whole-config
+// (measure.Config.FastAvailability).
 func (pl *Platform) ResponsiveFast(id ProbeID, round int) bool {
 	s := pl.fastBase(pl.respBase, "probe", id).At(uint64(round))
 	return !s.Bool(pl.OfflineProb)

@@ -1,7 +1,6 @@
 package measure
 
 import (
-	"runtime"
 	"testing"
 
 	"shortcuts/internal/sim"
@@ -65,44 +64,5 @@ func TestSampledRoundAllocs(t *testing.T) {
 	}
 	if diff > 64 {
 		t.Fatalf("allocation count scales with endpoint population: %.0f at 2/country vs %.0f at 4/country", a2, a4)
-	}
-}
-
-// TestFeasMemoBuildAllocs pins the feasibility-memo build burst: a first
-// round faults in thousands of city-pair entries, and before the slab
-// allocator that cost four heap allocations per entry (about 11k
-// allocations, 7 MB of fragmented pieces on the small world). Slabs
-// amortize the burst to a handful of block allocations plus map growth.
-func TestFeasMemoBuildAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; alloc budget is pinned in the plain test run")
-	}
-	w, err := sim.Build(sim.SmallWorldParams(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := len(w.Topo.Cities)
-	memo := newFeasMemo(w, nc, cityPropDelays(w))
-
-	// Fault a first-round-sized set of distinct pairs (every unordered
-	// city pair up to ~1500 entries), measuring total heap allocations.
-	const maxPairs = 1500
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	built := 0
-	for a := 0; a < nc && built < maxPairs; a++ {
-		for b := a; b < nc && built < maxPairs; b++ {
-			memo.pairFeas(a, b)
-			built++
-		}
-	}
-	runtime.ReadMemStats(&after)
-	allocs := after.Mallocs - before.Mallocs
-	t.Logf("feasMemo: %d pair entries built with %d allocations", built, allocs)
-	// Pre-slab cost was >= 4 per entry (6000+ here); the slab build must
-	// stay two orders below that. The bound leaves room for map growth.
-	if allocs > 200 {
-		t.Fatalf("feasMemo build allocated %d times for %d entries, want <= 200 (slab regression?)", allocs, built)
 	}
 }

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"math/bits"
 	"os"
 	"sync"
 	"testing"
@@ -10,10 +11,9 @@ import (
 	"shortcuts/internal/sim"
 )
 
-// The package-level benchmarks isolate the round loop's two amortized
-// structures — the scratch arena and the city-pair feasibility memo —
-// from the world build and the cold first round that the end-to-end
-// benchmarks in the repo root include.
+// The package-level benchmarks isolate the round loop — its scratch
+// arena and its feasibility filter — from the world build and the cold
+// first round that the end-to-end benchmarks in the repo root include.
 
 var (
 	benchOnce sync.Once
@@ -33,8 +33,7 @@ func benchWorld(b *testing.B) *sim.World {
 }
 
 // BenchmarkCampaignRoundSteadyState times a 2nd+ round with everything
-// warm: scratch arena sized, feasibility memo populated, engine
-// path-state cache hot. This is the marginal cost of one more round in
+// warm: scratch arena sized, engine path-state cache hot. This is the marginal cost of one more round in
 // a long campaign — the number the paper's 45-round schedule multiplies
 // — as opposed to BenchmarkCampaignRound (repo root), which pays a
 // fresh campaign's cold round. Allocations here are the per-round
@@ -112,78 +111,59 @@ func benchFilterSetup(b *testing.B) *benchFilterInput {
 	return in
 }
 
-// BenchmarkFeasibilityFilter compares one full round of Section-2.4
-// feasibility decisions — every (endpoint pair x sampled relay) — under
-// the cold per-check arithmetic (two propagation-matrix loads, add,
-// shift, compare) and under the per-city-pair ranking memo (one binary
-// search per pair, then one uint16 compare per relay). The memoized/
-// first-round case includes lazy memo construction; memoized/warm is
-// the steady-state cost every later round pays.
+// BenchmarkFeasibilityFilter times one full round of Section-2.4
+// feasibility decisions — every (endpoint pair x sampled relay) — as the
+// direct-pricing pass makes them: markFeasible writing each pair's row
+// of the feasibility bitset. cold-direct is the per-check reference
+// predicate (feasibleDirect) over the same checks.
 func BenchmarkFeasibilityFilter(b *testing.B) {
 	in := benchFilterSetup(b)
+	c := in.c
+	c.scr.relayCity = in.relayCity
+	c.scr.livePos = c.scr.livePos[:0]
+	for pos := range in.relayCity {
+		c.scr.livePos = append(c.scr.livePos, int32(pos))
+	}
+	row := make([]uint64, (len(in.relayCity)+63)/64)
+	runRows := func() int {
+		feasible := 0
+		for k := range in.srcCity {
+			clear(row)
+			c.markFeasible(row, in.srcCity[k], in.dstCity[k], in.directRTT[k])
+			for _, word := range row {
+				feasible += bits.OnesCount64(word)
+			}
+		}
+		return feasible
+	}
 	runDirect := func() int {
 		feasible := 0
 		for k := range in.srcCity {
 			for _, rc := range in.relayCity {
-				if in.c.feasibleDirect(in.srcCity[k], int(rc), in.dstCity[k], in.directRTT[k]) {
+				if c.feasibleDirect(in.srcCity[k], int(rc), in.dstCity[k], in.directRTT[k]) {
 					feasible++
 				}
 			}
 		}
 		return feasible
 	}
-	// The benchmark owns a private memo rather than reaching into the
-	// world-shared one (SharedCache values must only be mutated through
-	// their own synchronization).
-	privateMemo := func() *feasMemo {
-		return newFeasMemo(in.c.w, in.c.nc, in.c.prop)
-	}
-	runMemo := func(m *feasMemo) int {
-		feasible := 0
-		for k := range in.srcCity {
-			cf := m.pairFeas(in.srcCity[k], in.dstCity[k])
-			cut := cf.feasibleRank(in.directRTT[k])
-			rank := cf.rank
-			for _, rc := range in.relayCity {
-				if rank[rc] < cut {
-					feasible++
-				}
-			}
-		}
-		return feasible
-	}
-	if runDirect() != runMemo(privateMemo()) {
-		b.Fatal("memoized filter disagrees with direct arithmetic")
+	if runRows() != runDirect() {
+		b.Fatal("feasibility rows disagree with the direct predicate")
 	}
 	checks := float64(len(in.srcCity) * len(in.relayCity))
-
-	b.Run("cold-direct", func(b *testing.B) {
-		var n int
-		for i := 0; i < b.N; i++ {
-			n = runDirect()
-		}
-		b.ReportMetric(checks, "checks/op")
-		b.ReportMetric(float64(n), "feasible")
-	})
-	b.Run("memoized-first-round", func(b *testing.B) {
-		var n int
-		for i := 0; i < b.N; i++ {
-			n = runMemo(privateMemo()) // rankings built lazily in the op
-		}
-		b.ReportMetric(checks, "checks/op")
-		b.ReportMetric(float64(n), "feasible")
-	})
-	b.Run("memoized-warm", func(b *testing.B) {
-		warm := privateMemo()
-		runMemo(warm) // populate
-		b.ResetTimer()
-		var n int
-		for i := 0; i < b.N; i++ {
-			n = runMemo(warm)
-		}
-		b.ReportMetric(checks, "checks/op")
-		b.ReportMetric(float64(n), "feasible")
-	})
+	for _, bm := range []struct {
+		name string
+		run  func() int
+	}{{"rows", runRows}, {"cold-direct", runDirect}} {
+		b.Run(bm.name, func(b *testing.B) {
+			var n int
+			for i := 0; i < b.N; i++ {
+				n = bm.run()
+			}
+			b.ReportMetric(checks, "checks/op")
+			b.ReportMetric(float64(n), "feasible")
+		})
+	}
 }
 
 // BenchmarkMillionEndpointRound is the scale-tier benchmark: a world
@@ -221,9 +201,8 @@ func BenchmarkMillionEndpointRound(b *testing.B) {
 			cfg.DailyCreditLimit = 0
 			cfg.PairBudget = 4096
 			cfg.EndpointsPerCountry = 1 << 20 // draft every responsive probe
-			// Scale tiers run the fast availability coins: at a million
-			// endpoints the classic per-coin rng.Rand reseed alone costs
-			// tens of seconds per round.
+			// Scale tiers run the fast availability coins, the
+			// configuration the scale-tier digests were recorded with.
 			cfg.FastAvailability = true
 			c, err := newCampaign(w, cfg)
 			if err != nil {

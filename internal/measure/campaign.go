@@ -10,17 +10,20 @@
 // memory is bounded by one round regardless of campaign length. Run is
 // the batch wrapper that collects the stream into a Results.
 //
-// The round loop pays for pair and relay structure once per campaign,
-// not once per round: the feasibility filter runs against a per-city-pair
-// ranking memo (feasmemo.go), and every per-round buffer lives in a
-// reused scratch arena with capacity-retaining resets, so steady-state
-// rounds stay off the allocator.
+// The round loop pays for pair and relay structure once per world or
+// campaign, not once per round: the feasibility filter reads a shared
+// city-pair propagation-delay matrix, and every per-round buffer lives
+// in a reused scratch arena with capacity-retaining resets, so
+// steady-state rounds stay off the allocator.
 //
-// Rounds run one at a time. Each round measures, charges its Atlas
-// credits, then stitches its observations into the Sink; parallelism
-// lives inside a round (Config.Concurrency workers), and every
-// stochastic draw is keyed by (seed, round, slot) — never by call order
-// — so the stream is the same for any worker count.
+// Rounds run one at a time; parallelism lives inside a round
+// (Config.Concurrency workers). A round drafts its endpoints and relays,
+// then runs three worker passes: direct pricing, which also writes each
+// pair's row of a feasibility bitset over the round's relays; leg
+// pricing; and, once the round's Atlas credits are charged, stitching
+// into per-pair records. A serial loop then emits the observations in
+// pair order. Every stochastic draw is keyed by (seed, round, slot) —
+// never by call order — so the stream is the same for any worker count.
 package measure
 
 import (
@@ -79,8 +82,8 @@ func RunStream(w *sim.World, cfg Config, sink Sink) error {
 }
 
 // newCampaign validates the configuration and builds the campaign
-// executor: compiled scenario, propagation matrix, city-pair feasibility
-// memo, and the (initially empty) round scratch arena.
+// executor: compiled scenario, propagation matrix, and the (initially
+// empty) round scratch arena.
 func newCampaign(w *sim.World, cfg Config) (*campaign, error) {
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("measure: Rounds must be positive")
@@ -99,17 +102,12 @@ func newCampaign(w *sim.World, cfg Config) (*campaign, error) {
 	if cfg.EndpointsPerCountry < 0 {
 		return nil, fmt.Errorf("measure: EndpointsPerCountry must be >= 0, got %d", cfg.EndpointsPerCountry)
 	}
-	// The propagation matrix and the feasibility memo derive purely from
-	// the world, so every campaign over one world — and a sweep runs
-	// many, concurrently — shares a single instance.
-	feas := w.SharedCache("measure.feasMemo", func() any {
-		nc := len(w.Topo.Cities)
-		return newFeasMemo(w, nc, cityPropDelays(w))
-	}).(*feasMemo)
-	if len(feas.relayCities) >= int(noRelayRank) {
-		return nil, fmt.Errorf("measure: the world has %d relay cities; the feasibility memo ranks at most %d",
-			len(feas.relayCities), noRelayRank-1)
-	}
+	// The propagation matrix derives purely from the world, so every
+	// campaign over one world — and a sweep runs many, concurrently —
+	// shares a single instance.
+	prop := w.SharedCache("measure.propDelays", func() any {
+		return cityPropDelays(w)
+	}).([]time.Duration)
 	workers := cfg.Concurrency
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -122,9 +120,8 @@ func newCampaign(w *sim.World, cfg Config) (*campaign, error) {
 		pairBase: g.Stream("pairs"),
 		cols:     w.Columns,
 		ledger:   atlas.NewLedger(cfg.DailyCreditLimit),
-		nc:       feas.nc,
-		prop:     feas.prop,
-		feas:     feas,
+		nc:       len(w.Topo.Cities),
+		prop:     prop,
 		scenario: compiled,
 		workers:  workers,
 	}, nil
@@ -146,7 +143,6 @@ type campaign struct {
 	ledger *atlas.Ledger
 	nc     int             // city count (side of the prop matrix)
 	prop   []time.Duration // flat nc x nc one-way propagation delays
-	feas   *feasMemo       // per-city-pair feasibility rankings
 
 	// cols is the world's columnar endpoint layout: the round loop reads
 	// endpoint attributes (AS, city, access delay, strings) as flat array
@@ -174,10 +170,8 @@ type campaign struct {
 	// worker pool inside a round is parallel).
 	scr roundScratch
 
-	// improving collects one pair's improving relays before the
-	// exact-size arena copy; arena amortizes the escaping copies.
-	improving []ImproveEntry
-	arena     improveArena
+	// arena amortizes the exact-size copies of emitted Improving lists.
+	arena improveArena
 
 	// block is the reused columnar round buffer handed to BlockSinks.
 	block ObsBlock
@@ -193,14 +187,25 @@ type roundScratch struct {
 	asPerm      []int   // drafting: per-country AS-group permutation
 	probePerm   []int   // drafting: per-group row permutation
 	roundRelays []int
-	hourFrac    []float64 // per ping slot: UTC hour fraction of the round's schedule
-	windowUp    []bool    // per endpoint: answers through the window
-	relayUp     []bool    // per relay position: alive through the window
-	relayCity   []int32   // per relay position: home city
-	livePos     []int32   // relay positions not churned out this round
-	plan        pairPlan  // the round's pair universe (closed-form or sampled)
-	fwd, rev    []float32 // per pair: direct medians, both directions
-	workers     []scratch // per-worker medianRTT scratch
+	hourFrac    []float64     // per ping slot: UTC hour fraction of the round's schedule
+	windowUp    []bool        // per endpoint: answers through the window
+	relayUp     []uint64      // relay-position bitset: alive through the window
+	relayCity   []int32       // per relay position: home city
+	relayType   []relays.Type // per relay position: population
+	typeBits    []uint64      // per relay type, a relay-position bitset (nrW words each)
+	livePos     []int32       // relay positions not churned out this round
+	plan        pairPlan      // the round's pair universe (closed-form or sampled)
+	fwd, rev    []float32     // per pair: direct medians, both directions
+	workers     []scratch     // per-worker medianRTT scratch
+
+	// feas is the per-pair feasibility bitset over relay positions, nrW
+	// words per pair: a bit is set when the relay is live and passes the
+	// pair's speed-of-light filter. The direct-pricing worker that owns
+	// the pair writes its row; unresponsive pairs' rows stay zero.
+	feas []uint64
+	// stitched holds each usable pair's stitch result, written by the
+	// stitch pass and read by the serial emission loop.
+	stitched []pairStitch
 
 	// Leg demand over (active endpoint x relay position), as a bitset
 	// plus a prefix-popcount rank so measured medians pack into a
@@ -212,10 +217,6 @@ type roundScratch struct {
 	legCum     []int32   // per word: set bits before it (rank directory)
 	legVals    []float32 // compact leg medians, one per set bit, bit order
 	legJobs    []int64   // flat active*nr+pos of legs to measure, ascending
-
-	feasBuf  []int32   // feasible relay positions, all pairs back to back
-	feasOff  []int     // per-pair extents into feasBuf
-	feasible [][]int32 // per-pair views into feasBuf
 
 	// Stratified pair-sampling scratch (buildPairPlan).
 	sPairs     []pairIdx32 // the sampled plan, stratum-major
@@ -237,6 +238,18 @@ func grown[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// pairStitch is one usable pair's stitch result: per relay type the
+// feasible count and the best relay, and where the pair's improving
+// entries sit — an extent of one worker's improve buffer. It holds no
+// pointers, so a round's records cost the collector nothing.
+type pairStitch struct {
+	bestMs    [relays.NumTypes]float32
+	bestRelay [relays.NumTypes]int32
+	feasible  [relays.NumTypes]uint16
+	worker    int32 // the scratch whose improve buffer holds the entries
+	lo, hi    int32 // the entries' extent in that buffer
 }
 
 // improveArena carves exact-size ImproveEntry slices out of large shared
@@ -268,8 +281,8 @@ func (a *improveArena) alloc(n int) []ImproveEntry {
 
 // cityPropDelays precomputes the flat city-pair propagation-delay matrix
 // the feasibility filter reads. The filter runs per (pair x relay) —
-// hundreds of millions of checks per campaign — so it must be two array
-// loads, not two great-circle PropDelay computations.
+// tens of millions of checks per paper campaign — so it must be two
+// array loads, not two great-circle PropDelay computations.
 func cityPropDelays(w *sim.World) []time.Duration {
 	n := len(w.Topo.Cities)
 	m := make([]time.Duration, n*n)
@@ -283,8 +296,9 @@ func cityPropDelays(w *sim.World) []time.Duration {
 }
 
 // runRound executes one round: it runs every measurement phase,
-// charges the round's credits against the ledger, and stitches the
-// round's observations into sink. The caller reports RoundDone.
+// charges the round's credits against the ledger, stitches the round's
+// observations and emits them into sink in pair order. The caller
+// reports RoundDone.
 func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	start := c.cfg.Start.Add(time.Duration(round) * c.cfg.RoundInterval)
 	info := RoundInfo{Round: round, Start: start}
@@ -349,82 +363,31 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	for i := 0; i < ne; i++ {
 		windowUp[i] = c.windowUpAt(atlas.ProbeID(cols.ProbeID[eps[i]]), round)
 	}
-	scr.relayUp = grown(scr.relayUp, nr)
+	nrW := (nr + 63) / 64 // words per relay-position bitset row
+	scr.relayUp = grown(scr.relayUp, nrW)
 	relayUp := scr.relayUp
+	clear(relayUp)
+	scr.relayCity = grown(scr.relayCity, nr)
+	scr.relayType = grown(scr.relayType, nr)
+	scr.typeBits = grown(scr.typeBits, relays.NumTypes*nrW)
+	clear(scr.typeBits)
 	for pos, ri := range roundRelays {
 		r := &c.w.Catalog.Relays[ri]
 		// RAR relays are probes with the same outage process; COR router
 		// interfaces and PLR nodes were liveness-checked at sampling.
-		relayUp[pos] = r.ProbeID == 0 || c.windowUpAt(r.ProbeID, round)
+		if r.ProbeID == 0 || c.windowUpAt(r.ProbeID, round) {
+			relayUp[pos>>6] |= 1 << (uint(pos) & 63)
+		}
+		scr.relayCity[pos] = int32(r.City)
+		scr.relayType[pos] = r.Type
+		scr.typeBits[int(r.Type)*nrW+pos>>6] |= 1 << (uint(pos) & 63)
 	}
 
-	// Step 2: direct paths, both directions. The pair universe is never
-	// materialized: the exhaustive plan addresses the triangular space in
-	// closed form (pairAt inverts ordinal -> (i, j)); a PairBudget below
-	// the universe size switches to the stratified sample, whose index
-	// list is the only per-pair slice the round ever builds. fwd/rev are
-	// zeroed because unresponsive pairs must read as "no valid median"
-	// (0), not as last round's value.
-	plan := &scr.plan
-	plan.ne = ne
-	plan.idx = nil
-	if c.cfg.PairBudget > 0 && c.cfg.PairBudget < pairCount(ne) {
-		plan.idx = c.buildPairPlan(scr, eps, round)
-	}
-	np := plan.count()
-	info.PairsAttempted = np
-
-	scr.fwd = grown(scr.fwd, np)
-	scr.rev = grown(scr.rev, np)
-	fwd, rev := scr.fwd, scr.rev
-	clear(fwd)
-	clear(rev)
-	// Direct pairs price through the shared path-state cache in every
-	// round. It is keyed by attachment pair, so a sampled round's fresh
-	// endpoint pairs mostly land on entries earlier rounds admitted.
-	var pings atomic.Int64
-	err := c.parallel(scr, np, func(s *scratch, k int) error {
-		i, j := plan.at(k)
-		if !windowUp[i] || !windowUp[j] {
-			s.pings += int64(2 * c.cfg.PingsPerPair) // pings sent, unanswered
-			return nil
-		}
-		a, b := cols.Endpoint(eps[i]), cols.Endpoint(eps[j])
-		mf, nf, err := c.medianRTTIn(c.view, s, a, b, round, hourFrac)
-		if err != nil {
-			return err
-		}
-		mr, nrev, err := c.medianRTTIn(c.view, s, b, a, round, hourFrac)
-		if err != nil {
-			return err
-		}
-		fwd[k], rev[k] = mf, mr
-		s.pings += int64(nf + nrev)
-		return nil
-	})
-	c.flushPings(scr, &pings)
-	if err != nil {
-		return info, err
-	}
-
-	// Step 3 (feasibility half): relays worth measuring per pair, and
-	// the union of endpoint-relay legs needed. Legs are tracked in a
-	// flat (endpoint index x relay position) array instead of a keyed
-	// map: the round's leg universe is dense and small, and index math
-	// is contention-free for the worker pool below. Feasible positions
-	// append into one flat backing buffer (reused across rounds) with
-	// per-pair extents recorded as offsets; the extents become slices
-	// only after the loop, once the buffer has stopped moving.
-	scr.relayCity = grown(scr.relayCity, nr)
-	relayCity := scr.relayCity
-	for pos, ri := range roundRelays {
-		relayCity[pos] = int32(c.w.Catalog.Relays[ri].City)
-	}
 	// Scenario relay churn: churned-out relays are invisible to the
 	// feasibility filter this round — they neither count as feasible nor
 	// get legs measured, exactly as if the liveness checks had dropped
 	// them from the sample. livePos is the churn-mask intersection the
-	// per-pair loop iterates, in ascending (catalog) order.
+	// filter iterates, in ascending (catalog) order.
 	// Self-heal exclusions ride the same masking: relays at a suspect
 	// facility's city are dropped from this round exactly like churned
 	// relays, per the controller's verdict on the rounds already seen.
@@ -443,7 +406,65 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 			scr.livePos = append(scr.livePos, int32(pos))
 		}
 	}
-	livePos := scr.livePos
+
+	// Step 2: direct paths, both directions, and step 3's feasibility
+	// half. The pair universe is never materialized: the exhaustive plan
+	// addresses the triangular space in closed form (pairAt inverts
+	// ordinal -> (i, j)); a PairBudget below the universe size switches
+	// to the stratified sample, whose index list is the only pair list
+	// the round ever builds. fwd/rev are zeroed because
+	// unresponsive pairs must read as "no valid median" (0), not as last
+	// round's value.
+	plan := &scr.plan
+	plan.ne = ne
+	plan.idx = nil
+	if c.cfg.PairBudget > 0 && c.cfg.PairBudget < pairCount(ne) {
+		plan.idx = c.buildPairPlan(scr, eps, round)
+	}
+	np := plan.count()
+	info.PairsAttempted = np
+
+	scr.fwd = grown(scr.fwd, np)
+	scr.rev = grown(scr.rev, np)
+	fwd, rev := scr.fwd, scr.rev
+	clear(fwd)
+	clear(rev)
+	scr.feas = grown(scr.feas, np*nrW)
+	feas := scr.feas
+	// Direct pairs price through the shared path-state cache in every
+	// round. It is keyed by attachment pair, so a sampled round's fresh
+	// endpoint pairs mostly land on entries earlier rounds admitted. The
+	// worker that prices a pair also writes the pair's feasibility row.
+	var pings atomic.Int64
+	err := c.parallel(scr, np, func(s *scratch, k int) error {
+		row := feas[k*nrW : (k+1)*nrW]
+		clear(row)
+		i, j := plan.at(k)
+		if !windowUp[i] || !windowUp[j] {
+			s.pings += int64(2 * c.cfg.PingsPerPair) // pings sent, unanswered
+			return nil
+		}
+		a, b := cols.Endpoint(eps[i]), cols.Endpoint(eps[j])
+		mf, nf, err := c.medianRTTIn(c.view, s, a, b, round, hourFrac)
+		if err != nil {
+			return err
+		}
+		mr, nrev, err := c.medianRTTIn(c.view, s, b, a, round, hourFrac)
+		if err != nil {
+			return err
+		}
+		fwd[k], rev[k] = mf, mr
+		s.pings += int64(nf + nrev)
+		if mf != 0 { // unresponsive pair: no relay measurements either
+			directRTT := time.Duration(float64(mf) * float64(time.Millisecond))
+			c.markFeasible(row, int(cols.City[eps[i]]), int(cols.City[eps[j]]), directRTT)
+		}
+		return nil
+	})
+	c.flushPings(scr, &pings)
+	if err != nil {
+		return info, err
+	}
 
 	// The active endpoint set: every endpoint some plan pair touches, in
 	// ascending position order. Exhaustive plans activate everything (the
@@ -478,61 +499,21 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	activeList := scr.activeList
 	nA := len(activeList)
 
-	// Leg demand as a bitset over (active endpoint x relay position):
-	// nrW words per active row, cleared up front so a bit reads true only
-	// when this round set it.
-	nrW := (nr + 63) / 64
+	// Leg demand as a bitset over (active endpoint x relay position),
+	// nrW words per active row: each pair's feasible relays that stay up
+	// through the window, ORed word by word into both endpoints' rows.
 	scr.legBits = grown(scr.legBits, nA*nrW)
 	legBits := scr.legBits
 	clear(legBits)
-	markLeg := func(e int, pos int32) {
-		legBits[int(activeOf[e])*nrW+int(pos)>>6] |= 1 << (uint(pos) & 63)
-	}
-
-	scr.feasOff = grown(scr.feasOff, np+1)
-	feasOff := scr.feasOff
-	feasBuf := scr.feasBuf[:0]
 	for it := newPairIter(plan); it.next(); {
-		k := it.k
-		feasOff[k] = len(feasBuf)
-		if fwd[k] == 0 {
-			continue // unresponsive pair: no relay measurements either
+		row := feas[it.k*nrW : (it.k+1)*nrW]
+		ra := legBits[int(activeOf[it.i])*nrW:][:nrW]
+		rb := legBits[int(activeOf[it.j])*nrW:][:nrW]
+		for w, f := range row {
+			f &= relayUp[w]
+			ra[w] |= f
+			rb[w] |= f
 		}
-		aCity, bCity := int(cols.City[eps[it.i]]), int(cols.City[eps[it.j]])
-		directRTT := time.Duration(float64(fwd[k]) * float64(time.Millisecond))
-		if c.cfg.DisableFeasibilityFilter {
-			// Ablation: every live relay is feasible.
-			for _, pos := range livePos {
-				feasBuf = append(feasBuf, pos)
-				if relayUp[pos] {
-					markLeg(it.i, pos)
-					markLeg(it.j, pos)
-				}
-			}
-			continue
-		}
-		// Memoized filter: one binary search per pair, then one rank
-		// compare per live relay — exactly equivalent to the direct
-		// arithmetic predicate (see feasMemo).
-		cf := c.feas.pairFeas(aCity, bCity)
-		cut := cf.feasibleRank(directRTT)
-		rank := cf.rank
-		for _, pos := range livePos {
-			if rank[relayCity[pos]] < cut {
-				feasBuf = append(feasBuf, pos)
-				if relayUp[pos] {
-					markLeg(it.i, pos)
-					markLeg(it.j, pos)
-				}
-			}
-		}
-	}
-	feasOff[np] = len(feasBuf)
-	scr.feasBuf = feasBuf
-	scr.feasible = grown(scr.feasible, np)
-	feasible := scr.feasible // relay positions per pair
-	for k := 0; k < np; k++ {
-		feasible[k] = feasBuf[feasOff[k]:feasOff[k+1]:feasOff[k+1]]
 	}
 
 	// Step 4 (legs): measure each needed endpoint-relay leg once. Jobs
@@ -606,12 +587,30 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	}
 	info.PingsSent = pings.Load()
 
-	// Step 4 (stitching): build observations in pair order. Every
-	// observation field is a column read; leg medians come back through
-	// the bitset rank lookup. Sinks that understand columnar delivery
-	// (BlockSink) receive the round as one reused column block instead
-	// of per-observation Emit calls — same values, no per-observation
-	// arena copy or interface dispatch.
+	// Step 4 (stitching): every usable pair is stitched off the leg
+	// medians on the worker pool, each worker appending improving entries
+	// to its own buffer.
+	scr.stitched = grown(scr.stitched, np)
+	stitched := scr.stitched
+	for w := range scr.workers {
+		scr.workers[w].improve = scr.workers[w].improve[:0]
+	}
+	err = c.parallel(scr, np, func(s *scratch, k int) error {
+		if fwd[k] != 0 {
+			i, j := plan.at(k)
+			c.stitchPair(s, &stitched[k], feas[k*nrW:(k+1)*nrW], int(activeOf[i]), int(activeOf[j]), fwd[k])
+		}
+		return nil
+	})
+	if err != nil {
+		return info, err
+	}
+
+	// Emission: one serial loop in pair order. Every observation field is
+	// a column read or a stitch record field. Sinks that understand
+	// columnar delivery (BlockSink) receive the round as one reused
+	// column block instead of per-observation Emit calls — same values,
+	// no per-observation arena copy or interface dispatch.
 	blockSink, _ := sink.(BlockSink)
 	if blockSink != nil {
 		c.block.reset(round)
@@ -621,6 +620,7 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 		if fwd[k] == 0 {
 			continue
 		}
+		st := &stitched[k]
 		ra, rb := eps[it.i], eps[it.j]
 		o := Observation{
 			Round:    round,
@@ -629,46 +629,21 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 			SrcCC: cols.CCString(ra), DstCC: cols.CCString(rb),
 			SrcCont: cols.ContString(ra), DstCont: cols.ContString(rb),
 			DirectMs: fwd[k], RevDirectMs: rev[k],
+			BestMs: st.bestMs, BestRelay: st.bestRelay, FeasibleCount: st.feasible,
 		}
-		for t := 0; t < relays.NumTypes; t++ {
-			o.BestRelay[t] = -1
-		}
-		ai, aj := int(activeOf[it.i]), int(activeOf[it.j])
-		c.improving = c.improving[:0]
-		for _, pos := range feasible[k] {
-			ri := roundRelays[pos]
-			r := &c.w.Catalog.Relays[ri]
-			o.FeasibleCount[r.Type]++
-			if !relayUp[pos] {
-				continue
-			}
-			la := scr.legVal(nrW, ai, int(pos))
-			lb := scr.legVal(nrW, aj, int(pos))
-			if la == 0 || lb == 0 {
-				continue // a leg had too few valid replies
-			}
-			stitched := la + lb
-			t := r.Type
-			if o.BestRelay[t] == -1 || stitched < o.BestMs[t] {
-				o.BestMs[t] = stitched
-				o.BestRelay[t] = int32(ri)
-			}
-			if stitched < o.DirectMs {
-				c.improving = append(c.improving, ImproveEntry{Relay: int32(ri), RelayedMs: stitched})
-			}
-		}
+		improving := scr.workers[st.worker].improve[st.lo:st.hi]
 		if blockSink != nil {
 			// Columnar delivery: the improving entries copy straight into
 			// the block's flat buffer (the block is reused across rounds,
 			// so no arena escape bookkeeping is needed).
-			c.block.append(&o, c.improving)
+			c.block.append(&o, improving)
 		} else {
 			// Improving entries escape into the sink, so they get an
-			// exact-size arena copy: the scratch absorbs the append growth,
-			// the observation retains not an entry more than it owns.
-			if len(c.improving) > 0 {
-				o.Improving = c.arena.alloc(len(c.improving))
-				copy(o.Improving, c.improving)
+			// exact-size arena copy: the observation retains not an entry
+			// more than it owns.
+			if len(improving) > 0 {
+				o.Improving = c.arena.alloc(len(improving))
+				copy(o.Improving, improving)
 			}
 			sink.Emit(o)
 		}
@@ -678,6 +653,80 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 		blockSink.EmitBlock(&c.block)
 	}
 	return info, nil
+}
+
+// markFeasible writes a responsive pair's row of the feasibility bitset:
+// one bit per live relay position that passes the Section-2.4 filter for
+// the pair's cities and direct RTT, or every live relay when the filter
+// is disabled (the ablation). The filter is feasibleDirect read off the
+// two endpoint cities' rows of the symmetric propagation matrix, so each
+// check is two contiguous loads, an add and a compare.
+func (c *campaign) markFeasible(row []uint64, aCity, bCity int, directRTT time.Duration) {
+	livePos := c.scr.livePos
+	if c.cfg.DisableFeasibilityFilter {
+		for _, pos := range livePos {
+			row[pos>>6] |= 1 << (uint(pos) & 63)
+		}
+		return
+	}
+	pa, pb := c.prop[aCity*c.nc:][:c.nc], c.prop[bCity*c.nc:][:c.nc]
+	relayCity := c.scr.relayCity
+	for _, pos := range livePos {
+		if rc := relayCity[pos]; 2*(pa[rc]+pb[rc]) <= directRTT {
+			row[pos>>6] |= 1 << (uint(pos) & 63)
+		}
+	}
+}
+
+// stitchPair stitches one usable pair from its feasibility row (active
+// endpoints ai and aj) into st, appending the relays that beat the
+// direct median to the worker's improve buffer. Feasible counts are
+// popcounts against the per-type bitsets; the stitch walks the feasible
+// relays that stay up in ascending position — catalog order — which
+// fixes BestRelay's tie-break and the Improving order.
+func (c *campaign) stitchPair(s *scratch, st *pairStitch, row []uint64, ai, aj int, directMs float32) {
+	scr := &c.scr
+	nrW := len(row)
+	rec := pairStitch{worker: s.id, lo: int32(len(s.improve))}
+	for t := range rec.bestRelay {
+		rec.bestRelay[t] = -1
+	}
+	for w, word := range row {
+		for t := range rec.feasible {
+			rec.feasible[t] += uint16(bits.OnesCount64(word & scr.typeBits[t*nrW+w]))
+		}
+		word &= scr.relayUp[w]
+		// Leg demand holds every feasible relay that stays up in both
+		// endpoints' rows, so such a relay's leg median sits at its bit's
+		// rank in the compact value array: the word's rank-directory entry
+		// plus the set bits below it in the word.
+		ga, gb := ai*nrW+w, aj*nrW+w
+		legA, legB := scr.legBits[ga], scr.legBits[gb]
+		valA, valB := scr.legVals[scr.legCum[ga]:], scr.legVals[scr.legCum[gb]:]
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			pos := w*64 + b
+			t := scr.relayType[pos]
+			below := uint64(1)<<b - 1
+			la := valA[bits.OnesCount64(legA&below)]
+			lb := valB[bits.OnesCount64(legB&below)]
+			if la == 0 || lb == 0 {
+				continue // a leg had too few valid replies
+			}
+			stitched := la + lb
+			ri := int32(scr.roundRelays[pos])
+			if rec.bestRelay[t] == -1 || stitched < rec.bestMs[t] {
+				rec.bestMs[t] = stitched
+				rec.bestRelay[t] = ri
+			}
+			if stitched < directMs {
+				s.improve = append(s.improve, ImproveEntry{Relay: ri, RelayedMs: stitched})
+			}
+		}
+	}
+	rec.hi = int32(len(s.improve))
+	*st = rec
 }
 
 // draftEndpoints draws the round's endpoint rows over the world's draft
@@ -735,38 +784,24 @@ func (c *campaign) windowUpAt(id atlas.ProbeID, round int) bool {
 }
 
 // feasibleDirect applies the Section-2.4 speed-of-light filter by direct
-// arithmetic over the precomputed flat propagation-delay matrix. The
-// round loop uses the per-city-pair ranking memo instead; this form is
-// the executable specification the memo is tested (and benchmarked)
-// against.
+// arithmetic over the precomputed flat propagation-delay matrix: the
+// executable specification markFeasible is tested against.
 func (c *campaign) feasibleDirect(srcCity, relayCity, dstCity int, directRTT time.Duration) bool {
 	ideal := 2 * (c.prop[srcCity*c.nc+relayCity] + c.prop[relayCity*c.nc+dstCity])
 	return ideal <= directRTT
-}
-
-// legVal returns the measured leg median for (active endpoint ai, relay
-// position pos), or 0 when that leg was not measured this round: the
-// bitset word answers "measured?", and the rank directory plus an
-// in-word popcount addresses the compact value array.
-func (scr *roundScratch) legVal(nrW, ai, pos int) float32 {
-	gw := ai*nrW + pos>>6
-	word := scr.legBits[gw]
-	bit := uint64(1) << (uint(pos) & 63)
-	if word&bit == 0 {
-		return 0
-	}
-	return scr.legVals[int(scr.legCum[gw])+bits.OnesCount64(word&(bit-1))]
 }
 
 // scratch is per-worker reusable state: medianRTT is called millions of
 // times per campaign, so neither its train buffer nor its sample buffer
 // may be reallocated per pair.
 type scratch struct {
+	id      int32 // this worker's index in roundScratch.workers
 	train   []latency.PingSample
 	vals    []float64
 	hf      []float64              // slot schedule buffer for windowStart-based callers
 	pairs   []latency.EndpointPair // leg-chunk batch resolve input
 	handles []latency.PairHandle   // leg-chunk batch resolve output
+	improve []ImproveEntry         // the round's improving entries of the pairs this worker stitched
 	pings   int64                  // pings sent by this worker since the last flush
 }
 
@@ -876,6 +911,9 @@ func (c *campaign) parallel(scr *roundScratch, n int, fn func(s *scratch, i int)
 		scr.workers = make([]scratch, workers)
 	}
 	scr.workers = scr.workers[:cap(scr.workers)]
+	for w := range scr.workers {
+		scr.workers[w].id = int32(w)
+	}
 	if workers <= 1 {
 		s := &scr.workers[0]
 		for i := 0; i < n; i++ {

@@ -82,17 +82,16 @@ type Config struct {
 	SelfHeal SelfHealController
 	// FastAvailability switches the per-(probe, round) availability
 	// coins — the drafting responsiveness check and the window/relay
-	// liveness checks — from the seed-table-based rng.Rand family to the
-	// value-type atlas.ResponsiveFast/WindowUpFast streams, cutting the
-	// per-coin cost from ~13µs (a lagged-Fibonacci table reseed per
-	// coin) to ~10ns. The fast family draws a DIFFERENT (equally
-	// deterministic) coin sequence, so flipping this knob changes which
-	// probes are up in a given round: the default false keeps the
-	// historical sequence the exhaustive and sampled golden digests pin,
-	// while the fast path carries its own golden digests
-	// (TestFastAvailabilityGoldenDigests). Scale-tier campaigns — where
-	// availability coins otherwise dominate the round wall-clock —
-	// should set it.
+	// liveness checks — from the rng.Rand family (atlas.Responsive and
+	// WindowUp) to the value-type atlas.ResponsiveFast/WindowUpFast
+	// streams. Both families cost tens of nanoseconds per coin. The fast
+	// family draws a DIFFERENT (equally deterministic) coin sequence, so
+	// flipping this knob changes which probes are up in a given round:
+	// the default false keeps the historical sequence the exhaustive and
+	// sampled golden digests pin. The knob remains because the scale-tier
+	// digests were recorded with the fast family
+	// (TestFastAvailabilityGoldenDigests and perfbench's scale-campaign
+	// digests); scale-tier campaigns set it to reproduce them.
 	FastAvailability bool
 }
 

@@ -74,8 +74,8 @@ func (s *digestSink) sum() string { return fmt.Sprintf("%x", s.h.Sum(nil)) }
 // Each golden configuration runs across the scheduling matrix —
 // measurement Concurrency 1 and 8 with latency-cache shards 1 and 8 —
 // and the set spans scenario off, scenario on (outage and churn
-// presets), and the feasibility-filter ablation, so the memoized
-// filter, the scratch arena and the cache layout are all proven
+// presets), and the feasibility-filter ablation, so the round's
+// feasibility rows, the scratch arena and the cache layout are all proven
 // bit-compatible with the historical stream, not merely
 // self-consistent. Cell names keep their historical -k1 suffix (round
 // depth 1), so each cell's ID matches earlier runs.

@@ -3,10 +3,10 @@ package measure
 import "slices"
 
 // Stratified pair sampling (Config.PairBudget). The stratum is the city
-// pair: the feasibility memo already proves the (srcCity, dstCity) pair
-// is the unit that determines relay structure, and facility-level
-// inference needs corridor coverage, not uniform pair coverage. Each
-// stratum's quota is proportional to its eyeball population weight —
+// pair: the (srcCity, dstCity) pair is the unit that determines relay
+// feasibility, and facility-level inference needs corridor coverage,
+// not uniform pair coverage.
+// Each stratum's quota is proportional to its eyeball population weight —
 // the product of the two cities' summed APNIC coverage over the round's
 // endpoints (halved for same-city strata, which the triangular universe
 // counts once) — capped at the stratum's pair-universe size. Within a

@@ -1,11 +1,12 @@
 package measure
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 	"time"
 
 	"shortcuts/internal/atlas"
+	"shortcuts/internal/relays"
 	"shortcuts/internal/sim"
 )
 
@@ -37,16 +38,25 @@ func poisonScratch(c *campaign, ne, nr int) {
 	for i := 0; i < ne; i++ {
 		scr.exclude[atlas.ProbeID(10_000+i)] = true
 	}
+	nrW := (nr + 63) / 64
 	scr.roundRelays = make([]int, nr)
 	scr.windowUp = make([]bool, ne)
-	scr.relayUp = make([]bool, nr)
+	scr.relayUp = make([]uint64, nrW)
 	scr.relayCity = make([]int32, nr)
+	scr.relayType = make([]relays.Type, nr)
+	scr.typeBits = make([]uint64, relays.NumTypes*nrW)
 	scr.livePos = make([]int32, nr)
 	for i := 0; i < nr; i++ {
 		scr.roundRelays[i] = i
-		scr.relayUp[i] = true
 		scr.relayCity[i] = int32(i % 7)
+		scr.relayType[i] = relays.Type(i % relays.NumTypes)
 		scr.livePos[i] = int32(i)
+	}
+	for i := range scr.relayUp {
+		scr.relayUp[i] = ^uint64(0)
+	}
+	for i := range scr.typeBits {
+		scr.typeBits[i] = ^uint64(0)
 	}
 	for i := range scr.windowUp {
 		scr.windowUp[i] = true
@@ -56,18 +66,22 @@ func poisonScratch(c *campaign, ne, nr int) {
 	scr.sPairs = scr.plan.idx
 	scr.fwd = make([]float32, np)
 	scr.rev = make([]float32, np)
-	scr.feasOff = make([]int, np+1)
-	scr.feasible = make([][]int32, np)
-	scr.feasBuf = make([]int32, np)
+	scr.feas = make([]uint64, np*nrW)
+	scr.stitched = make([]pairStitch, np)
 	for i := 0; i < np; i++ {
 		scr.plan.idx[i] = pairIdx32{int32(i % ne), int32((i + 1) % ne)}
 		scr.fwd[i] = 123.25
 		scr.rev[i] = 321.75
-		scr.feasOff[i] = i
-		scr.feasBuf[i] = int32(i % nr)
-		scr.feasible[i] = scr.feasBuf[i : i+1]
+		scr.stitched[i] = pairStitch{
+			bestMs:    [relays.NumTypes]float32{1, 2, 3, 4},
+			bestRelay: [relays.NumTypes]int32{5, 6, 7, 8},
+			feasible:  [relays.NumTypes]uint16{9, 9, 9, 9},
+			worker:    int32(i % 8), lo: 3, hi: 60,
+		}
 	}
-	scr.feasOff[np] = np
+	for i := range scr.feas {
+		scr.feas[i] = ^uint64(0)
+	}
 	scr.eps = make([]int32, ne)
 	scr.activeOf = make([]int32, ne)
 	scr.activeList = make([]int32, ne)
@@ -76,7 +90,6 @@ func poisonScratch(c *campaign, ne, nr int) {
 		scr.activeOf[i] = int32((i + 1) % ne)
 		scr.activeList[i] = int32((i + 2) % ne)
 	}
-	nrW := (nr + 63) / 64
 	scr.legBits = make([]uint64, ne*nrW)
 	scr.legCum = make([]int32, ne*nrW+1)
 	scr.legVals = make([]float32, ne*nr)
@@ -103,9 +116,13 @@ func poisonScratch(c *campaign, ne, nr int) {
 		scr.cityList[i] = int32(i)
 		scr.cityWeight[i] = 3.5
 	}
-	c.improving = make([]ImproveEntry, 64)
-	for i := range c.improving {
-		c.improving[i] = ImproveEntry{Relay: int32(i), RelayedMs: 1}
+	scr.workers = make([]scratch, 8)
+	for w := range scr.workers {
+		scr.workers[w].id = int32(7 - w)
+		scr.workers[w].improve = make([]ImproveEntry, 64)
+		for i := range scr.workers[w].improve {
+			scr.workers[w].improve[i] = ImproveEntry{Relay: int32(i), RelayedMs: 1}
+		}
 	}
 	c.arena.block = make([]ImproveEntry, improveArenaBlock/2, improveArenaBlock)
 }
@@ -113,75 +130,81 @@ func poisonScratch(c *campaign, ne, nr int) {
 // TestShrinkingWorldNoStaleScratch is the cross-round scratch-hygiene
 // regression test: a round following a larger one (fewer endpoints,
 // fewer relays, smaller pair and leg universes) runs over arena buffers
-// holding the big round's data — any stale feasibility bit, leg median
-// or direct RTT leaking out of the shrunk region would perturb the
-// stream. Endpoint counts barely move between real rounds (one probe
-// per country), so the test manufactures the worst case: a scratch
-// poisoned as if the previous round had been far larger than any real
-// one, with every stale value set to leak (legs valid, relays feasible).
-// The poisoned campaign's round must be bit-identical to a pristine
-// campaign's, and so must a natural round-1-after-round-0 run.
+// holding the big round's data — any stale feasibility bit, stitch
+// record, improving entry, leg median or direct RTT leaking out of the
+// shrunk region would perturb the stream. Endpoint counts barely move
+// between real rounds (one probe per country), so the test manufactures
+// the worst case: a scratch poisoned as if the previous round had been
+// far larger than any real one, with every stale value set to leak
+// (legs valid, relays feasible). The poisoned campaign's round must be
+// bit-identical to a pristine campaign's, and so must a natural
+// round-1-after-round-0 run. Several workers write the per-pair
+// buffers, so it runs at Concurrency 1 and 4.
 func TestShrinkingWorldNoStaleScratch(t *testing.T) {
 	w, err := sim.Build(sim.SmallWorldParams(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := QuickConfig(2)
-	cfg.Concurrency = 1
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("c%d", workers), func(t *testing.T) {
+			cfg := QuickConfig(2)
+			cfg.Concurrency = workers
+			roundOne := func(c *campaign) *collectSink {
+				t.Helper()
+				var out collectSink
+				info, err := c.runRound(1, &out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out.RoundDone(info)
+				return &out
+			}
+			same := func(label string, got, want *collectSink) {
+				t.Helper()
+				observationsEqual(t, label, got.results(cfg), want.results(cfg))
+				if got.rounds[0] != want.rounds[0] {
+					t.Fatalf("%s: round info %+v, want %+v", label, got.rounds[0], want.rounds[0])
+				}
+			}
 
-	// Reference: round 1 on a pristine campaign. Round sampling is a
-	// pure function of (seed, round), so running round 1 alone measures
-	// exactly what a sequential campaign's round 1 measures.
-	fresh, err := newCampaign(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var freshOut collectSink
-	info, err := fresh.runRound(1, &freshOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freshOut.RoundDone(info)
+			// Reference: round 1 on a pristine campaign. Round sampling
+			// is a pure function of (seed, round), so running round 1
+			// alone measures exactly what a sequential campaign's round 1
+			// measures.
+			fresh, err := newCampaign(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			freshOut := roundOne(fresh)
 
-	// Poisoned path: the same round over a scratch arena sized for a
-	// vastly larger previous round and filled with would-leak values.
-	poisoned, err := newCampaign(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	poisonScratch(poisoned, 160, 700)
-	var poisonedOut collectSink
-	info, err = poisoned.runRound(1, &poisonedOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	poisonedOut.RoundDone(info)
-	observationsEqual(t, "poisoned-oversized-scratch",
-		poisonedOut.results(cfg), freshOut.results(cfg))
+			// Poisoned path: the same round over a scratch arena sized
+			// for a vastly larger previous round and filled with
+			// would-leak values.
+			poisoned, err := newCampaign(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			poisonScratch(poisoned, 160, 700)
+			same("poisoned-oversized-scratch", roundOne(poisoned), freshOut)
 
-	// Natural path: round 0 then round 1 on one campaign (relay counts
-	// genuinely differ round to round; the arena is warm and possibly
-	// larger than round 1 needs).
-	warm, err := newCampaign(w, cfg)
-	if err != nil {
-		t.Fatal(err)
+			// Natural path: round 0 then round 1 on one campaign (relay
+			// counts genuinely differ round to round; the arena is warm
+			// and possibly larger than round 1 needs).
+			warm, err := newCampaign(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := warm.runRound(0, discardSink{}); err != nil {
+				t.Fatal(err)
+			}
+			same("warm-round-after-round0", roundOne(warm), freshOut)
+		})
 	}
-	if _, err := warm.runRound(0, discardSink{}); err != nil {
-		t.Fatal(err)
-	}
-	var warmOut collectSink
-	info, err = warm.runRound(1, &warmOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmOut.RoundDone(info)
-	observationsEqual(t, "warm-round-after-round0",
-		warmOut.results(cfg), freshOut.results(cfg))
 }
 
 // TestSteadyStateRoundAllocs pins the allocation budget of a warm
-// steady-state round: once the scratch arena, the feasibility memo and
-// the engine's path-state cache have seen a round's shape, re-running it
+// steady-state round: once the scratch arena and the engine's
+// path-state cache have seen a round's shape, re-running it
 // must not rebuild any per-round structure. What remains is a few dozen
 // allocations — the samplers' per-round result slices and the amortized
 // improve-arena blocks — where the pre-arena round cost thousands.
@@ -200,8 +223,7 @@ func TestSteadyStateRoundAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm everything: scratch capacities, feasibility memo entries,
-	// engine path-state cache.
+	// Warm everything: scratch capacities, engine path-state cache.
 	for r := 0; r < 2; r++ {
 		if _, err := c.runRound(r, discardSink{}); err != nil {
 			t.Fatal(err)
@@ -219,11 +241,13 @@ func TestSteadyStateRoundAllocs(t *testing.T) {
 	}
 }
 
-// TestFeasMemoMatchesDirectPredicate proves the memoized rank filter is
-// exactly the arithmetic speed-of-light predicate, over every relay city
-// and a dense sweep of thresholds including the exact ideal values
-// (where <= vs < would differ).
-func TestFeasMemoMatchesDirectPredicate(t *testing.T) {
+// TestMarkFeasibleMatchesDirectPredicate proves a round's feasibility
+// rows are exactly the arithmetic speed-of-light predicate: for endpoint
+// city pairs in both orders, a relay position in every city, and
+// thresholds at every exact ideal relayed RTT and one tick either side
+// (where <= vs < would differ). Positions outside the live set never get
+// a bit.
+func TestMarkFeasibleMatchesDirectPredicate(t *testing.T) {
 	w, err := sim.Build(sim.SmallWorldParams(17))
 	if err != nil {
 		t.Fatal(err)
@@ -233,56 +257,35 @@ func TestFeasMemoMatchesDirectPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc := c.nc
+	// One relay position per city; every third position churned out.
+	c.scr.relayCity = make([]int32, nc)
+	for pos := 0; pos < nc; pos++ {
+		c.scr.relayCity[pos] = int32(pos)
+		if pos%3 != 2 {
+			c.scr.livePos = append(c.scr.livePos, int32(pos))
+		}
+	}
+	row := make([]uint64, (nc+63)/64)
 	cities := []int{0, 1, nc / 3, nc / 2, nc - 2, nc - 1}
 	for _, a := range cities {
 		for _, b := range cities {
-			cf := c.feas.pairFeas(a, b)
-			// Thresholds: every exact ideal, one tick either side, plus
-			// extremes.
-			var thresholds []time.Duration
-			for _, id := range cf.sortedIdeal {
-				thresholds = append(thresholds, id-1, id, id+1)
+			thresholds := []time.Duration{0, time.Hour}
+			for rc := 0; rc < nc; rc++ {
+				ideal := 2 * (c.prop[a*nc+rc] + c.prop[rc*nc+b])
+				thresholds = append(thresholds, ideal-1, ideal, ideal+1)
 			}
-			thresholds = append(thresholds, 0, time.Hour)
 			for _, th := range thresholds {
-				cut := cf.feasibleRank(th)
-				for _, rc := range c.feas.relayCities {
-					memo := cf.rank[rc] < cut
-					direct := c.feasibleDirect(a, int(rc), b, th)
-					if memo != direct {
-						t.Fatalf("cities (%d,%d) relay city %d threshold %v: memo=%v direct=%v",
-							a, b, rc, th, memo, direct)
+				clear(row)
+				c.markFeasible(row, a, b, th)
+				for pos := 0; pos < nc; pos++ {
+					got := row[pos>>6]>>(pos&63)&1 == 1
+					want := pos%3 != 2 && c.feasibleDirect(a, pos, b, th)
+					if got != want {
+						t.Fatalf("cities (%d,%d) relay city %d threshold %v: row bit %v, direct predicate %v",
+							a, b, pos, th, got, want)
 					}
 				}
 			}
 		}
-	}
-	// Non-relay cities must never rank feasible.
-	cf := c.feas.pairFeas(0, nc-1)
-	isRelay := make([]bool, nc)
-	for _, rc := range c.feas.relayCities {
-		isRelay[rc] = true
-	}
-	for city, r := range cf.rank {
-		if !isRelay[city] && r != noRelayRank {
-			t.Fatalf("city %d hosts no relay but has rank %d", city, r)
-		}
-	}
-}
-
-// TestRelayCityOverflowFailsFast pins the memo's capacity check: a world
-// with more relay cities than the uint16 ranks can hold is refused when
-// the campaign is built, naming the count, instead of running a round.
-func TestRelayCityOverflowFailsFast(t *testing.T) {
-	w, err := sim.Build(sim.SmallWorldParams(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.SharedCache("measure.feasMemo", func() any {
-		return &feasMemo{relayCities: make([]int32, noRelayRank)}
-	})
-	_, err = newCampaign(w, QuickConfig(1))
-	if err == nil || !strings.Contains(err.Error(), "65535 relay cities") {
-		t.Fatalf("newCampaign over 65535 relay cities returned %v, want an error naming the count", err)
 	}
 }

@@ -10,7 +10,6 @@ package rng
 import (
 	"math"
 	"math/rand"
-	"sync"
 )
 
 // Rand is a deterministic random source. It wraps math/rand.Rand with the
@@ -53,19 +52,12 @@ func (g *Rand) SplitN(label string, n int) *Rand {
 	return New(int64(FNVUint64(h, uint64(n))))
 }
 
-// splitPool recycles math/rand generators for one-shot derived draws:
-// reseeding an existing source (Rand.Seed) reaches the exact state a
-// fresh NewSource(seed) would, so a pooled generator produces the same
-// stream without re-allocating the ~5 KB source table per derivation.
-var splitPool = sync.Pool{
-	New: func() any { return rand.New(rand.NewSource(0)) },
-}
-
 // BoolSplitN reports exactly what SplitN(label, n).Bool(p) would return
 // — same derived seed, same single draw — without constructing the
 // derived generator. It exists for per-(entity, round) availability
-// coins, which campaigns flip hundreds of times per round: the one-shot
-// SplitN + Bool pattern allocated a full generator per flip. Safe for
+// coins, which campaigns flip thousands of times per round: the draw is
+// the first Float64 of a freshly seeded source, which firstFloat64
+// computes in closed form instead of reseeding a generator. Safe for
 // concurrent use.
 func (g *Rand) BoolSplitN(label string, n int, p float64) bool {
 	if p <= 0 {
@@ -75,11 +67,54 @@ func (g *Rand) BoolSplitN(label string, n int, p float64) bool {
 		return true
 	}
 	h := uint64(splitSeed(g.seed, label))
-	r := splitPool.Get().(*rand.Rand)
-	r.Seed(int64(FNVUint64(h, uint64(n))))
-	ok := r.Float64() < p
-	splitPool.Put(r)
-	return ok
+	return firstFloat64(int64(FNVUint64(h, uint64(n)))) < p
+}
+
+// The constants of math/rand's seeded source that its first output
+// depends on. Seed reduces the seed mod 2³¹−1 and steps the generator
+// x ← 48271·x mod (2³¹−1) 20 times, then three times per table word;
+// table word i is x₂₁₊₃ᵢ<<40 ^ x₂₂₊₃ᵢ<<20 ^ x₂₃₊₃ᵢ ^ rngCooked[i]. The
+// first Int63 adds words 333 and 606, so it needs x at steps 1020–1022
+// and 1839–1841: x₀ times powⁿ = 48271ⁿ mod 2³¹−1. The two cooked
+// words are copied from math/rand's rngCooked table, which the Go 1
+// compatibility promise freezes along with the seeded stream.
+const (
+	lehmerMod  = 1<<31 - 1
+	lehmerZero = 89482311                    // what Seed substitutes for a zero residue
+	cooked333  = 1<<64 - 4633371852008891965 // rngCooked[333], as uint64
+	cooked606  = 4152330101494654406         // rngCooked[606]
+	pow1020    = 2082024995
+	pow1021    = 1341337692
+	pow1022    = 1079773482
+	pow1839    = 933195560
+	pow1840    = 665897288
+	pow1841    = 2140244399
+)
+
+// firstFloat64 returns rand.New(rand.NewSource(seed)).Float64() — a few
+// multiplies instead of the ~1,840 generator steps a reseed runs. Float64
+// retries when the 63-bit draw rounds to 1, which needs a draw of at
+// least 2⁶³−512; an exhaustive scan of all 2³¹−2 reachable seed residues
+// (TestFirstFloat64Exhaustive) found the largest first draw to be
+// 2⁶³−4,441,333,495, so the closed form never retries.
+func firstFloat64(seed int64) float64 {
+	s := seed % lehmerMod
+	if s < 0 {
+		s += lehmerMod
+	}
+	if s == 0 {
+		s = lehmerZero
+	}
+	return float64(firstInt63(uint64(s))) / (1 << 63)
+}
+
+// firstInt63 is the first Int63 of a source whose reduced seed is x, in
+// [1, 2³¹−2].
+func firstInt63(x uint64) int64 {
+	step := func(pow uint64) uint64 { return x * pow % lehmerMod }
+	w333 := step(pow1020)<<40 ^ step(pow1021)<<20 ^ step(pow1022) ^ cooked333
+	w606 := step(pow1839)<<40 ^ step(pow1840)<<20 ^ step(pow1841) ^ cooked606
+	return int64((w333 + w606) & (1<<63 - 1))
 }
 
 // Float64 returns a uniform draw in [0, 1).

@@ -80,11 +80,11 @@ func NewCampaignWith(w *World, cfg Config) (*Campaign, error) {
 	if cfg.ScaleEndpoints > 0 {
 		// Scale tier: draft the full responsive population per country
 		// and run the fast availability coins — the configuration the
-		// scale benchmarks pin (see measure.Config.FastAvailability on
-		// why the classic coin stream is untenable at this size). The
-		// RIPE Atlas credit model is calibrated to the paper's ~500
-		// endpoints; a 100k round spends ~20x the daily budget on
-		// sampled pairs alone, so scale campaigns run uncapped.
+		// scale-tier digests were recorded with (see
+		// measure.Config.FastAvailability). The RIPE Atlas credit model
+		// is calibrated to the paper's ~500 endpoints; a 100k round
+		// spends ~20x the daily budget on sampled pairs alone, so scale
+		// campaigns run uncapped.
 		mc.EndpointsPerCountry = 1 << 20
 		mc.FastAvailability = true
 		mc.DailyCreditLimit = 0
