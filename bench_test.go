@@ -440,19 +440,3 @@ func BenchmarkEngineCacheSingleMap(b *testing.B) { benchmarkEngineCache(b, 1) }
 func BenchmarkEngineCacheSharded(b *testing.B) {
 	benchmarkEngineCache(b, latency.DefaultCacheShards)
 }
-
-// BenchmarkPing times a single simulated ping through the cached latency
-// engine (the campaign's innermost loop).
-func BenchmarkPing(b *testing.B) {
-	w, res := benchResults(b)
-	probes := w.Atlas.Probes()
-	a := probes[0].Endpoint()
-	c := probes[len(probes)-1].Endpoint()
-	at := res.Rounds[0].Start
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := w.Engine.Ping(a, c, 0, i%6, at); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

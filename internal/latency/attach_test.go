@@ -91,6 +91,40 @@ func checkResolved(t *testing.T, what string, got pathState, ref refState, a, b 
 	}
 }
 
+// FuzzResolveBatch maps fuzzed integers to two eyeball endpoints (AS,
+// PoP, access delay), resolves both directions in one ResolveBatch and
+// checks each handle, and BaseRTT, against the full-identity reference.
+func FuzzResolveBatch(f *testing.F) {
+	f.Add(uint16(0), uint16(0), uint32(6_000_000), uint16(1), uint16(0), uint32(8_000_000))
+	f.Add(uint16(3), uint16(1), uint32(0), uint16(3), uint16(1), uint32(0))               // one endpoint at both ends
+	f.Add(uint16(7), uint16(2), uint32(1_500_000), uint16(7), uint16(2), uint32(900_000)) // access breaks the tie
+	f.Fuzz(func(t *testing.T, asA, popA uint16, accA uint32, asB, popB uint16, accB uint32) {
+		e := testEngine(t)
+		eyes := cachedTopo.ASesOfType(topology.Eyeball)
+		at := func(as, pop uint16, access uint32) Endpoint {
+			x := eyes[int(as)%len(eyes)]
+			return Endpoint{AS: x.ASN, City: x.PoPs[int(pop)%len(x.PoPs)], Access: time.Duration(access)}
+		}
+		a, b := at(asA, popA, accA), at(asB, popB, accB)
+		pairs := []EndpointPair{{A: a, B: b}, {A: b, B: a}}
+		handles := make([]PairHandle, len(pairs))
+		if err := e.View(nil).ResolveBatch(pairs, handles); err != nil {
+			t.Fatal(err)
+		}
+		ref := refPathState(t, e, a, b)
+		for i, p := range pairs {
+			checkResolved(t, "ResolveBatch", handles[i].st, ref, p.A, p.B)
+		}
+		rtt, err := e.BaseRTT(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rtt != time.Duration(ref.static) {
+			t.Fatalf("BaseRTT %+v -> %+v = %v, full-identity reference %v", a, b, rtt, time.Duration(ref.static))
+		}
+	})
+}
+
 // bitIdentityPairs draws the pair set of TestAttachmentCacheBitIdentical:
 // random eyeball pairs at random PoPs, endpoints that share an
 // attachment but differ in access delay, and ties where both ends share
@@ -126,25 +160,12 @@ func bitIdentityPairs(topo *topology.Topology) []EndpointPair {
 
 // TestAttachmentCacheBitIdentical pins the attachment-keyed cache to the
 // full-identity state: every field of every resolved state, through
-// resolvePair, BaseRTT and ResolveBatch, and every ping sample of
-// ResolveBatch + PingTrainSchedHandle against PingTrainSched, with and
-// without an overlay.
+// resolvePair, BaseRTT and ResolveBatch, on two engines.
 func TestAttachmentCacheBitIdentical(t *testing.T) {
 	base := testEngine(t)
 	pairs := bitIdentityPairs(cachedTopo)
-	ov := neutralTables(len(cachedTopo.Cities))
-	for i := range ov.factor {
-		ov.factor[i] = 1 + float64(i%7)/10
-		ov.loss[i] = float64(i%3) / 20
-	}
-	hourFrac := SlotHourFracs(time.Date(2017, 4, 20, 19, 0, 0, 0, time.UTC), 5*time.Minute, 6, nil)
-	perPair := make([]PingSample, len(hourFrac))
-	fromHandle := make([]PingSample, len(hourFrac))
-	for _, view := range []View{
-		New(base.router, DefaultParams(), rng.New(5)).View(nil),
-		New(base.router, DefaultParams(), rng.New(6)).View(ov),
-	} {
-		e := view.Engine()
+	for _, seed := range []int64{5, 6} {
+		e := New(base.router, DefaultParams(), rng.New(seed))
 		// Half the pairs resolve one by one first, so the batch meets
 		// both cached and cold attachment pairs.
 		for _, p := range pairs[:len(pairs)/2] {
@@ -163,23 +184,11 @@ func TestAttachmentCacheBitIdentical(t *testing.T) {
 			}
 		}
 		handles := make([]PairHandle, len(pairs))
-		if err := view.ResolveBatch(pairs, handles); err != nil {
+		if err := e.View(nil).ResolveBatch(pairs, handles); err != nil {
 			t.Fatal(err)
 		}
 		for i, p := range pairs {
 			checkResolved(t, "ResolveBatch", handles[i].st, refPathState(t, e, p.A, p.B), p.A, p.B)
-			for round := 0; round < 2; round++ {
-				if err := view.PingTrainSched(p.A, p.B, round, hourFrac, perPair); err != nil {
-					t.Fatal(err)
-				}
-				view.PingTrainSchedHandle(&handles[i], round, hourFrac, fromHandle)
-				for slot := range perPair {
-					if perPair[slot] != fromHandle[slot] {
-						t.Fatalf("pair %d round %d slot %d: PingTrainSched %+v, handle %+v",
-							i, round, slot, perPair[slot], fromHandle[slot])
-					}
-				}
-			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package latency
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // EndpointPair is one (source, destination) pair handed to ResolveBatch.
 type EndpointPair struct {
@@ -106,10 +109,20 @@ func (v View) ResolveBatch(pairs []EndpointPair, out []PairHandle) error {
 	return nil
 }
 
-// PingTrainSchedHandle prices one train for a resolved pair on a
-// pre-decomposed slot schedule (see PingTrainSched) — bit-identical to
-// the per-pair entry points, with pair resolution already paid by
-// ResolveBatch.
+// PingSample is one slot of a ping train: the observed RTT and whether a
+// reply arrived at all.
+type PingSample struct {
+	RTT time.Duration
+	OK  bool
+}
+
+// PingTrainSchedHandle prices one train for a resolved pair: len(out)
+// pings, slot s at round `round` and UTC hour fraction hourFrac[s] (a
+// schedule from SlotHourFracs; len(hourFrac) must cover len(out)). Each
+// slot's draws derive from (pair, round, slot) alone. Pair resolution
+// was paid by ResolveBatch, so nothing here touches the cache or the
+// heap. The pair resolved in the other direction prices a slightly
+// different train (path asymmetry) over the same cached state.
 func (v View) PingTrainSchedHandle(h *PairHandle, round int, hourFrac []float64, out []PingSample) {
 	for slot := range out {
 		rtt, ok := v.e.pingSlot(&h.st, round, slot, hourFrac[slot], h.eff)

@@ -36,38 +36,35 @@ func benchEngine(b *testing.B) (*Engine, Endpoint, Endpoint) {
 }
 
 // BenchmarkPingHotPath times one simulated ping against a warmed path
-// cache — the campaign's innermost operation (~190k per round, millions
-// per campaign). This is the headline number of the allocation-free
-// hot-path work: ns/op and allocs/op here bound the whole campaign.
+// cache — a single-pair resolve and a one-slot train, the campaign's
+// innermost operation (millions per campaign). ns/op and allocs/op here
+// bound the whole campaign.
 func BenchmarkPingHotPath(b *testing.B) {
 	e, x, y := benchEngine(b)
-	if _, _, err := e.Ping(x, y, 0, 0, benchTime); err != nil {
-		b.Fatal(err)
-	}
+	v := e.View(nil)
+	hourFrac := SlotHourFracs(benchTime, 0, 1, nil)
+	out := make([]PingSample, 1)
+	pingTrain(b, v, x, y, 0, hourFrac, out)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.Ping(x, y, i>>3, i&7, benchTime); err != nil {
-			b.Fatal(err)
-		}
+		pingTrain(b, v, x, y, i, hourFrac, out)
 	}
 }
 
-// BenchmarkPingTrain times one whole 6-ping train through the batched
-// API: key, hash, cache lookup and direction factor are resolved once
-// for the train instead of once per slot.
+// BenchmarkPingTrain times one whole 6-ping train: the pair is resolved
+// once (key, hash, cache lookup, direction factor), then each slot costs
+// a few multiplies and its draws.
 func BenchmarkPingTrain(b *testing.B) {
 	e, x, y := benchEngine(b)
-	out := make([]PingSample, 6)
-	if err := e.PingTrain(x, y, 0, benchTime, 5*time.Minute, out); err != nil {
-		b.Fatal(err)
-	}
+	v := e.View(nil)
+	hourFrac := SlotHourFracs(benchTime, 5*time.Minute, 6, nil)
+	out := make([]PingSample, len(hourFrac))
+	pingTrain(b, v, x, y, 0, hourFrac, out)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.PingTrain(x, y, i, benchTime, 5*time.Minute, out); err != nil {
-			b.Fatal(err)
-		}
+		pingTrain(b, v, x, y, i, hourFrac, out)
 	}
 }
 

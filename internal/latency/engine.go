@@ -23,11 +23,14 @@
 // diurnal traits. Each resolve adds the two endpoints' access terms on
 // the stack, so every host behind the same attachments shares one entry.
 //
-// The ping path is allocation-free: per-ping draws come from value-type
-// rng.Streams (a Derive is a hash, not a generator allocation), pair
-// identities are hashed with an inlined FNV-1a over fixed-size buffers,
-// and the composed pathState is a stack value, so pricing any endpoint
-// pair over a cached attachment pair touches no heap at all.
+// Every ping is priced one way: View.ResolveBatch resolves a batch of
+// endpoint pairs into PairHandles, and View.PingTrainSchedHandle prices
+// one handle's train on a slot schedule from SlotHourFracs. That path is
+// allocation-free: per-ping draws come from value-type rng.Streams (a
+// Derive is a hash, not a generator allocation), pair identities are
+// hashed with an inlined FNV-1a over fixed-size buffers, and a handle
+// carries its composed pathState by value, so pricing any endpoint pair
+// over a cached attachment pair touches no heap at all.
 package latency
 
 import (
@@ -341,24 +344,19 @@ func (e *Engine) BaseRTT(a, b Endpoint) (time.Duration, error) {
 	return time.Duration(st.static), nil
 }
 
-// diurnalFactor returns the load factor at time t for a path whose
-// midpoint is at longitude midLon: a sinusoid peaking at 21:00 local.
-func diurnalFactor(t time.Time, amp, midLon float64) float64 {
-	return diurnalFactorHour(hourFracOf(t), amp, midLon)
-}
-
 // hourFracOf is the UTC hour-of-day fraction of t — the pair-invariant
-// part of the diurnal phase. Train loops price every pair of a round at
-// the same slot times, so callers hoist this decomposition per slot
-// (SlotHourFracs) instead of re-deriving it per ping.
+// part of the diurnal phase. Every pair of a round pings at the same
+// slot times, so SlotHourFracs decomposes each slot once per round
+// instead of once per ping.
 func hourFracOf(t time.Time) float64 {
 	u := t.UTC()
 	return float64(u.Hour()) + float64(u.Minute())/60
 }
 
-// diurnalFactorHour is diurnalFactor on a pre-decomposed hour fraction.
-// The association (hourFrac first, then + midLon/15) matches the single
-// expression it replaced, so the factor is bit-identical.
+// diurnalFactorHour returns the load factor at UTC hour fraction
+// hourFrac for a path whose midpoint is at longitude midLon: a sinusoid
+// peaking at 21:00 local. The association (hourFrac first, then
+// + midLon/15) is the one the golden digests were recorded with.
 func diurnalFactorHour(hourFrac, amp, midLon float64) float64 {
 	if amp == 0 {
 		return 1
@@ -369,10 +367,10 @@ func diurnalFactorHour(hourFrac, amp, midLon float64) float64 {
 }
 
 // SlotHourFracs appends the hour fraction (hourFracOf) of each of n ping
-// slots — t0, t0+interval, ... — to buf and returns it. Campaigns price
-// every train of a round on one slot schedule; precomputing the
-// fractions once per round removes the per-ping wall-time decomposition
-// from the scheduled train entry points (PingTrainSched).
+// slots — t0, t0+interval, ... — to buf and returns it: the slot
+// schedule PingTrainSchedHandle prices on. Campaigns price every train
+// of a round on one schedule, so the wall-time decomposition runs once
+// per round, not once per ping.
 func SlotHourFracs(t0 time.Time, interval time.Duration, n int, buf []float64) []float64 {
 	for slot := 0; slot < n; slot++ {
 		buf = append(buf, hourFracOf(t0.Add(time.Duration(slot)*interval)))
@@ -380,9 +378,9 @@ func SlotHourFracs(t0 time.Time, interval time.Duration, n int, buf []float64) [
 	return buf
 }
 
-// pingSlot prices one ping slot against resolved path state: the shared
-// core of Ping and PingTrain. eff is the scenario overlay effect for the
-// pair (NeutralEffect when no scenario is active). A neutral effect is
+// pingSlot prices one ping slot against resolved path state, for
+// PingTrainSchedHandle. eff is the scenario overlay effect for the pair
+// (NeutralEffect when no scenario is active). A neutral effect is
 // draw-for-draw and bit-for-bit identical to the pre-overlay pricing:
 // Down skips draws only when set, ExtraLoss consumes a draw only when
 // positive, and multiplying by an RTTFactor of exactly 1.0 is exact in
@@ -414,13 +412,11 @@ func (e *Engine) pingSlot(st *pathState, round, slot int, hourFrac float64, eff 
 	return time.Duration(rtt * eff.RTTFactor), true
 }
 
-// resolvePair resolves everything a ping or train from a to b needs
-// exactly once: the attachment pair's cached state composed with the
-// pair's access term, the a->b direction factor and the pair hash (the
-// per-ping RNG stream key). Every per-pair entry point — BaseRTT,
-// Engine.Ping, Engine.PingTrain and their View counterparts — goes
-// through this one helper, and ResolveBatch composes through the same
-// compose, so pair resolution cannot diverge between them.
+// resolvePair resolves one endpoint pair, priced from a to b, for
+// BaseRTT: the attachment pair's cached state composed with the pair's
+// access term, the a->b direction factor and the pair hash (the
+// per-ping RNG stream key). ResolveBatch composes through the same
+// compose, so the two resolutions cannot diverge.
 func (e *Engine) resolvePair(a, b Endpoint) (pathState, error) {
 	key := canonicalKey(a, b)
 	ns, err := e.netStateOf(key.net())
@@ -428,19 +424,6 @@ func (e *Engine) resolvePair(a, b Endpoint) (pathState, error) {
 		return pathState{}, err
 	}
 	return e.compose(ns, key, a), nil
-}
-
-// Ping simulates one ping from a to b during measurement round `round`,
-// ping slot `slot`, at wall time t. It returns the observed RTT and
-// whether a reply arrived at all. Swapping a and b yields a slightly
-// different value (path asymmetry) drawn from the same path state.
-func (e *Engine) Ping(a, b Endpoint, round, slot int, t time.Time) (time.Duration, bool, error) {
-	st, err := e.resolvePair(a, b)
-	if err != nil {
-		return 0, false, err
-	}
-	rtt, ok := e.pingSlot(&st, round, slot, hourFracOf(t), NeutralEffect())
-	return rtt, ok, nil
 }
 
 // Trace returns the forward PoP-level path from a to b (the city polyline

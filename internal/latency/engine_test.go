@@ -42,6 +42,19 @@ func testEndpoints(t *testing.T) (Endpoint, Endpoint) {
 	return a, b
 }
 
+// pingTrain prices one train from a to b through the one pricing
+// primitive: a single-pair ResolveBatch, then PingTrainSchedHandle on
+// the slot schedule hourFrac. It skips t.Helper, whose caller lookup
+// would dominate the benchmarks that time this helper.
+func pingTrain(t testing.TB, v View, a, b Endpoint, round int, hourFrac []float64, out []PingSample) {
+	pairs := [1]EndpointPair{{A: a, B: b}}
+	var h [1]PairHandle
+	if err := v.ResolveBatch(pairs[:], h[:]); err != nil {
+		t.Fatal(err)
+	}
+	v.PingTrainSchedHandle(&h[0], round, hourFrac, out)
+}
+
 func TestBaseRTTPositiveAndStable(t *testing.T) {
 	e := testEngine(t)
 	a, b := testEndpoints(t)
@@ -160,17 +173,14 @@ func TestAccessDelayCharged(t *testing.T) {
 func TestPingDeterministicPerSlot(t *testing.T) {
 	e := testEngine(t)
 	a, b := testEndpoints(t)
-	at := time.Date(2017, 4, 20, 12, 0, 0, 0, time.UTC)
-	r1, ok1, err1 := e.Ping(a, b, 3, 2, at)
-	r2, ok2, err2 := e.Ping(a, b, 3, 2, at)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
+	hourFrac := SlotHourFracs(time.Date(2017, 4, 20, 12, 0, 0, 0, time.UTC), 0, 4, nil)
+	t1, t2 := make([]PingSample, 4), make([]PingSample, 4)
+	pingTrain(t, e.View(nil), a, b, 3, hourFrac, t1)
+	pingTrain(t, e.View(nil), a, b, 3, hourFrac, t2)
+	if t1[2] != t2[2] {
+		t.Fatalf("same-slot pings differ: %+v vs %+v", t1[2], t2[2])
 	}
-	if r1 != r2 || ok1 != ok2 {
-		t.Fatalf("same-slot pings differ: %v/%v vs %v/%v", r1, ok1, r2, ok2)
-	}
-	r3, _, _ := e.Ping(a, b, 3, 3, at)
-	if r1 == r3 {
+	if t1[2].RTT == t1[3].RTT {
 		t.Fatal("different slots produced identical RTTs (no noise)")
 	}
 }
@@ -212,14 +222,12 @@ func TestPingDirectionNearlySymmetric(t *testing.T) {
 
 func medianPing(t *testing.T, e *Engine, a, b Endpoint, at time.Time) time.Duration {
 	t.Helper()
+	train := make([]PingSample, 6)
+	pingTrain(t, e.View(nil), a, b, 0, SlotHourFracs(at, 0, len(train), nil), train)
 	var vals []time.Duration
-	for s := 0; s < 6; s++ {
-		rtt, ok, err := e.Ping(a, b, 0, s, at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			vals = append(vals, rtt)
+	for _, p := range train {
+		if p.OK {
+			vals = append(vals, p.RTT)
 		}
 	}
 	if len(vals) < 3 {
@@ -239,12 +247,10 @@ func TestLossRateApproximate(t *testing.T) {
 	at := time.Date(2017, 4, 25, 9, 0, 0, 0, time.UTC)
 	lost := 0
 	n := 4000
-	for s := 0; s < n; s++ {
-		_, ok, err := e.Ping(a, b, 99, s, at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
+	train := make([]PingSample, n)
+	pingTrain(t, e.View(nil), a, b, 99, SlotHourFracs(at, 0, n, nil), train)
+	for _, p := range train {
+		if !p.OK {
 			lost++
 		}
 	}
@@ -255,15 +261,15 @@ func TestLossRateApproximate(t *testing.T) {
 }
 
 func TestDiurnalFactorShape(t *testing.T) {
-	peak := diurnalFactor(time.Date(2017, 4, 20, 21, 0, 0, 0, time.UTC), 0.05, 0)
-	trough := diurnalFactor(time.Date(2017, 4, 20, 9, 0, 0, 0, time.UTC), 0.05, 0)
+	peak := diurnalFactorHour(21, 0.05, 0)
+	trough := diurnalFactorHour(9, 0.05, 0)
 	if peak <= trough {
 		t.Fatalf("peak %v <= trough %v", peak, trough)
 	}
 	if peak > 1.051 || trough < 0.999 {
 		t.Fatalf("diurnal out of band: peak %v trough %v", peak, trough)
 	}
-	if got := diurnalFactor(time.Now(), 0, 0); got != 1 {
+	if got := diurnalFactorHour(hourFracOf(time.Now()), 0, 0); got != 1 {
 		t.Fatalf("zero-amplitude factor = %v, want 1", got)
 	}
 }
@@ -334,12 +340,13 @@ func TestEngineDeterministicAcrossInstances(t *testing.T) {
 	}
 	e1, a1, b1 := build()
 	e2, a2, b2 := build()
-	at := time.Date(2017, 5, 1, 15, 0, 0, 0, time.UTC)
-	for s := 0; s < 20; s++ {
-		r1, ok1, _ := e1.Ping(a1, b1, 1, s, at)
-		r2, ok2, _ := e2.Ping(a2, b2, 1, s, at)
-		if r1 != r2 || ok1 != ok2 {
-			t.Fatalf("engines diverge at slot %d: %v vs %v", s, r1, r2)
+	hourFrac := SlotHourFracs(time.Date(2017, 5, 1, 15, 0, 0, 0, time.UTC), 0, 20, nil)
+	t1, t2 := make([]PingSample, 20), make([]PingSample, 20)
+	pingTrain(t, e1.View(nil), a1, b1, 1, hourFrac, t1)
+	pingTrain(t, e2.View(nil), a2, b2, 1, hourFrac, t2)
+	for s := range t1 {
+		if t1[s] != t2[s] {
+			t.Fatalf("engines diverge at slot %d: %+v vs %+v", s, t1[s], t2[s])
 		}
 	}
 }
@@ -355,7 +362,8 @@ func TestShardCountDoesNotAffectPings(t *testing.T) {
 	}
 	router := bgp.New(topo)
 	eyes := topo.ASesOfType(topology.Eyeball)
-	at := time.Date(2017, 4, 22, 18, 0, 0, 0, time.UTC)
+	hourFrac := SlotHourFracs(time.Date(2017, 4, 22, 18, 0, 0, 0, time.UTC), 0, 3, nil)
+	ref, got := make([]PingSample, 3), make([]PingSample, 3)
 
 	var engines []*Engine
 	for _, shards := range []int{1, 2, 8, 64} {
@@ -369,18 +377,12 @@ func TestShardCountDoesNotAffectPings(t *testing.T) {
 	for i := 0; i < len(eyes)-1; i += 3 {
 		a := Endpoint{AS: eyes[i].ASN, City: eyes[i].HomeCity(), Access: 4 * time.Millisecond}
 		b := Endpoint{AS: eyes[i+1].ASN, City: eyes[i+1].HomeCity(), Access: 6 * time.Millisecond}
-		for slot := 0; slot < 3; slot++ {
-			ref, okRef, err := engines[0].Ping(a, b, 2, slot, at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range engines[1:] {
-				rtt, ok, err := e.Ping(a, b, 2, slot, at)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rtt != ref || ok != okRef {
-					t.Fatalf("shards=%d diverges: %v/%v vs %v/%v", e.NumShards(), rtt, ok, ref, okRef)
+		pingTrain(t, engines[0].View(nil), a, b, 2, hourFrac, ref)
+		for _, e := range engines[1:] {
+			pingTrain(t, e.View(nil), a, b, 2, hourFrac, got)
+			for slot := range ref {
+				if got[slot] != ref[slot] {
+					t.Fatalf("shards=%d diverges at slot %d: %+v vs %+v", e.NumShards(), slot, got[slot], ref[slot])
 				}
 			}
 		}

@@ -1,7 +1,5 @@
 package latency
 
-import "time"
-
 // Effect is what a scenario overlay adds to one ping: a multiplicative
 // RTT factor, an extra loss probability, and a hard availability mask.
 // The zero Effect is NOT neutral (its factor is 0); use NeutralEffect.
@@ -36,9 +34,9 @@ type Overlay interface {
 
 // View is an Engine bound to an optional per-round Overlay. It is a
 // value: constructing one allocates nothing, so the campaign can rebind
-// the overlay every round for free. A View with a nil overlay prices
-// pings through the exact code path of the bare engine and is
-// bit-identical to it.
+// the overlay every round for free. Its ResolveBatch and
+// PingTrainSchedHandle are the only way a ping is priced; a nil overlay
+// prices every ping under NeutralEffect.
 type View struct {
 	e  *Engine
 	ov Overlay
@@ -48,57 +46,13 @@ type View struct {
 // view.
 func (e *Engine) View(ov Overlay) View { return View{e: e, ov: ov} }
 
-// Engine returns the underlying engine.
-func (v View) Engine() *Engine { return v.e }
-
 // effect is the overlay's effect on pings from a to b, or NeutralEffect
-// for the neutral view.
+// for the neutral view. ResolveBatch resolves it once per pair: events
+// are round-granular, and a train spans one round's window, so an
+// active overlay adds two array loads per train, not per slot.
 func (v View) effect(a, b Endpoint) Effect {
 	if v.ov == nil {
 		return NeutralEffect()
 	}
 	return v.ov.PairEffect(a.City, b.City)
 }
-
-// Ping prices one ping like Engine.Ping, additionally applying the
-// overlay's effect for the endpoint pair.
-func (v View) Ping(a, b Endpoint, round, slot int, t time.Time) (time.Duration, bool, error) {
-	if v.ov == nil {
-		return v.e.Ping(a, b, round, slot, t)
-	}
-	st, err := v.e.resolvePair(a, b)
-	if err != nil {
-		return 0, false, err
-	}
-	eff := v.ov.PairEffect(a.City, b.City)
-	rtt, ok := v.e.pingSlot(&st, round, slot, hourFracOf(t), eff)
-	return rtt, ok, nil
-}
-
-// PingTrain prices a whole train like Engine.PingTrain, additionally
-// applying the overlay's effect. The effect is resolved once per train
-// (events are round-granular, and a train spans one round's window), so
-// an active overlay adds two array loads per train, not per slot.
-func (v View) PingTrain(a, b Endpoint, round int, t0 time.Time, interval time.Duration, out []PingSample) error {
-	if v.ov == nil {
-		return v.e.PingTrain(a, b, round, t0, interval, out)
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	st, err := v.e.resolvePair(a, b)
-	if err != nil {
-		return err
-	}
-	eff := v.ov.PairEffect(a.City, b.City)
-	for slot := range out {
-		at := t0.Add(time.Duration(slot) * interval)
-		rtt, ok := v.e.pingSlot(&st, round, slot, hourFracOf(at), eff)
-		out[slot] = PingSample{RTT: rtt, OK: ok}
-	}
-	return nil
-}
-
-// BaseRTT returns the load-independent RTT, unaffected by the overlay
-// (scenario dynamics are transient load, not path identity).
-func (v View) BaseRTT(a, b Endpoint) (time.Duration, error) { return v.e.BaseRTT(a, b) }

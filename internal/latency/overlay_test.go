@@ -43,41 +43,19 @@ func overlayEndpoints(t *testing.T) (*Engine, Endpoint, Endpoint, int) {
 	return e, a, b, len(cachedTopo.Cities)
 }
 
-// TestViewNilOverlayMatchesEngine proves the neutral view is the bare
-// engine, slot for slot.
-func TestViewNilOverlayMatchesEngine(t *testing.T) {
-	e, a, b, _ := overlayEndpoints(t)
-	v := e.View(nil)
-	at := time.Date(2017, 4, 20, 12, 0, 0, 0, time.UTC)
-	for slot := 0; slot < 32; slot++ {
-		r1, ok1, err1 := e.Ping(a, b, 3, slot, at)
-		r2, ok2, err2 := v.Ping(a, b, 3, slot, at)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if r1 != r2 || ok1 != ok2 {
-			t.Fatalf("slot %d: nil-overlay view diverged: (%v %v) vs (%v %v)", slot, r1, ok1, r2, ok2)
-		}
-	}
-}
-
 // TestViewNeutralTablesMatchEngine proves an ACTIVE overlay whose
-// tables are all-neutral (factor 1, loss 0, nothing down) still prices
-// bit-identically: neutral multiplications are exact and neutral losses
-// consume no draw.
+// tables are all-neutral (factor 1, loss 0, nothing down) prices
+// bit-identically to the nil overlay: neutral multiplications are exact
+// and neutral losses consume no draw.
 func TestViewNeutralTablesMatchEngine(t *testing.T) {
 	e, a, b, nc := overlayEndpoints(t)
 	v := e.View(neutralTables(nc))
-	at := time.Date(2017, 4, 21, 6, 0, 0, 0, time.UTC)
+	hourFrac := SlotHourFracs(time.Date(2017, 4, 21, 6, 0, 0, 0, time.UTC), 5*time.Minute, 6, nil)
 	train1 := make([]PingSample, 6)
 	train2 := make([]PingSample, 6)
 	for round := 0; round < 8; round++ {
-		if err := e.PingTrain(a, b, round, at, 5*time.Minute, train1); err != nil {
-			t.Fatal(err)
-		}
-		if err := v.PingTrain(a, b, round, at, 5*time.Minute, train2); err != nil {
-			t.Fatal(err)
-		}
+		pingTrain(t, e.View(nil), a, b, round, hourFrac, train1)
+		pingTrain(t, v, a, b, round, hourFrac, train2)
 		for s := range train1 {
 			if train1[s] != train2[s] {
 				t.Fatalf("round %d slot %d: neutral overlay diverged: %+v vs %+v",
@@ -94,15 +72,11 @@ func TestViewFactorScalesRTT(t *testing.T) {
 	ov := neutralTables(nc)
 	ov.factor[a.City] = 2
 	v := e.View(ov)
-	at := time.Date(2017, 4, 21, 18, 0, 0, 0, time.UTC)
+	hourFrac := SlotHourFracs(time.Date(2017, 4, 21, 18, 0, 0, 0, time.UTC), 5*time.Minute, 6, nil)
 	base := make([]PingSample, 6)
 	pert := make([]PingSample, 6)
-	if err := e.PingTrain(a, b, 1, at, 5*time.Minute, base); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.PingTrain(a, b, 1, at, 5*time.Minute, pert); err != nil {
-		t.Fatal(err)
-	}
+	pingTrain(t, e.View(nil), a, b, 1, hourFrac, base)
+	pingTrain(t, v, a, b, 1, hourFrac, pert)
 	for s := range base {
 		if base[s].OK != pert[s].OK {
 			t.Fatalf("slot %d: loss outcome changed under pure factor overlay", s)
@@ -127,11 +101,9 @@ func TestViewDownMasksPings(t *testing.T) {
 	ov := neutralTables(nc)
 	ov.down[b.City] = true
 	v := e.View(ov)
-	at := time.Date(2017, 4, 22, 0, 0, 0, 0, time.UTC)
+	hourFrac := SlotHourFracs(time.Date(2017, 4, 22, 0, 0, 0, 0, time.UTC), 5*time.Minute, 6, nil)
 	out := make([]PingSample, 6)
-	if err := v.PingTrain(a, b, 0, at, 5*time.Minute, out); err != nil {
-		t.Fatal(err)
-	}
+	pingTrain(t, v, a, b, 0, hourFrac, out)
 	for s, p := range out {
 		if p.OK || p.RTT != 0 {
 			t.Fatalf("slot %d: ping succeeded through a downed city: %+v", s, p)
@@ -146,22 +118,17 @@ func TestViewExtraLossRate(t *testing.T) {
 	ov := neutralTables(nc)
 	ov.loss[a.City] = 0.5
 	v := e.View(ov)
-	at := time.Date(2017, 4, 22, 12, 0, 0, 0, time.UTC)
+	hourFrac := SlotHourFracs(time.Date(2017, 4, 22, 12, 0, 0, 0, time.UTC), 0, 1, nil)
 	const rounds = 400
 	lostBase, lostOv := 0, 0
+	var ping [1]PingSample
 	for round := 0; round < rounds; round++ {
-		_, ok1, err := e.Ping(a, b, round, 0, at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok1 {
+		pingTrain(t, e.View(nil), a, b, round, hourFrac, ping[:])
+		if !ping[0].OK {
 			lostBase++
 		}
-		_, ok2, err := v.Ping(a, b, round, 0, at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok2 {
+		pingTrain(t, v, a, b, round, hourFrac, ping[:])
+		if !ping[0].OK {
 			lostOv++
 		}
 	}
@@ -173,50 +140,24 @@ func TestViewExtraLossRate(t *testing.T) {
 	}
 }
 
-// TestViewPingZeroAllocs pins the hot path under an ACTIVE overlay to
-// zero allocations, same as the bare engine.
+// TestViewPingZeroAllocs pins a single ping under an ACTIVE overlay to
+// zero allocations, same as without one.
 func TestViewPingZeroAllocs(t *testing.T) {
 	e, a, b, nc := overlayEndpoints(t)
 	ov := neutralTables(nc)
 	ov.factor[a.City] = 1.3
 	ov.loss[b.City] = 0.05
-	v := e.View(ov)
-	at := time.Date(2017, 4, 23, 12, 0, 0, 0, time.UTC)
-	if _, _, err := v.Ping(a, b, 0, 0, at); err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, err := v.Ping(a, b, i>>3, i&7, at); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("View.Ping with active overlay allocates %.1f/op, want 0", allocs)
-	}
+	hourFrac := SlotHourFracs(time.Date(2017, 4, 23, 12, 0, 0, 0, time.UTC), 0, 1, nil)
+	requireZeroAllocPricing(t, e.View(ov), a, b, hourFrac)
 }
 
-// TestViewPingTrainZeroAllocs pins the batched train under an ACTIVE
-// overlay to zero allocations.
+// TestViewPingTrainZeroAllocs pins a full six-ping train under an
+// ACTIVE overlay to zero allocations.
 func TestViewPingTrainZeroAllocs(t *testing.T) {
 	e, a, b, nc := overlayEndpoints(t)
 	ov := neutralTables(nc)
 	ov.factor[a.City] = 1.3
-	v := e.View(ov)
-	at := time.Date(2017, 4, 23, 18, 0, 0, 0, time.UTC)
-	out := make([]PingSample, 6)
-	if err := v.PingTrain(a, b, 0, at, 5*time.Minute, out); err != nil {
-		t.Fatal(err)
-	}
-	round := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := v.PingTrain(a, b, round, at, 5*time.Minute, out); err != nil {
-			t.Fatal(err)
-		}
-		round++
-	})
-	if allocs != 0 {
-		t.Fatalf("View.PingTrain with active overlay allocates %.1f/op, want 0", allocs)
-	}
+	ov.loss[b.City] = 0.05
+	hourFrac := SlotHourFracs(time.Date(2017, 4, 23, 18, 0, 0, 0, time.UTC), 5*time.Minute, 6, nil)
+	requireZeroAllocPricing(t, e.View(ov), a, b, hourFrac)
 }

@@ -3,91 +3,64 @@ package latency
 import (
 	"testing"
 	"time"
+
+	"shortcuts/internal/rng"
 )
 
-// TestPingTrainMatchesPing proves the batched API is purely an
-// amortisation: every slot of a train, in both directions, is
-// bit-identical to the corresponding slot-by-slot Ping call.
-func TestPingTrainMatchesPing(t *testing.T) {
-	e := testEngine(t)
-	a, b := testEndpoints(t)
-	t0 := time.Date(2017, 4, 20, 12, 0, 0, 0, time.UTC)
-	const interval = 5 * time.Minute
-
-	train := make([]PingSample, 6)
-	for _, dir := range []struct{ x, y Endpoint }{{a, b}, {b, a}} {
-		for round := 0; round < 3; round++ {
-			if err := e.PingTrain(dir.x, dir.y, round, t0, interval, train); err != nil {
-				t.Fatal(err)
-			}
-			for slot, got := range train {
-				at := t0.Add(time.Duration(slot) * interval)
-				rtt, ok, err := e.Ping(dir.x, dir.y, round, slot, at)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.RTT != rtt || got.OK != ok {
-					t.Fatalf("round %d slot %d: train %v/%v vs ping %v/%v",
-						round, slot, got.RTT, got.OK, rtt, ok)
-				}
-			}
-		}
-	}
-}
-
+// TestPingTrainEmpty pins the primitive's empty edges, which campaign
+// batches reach (the two-relay experiment's last relay row is empty):
+// an empty batch resolves and admits nothing, and an empty train prices
+// nothing.
 func TestPingTrainEmpty(t *testing.T) {
-	e := testEngine(t)
-	a, b := testEndpoints(t)
-	if err := e.PingTrain(a, b, 0, time.Now(), time.Minute, nil); err != nil {
+	e := New(testEngine(t).router, DefaultParams(), rng.New(4))
+	if err := e.View(nil).ResolveBatch(nil, nil); err != nil {
 		t.Fatal(err)
 	}
+	if n := e.CachedPairs(); n != 0 {
+		t.Fatalf("an empty batch cached %d attachment pairs", n)
+	}
+	a, b := testEndpoints(t)
+	pingTrain(t, e.View(nil), a, b, 0, nil, nil)
 }
 
-// TestPingTrainZeroAllocs pins the warmed ping hot path to zero
-// allocations per train. This is a regression fence: any future change
-// that re-introduces heap traffic into Ping/PingTrain (a hash object, a
-// split generator, an escaping buffer) fails here rather than silently
-// costing every campaign.
-func TestPingTrainZeroAllocs(t *testing.T) {
-	e := testEngine(t)
-	a, b := testEndpoints(t)
-	t0 := time.Date(2017, 4, 20, 12, 0, 0, 0, time.UTC)
-	train := make([]PingSample, 6)
-	// Warm the pair's path state so the measured path is the cached one.
-	if err := e.PingTrain(a, b, 0, t0, time.Minute, train); err != nil {
-		t.Fatal(err)
-	}
+// requireZeroAllocPricing warms the a→b path state through v, then
+// fails unless resolve + price — the one way a ping is priced — takes
+// zero allocations per train on the warm cache. This is a regression
+// fence: any change that re-introduces heap traffic into ResolveBatch
+// or PingTrainSchedHandle (a hash object, a split generator, an
+// escaping buffer) fails here rather than silently costing every
+// campaign.
+func requireZeroAllocPricing(t *testing.T, v View, a, b Endpoint, hourFrac []float64) {
+	t.Helper()
+	train := make([]PingSample, len(hourFrac))
+	pingTrain(t, v, a, b, 0, hourFrac, train)
 	round := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		if err := e.PingTrain(a, b, round, t0, time.Minute, train); err != nil {
-			t.Fatal(err)
-		}
+		pingTrain(t, v, a, b, round, hourFrac, train)
 		round++
 	})
 	if allocs != 0 {
-		t.Fatalf("PingTrain allocated %.1f/op on a warm cache, want 0", allocs)
+		t.Fatalf("resolve + price of a %d-ping train (overlay %v) allocated %.1f/op on a warm cache, want 0",
+			len(hourFrac), v.ov != nil, allocs)
 	}
 }
 
-// TestPingZeroAllocs pins the slot-by-slot API too: it shares the train
-// core, so it must stay free as well.
+// TestPingTrainZeroAllocs pins a full six-ping train without an
+// overlay to zero allocations.
+func TestPingTrainZeroAllocs(t *testing.T) {
+	e := testEngine(t)
+	a, b := testEndpoints(t)
+	hourFrac := SlotHourFracs(time.Date(2017, 4, 20, 12, 0, 0, 0, time.UTC), 5*time.Minute, 6, nil)
+	requireZeroAllocPricing(t, e.View(nil), a, b, hourFrac)
+}
+
+// TestPingZeroAllocs pins a single ping without an overlay: a one-slot
+// schedule shares the train core, so it must stay free as well.
 func TestPingZeroAllocs(t *testing.T) {
 	e := testEngine(t)
 	a, b := testEndpoints(t)
-	t0 := time.Date(2017, 4, 20, 12, 0, 0, 0, time.UTC)
-	if _, _, err := e.Ping(a, b, 0, 0, t0); err != nil {
-		t.Fatal(err)
-	}
-	slot := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, err := e.Ping(a, b, 1, slot&7, t0); err != nil {
-			t.Fatal(err)
-		}
-		slot++
-	})
-	if allocs != 0 {
-		t.Fatalf("Ping allocated %.1f/op on a warm cache, want 0", allocs)
-	}
+	hourFrac := SlotHourFracs(time.Date(2017, 4, 20, 12, 0, 0, 0, time.UTC), 0, 1, nil)
+	requireZeroAllocPricing(t, e.View(nil), a, b, hourFrac)
 }
 
 // TestBaseRTTWarmZeroAllocs pins the warmed load-independent query to

@@ -24,6 +24,12 @@
 // into per-pair records. A serial loop then emits the observations in
 // pair order. Every stochastic draw is keyed by (seed, round, slot) —
 // never by call order — so the stream is the same for any worker count.
+//
+// Every median is taken by one helper, medians: direct pairs (both
+// directions as one batch), endpoint-relay legs (legChunk per batch)
+// and the two-relay experiment's legs all resolve a batch of pairs with
+// latency's ResolveBatch and price each train off its handle, on the
+// round's slot schedule.
 package measure
 
 import (
@@ -88,9 +94,8 @@ func newCampaign(w *sim.World, cfg Config) (*campaign, error) {
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("measure: Rounds must be positive")
 	}
-	if cfg.PingsPerPair < cfg.MinValidPings {
-		return nil, fmt.Errorf("measure: PingsPerPair (%d) below MinValidPings (%d)",
-			cfg.PingsPerPair, cfg.MinValidPings)
+	if err := checkPings(cfg); err != nil {
+		return nil, err
 	}
 	compiled, err := cfg.Scenario.Compile(w, cfg.Rounds)
 	if err != nil {
@@ -125,6 +130,19 @@ func newCampaign(w *sim.World, cfg Config) (*campaign, error) {
 		scenario: compiled,
 		workers:  workers,
 	}, nil
+}
+
+// checkPings rejects ping settings under which a median could be taken
+// over no replies at all.
+func checkPings(cfg Config) error {
+	if cfg.MinValidPings < 1 {
+		return fmt.Errorf("measure: MinValidPings must be >= 1, got %d", cfg.MinValidPings)
+	}
+	if cfg.PingsPerPair < cfg.MinValidPings {
+		return fmt.Errorf("measure: PingsPerPair (%d) below MinValidPings (%d)",
+			cfg.PingsPerPair, cfg.MinValidPings)
+	}
+	return nil
 }
 
 // campaignSeed resolves the seed the campaign's draws derive from: an
@@ -196,7 +214,7 @@ type roundScratch struct {
 	livePos     []int32       // relay positions not churned out this round
 	plan        pairPlan      // the round's pair universe (closed-form or sampled)
 	fwd, rev    []float32     // per pair: direct medians, both directions
-	workers     []scratch     // per-worker medianRTT scratch
+	workers     []scratch     // per-worker pricing and stitching scratch
 
 	// feas is the per-pair feasibility bitset over relay positions, nrW
 	// words per pair: a bit is set when the relay is live and passes the
@@ -431,10 +449,11 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	clear(rev)
 	scr.feas = grown(scr.feas, np*nrW)
 	feas := scr.feas
-	// Direct pairs price through the shared path-state cache in every
-	// round. It is keyed by attachment pair, so a sampled round's fresh
-	// endpoint pairs mostly land on entries earlier rounds admitted. The
-	// worker that prices a pair also writes the pair's feasibility row.
+	// Each direct pair prices as one two-entry batch, a->b and b->a,
+	// through the shared path-state cache. It is keyed by attachment
+	// pair, so a sampled round's fresh endpoint pairs mostly land on
+	// entries earlier rounds admitted. The worker that prices a pair also
+	// writes the pair's feasibility row.
 	var pings atomic.Int64
 	err := c.parallel(scr, np, func(s *scratch, k int) error {
 		row := feas[k*nrW : (k+1)*nrW]
@@ -445,18 +464,14 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 			return nil
 		}
 		a, b := cols.Endpoint(eps[i]), cols.Endpoint(eps[j])
-		mf, nf, err := c.medianRTTIn(c.view, s, a, b, round, hourFrac)
-		if err != nil {
+		s.pairs = append(s.pairs[:0], latency.EndpointPair{A: a, B: b}, latency.EndpointPair{A: b, B: a})
+		var m [2]float32
+		if err := c.medians(c.view, s, s.pairs, round, hourFrac, m[:]); err != nil {
 			return err
 		}
-		mr, nrev, err := c.medianRTTIn(c.view, s, b, a, round, hourFrac)
-		if err != nil {
-			return err
-		}
-		fwd[k], rev[k] = mf, mr
-		s.pings += int64(nf + nrev)
-		if mf != 0 { // unresponsive pair: no relay measurements either
-			directRTT := time.Duration(float64(mf) * float64(time.Millisecond))
+		fwd[k], rev[k] = m[0], m[1]
+		if m[0] != 0 { // unresponsive pair: no relay measurements either
+			directRTT := time.Duration(float64(m[0]) * float64(time.Millisecond))
 			c.markFeasible(row, int(cols.City[eps[i]]), int(cols.City[eps[j]]), directRTT)
 		}
 		return nil
@@ -541,10 +556,8 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	scr.legVals = grown(scr.legVals, len(legJobs))
 	legVals := scr.legVals
 	// Legs are priced in chunks: each worker gathers legChunk endpoint-
-	// relay pairs, batch-resolves their cached path states in one
-	// memory-parallel pass (latency.ResolveBatch — on a warm round this
-	// is where most of the round's DRAM stalls used to serialize), then
-	// prices each train off its resolved handle.
+	// relay pairs, so one memory-parallel ResolveBatch overlaps the
+	// chunk's cache misses instead of serializing them train by train.
 	nChunks := (len(legJobs) + legChunk - 1) / legChunk
 	err = c.parallel(scr, nChunks, func(s *scratch, ck int) error {
 		lo := ck * legChunk
@@ -552,27 +565,13 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 		if hi > len(legJobs) {
 			hi = len(legJobs)
 		}
-		if cap(s.pairs) < legChunk {
-			s.pairs = make([]latency.EndpointPair, legChunk)
-			s.handles = make([]latency.PairHandle, legChunk)
-		}
-		pairs := s.pairs[:hi-lo]
-		handles := s.handles[:hi-lo]
-		for k := lo; k < hi; k++ {
-			idx := legJobs[k]
+		s.pairs = s.pairs[:0]
+		for _, idx := range legJobs[lo:hi] {
 			e := int(activeList[int(idx/int64(nr))])
 			relay := &c.w.Catalog.Relays[roundRelays[int(idx%int64(nr))]]
-			pairs[k-lo] = latency.EndpointPair{A: cols.Endpoint(eps[e]), B: relay.Endpoint}
+			s.pairs = append(s.pairs, latency.EndpointPair{A: cols.Endpoint(eps[e]), B: relay.Endpoint})
 		}
-		if err := c.view.ResolveBatch(pairs, handles); err != nil {
-			return err
-		}
-		for j := range handles {
-			m, n := c.medianFromHandle(c.view, s, &handles[j], round, hourFrac)
-			legVals[lo+j] = m
-			s.pings += int64(n)
-		}
-		return nil
+		return c.medians(c.view, s, s.pairs, round, hourFrac, legVals[lo:hi])
 	})
 	c.flushPings(scr, &pings)
 	if err != nil {
@@ -791,16 +790,15 @@ func (c *campaign) feasibleDirect(srcCity, relayCity, dstCity int, directRTT tim
 	return ideal <= directRTT
 }
 
-// scratch is per-worker reusable state: medianRTT is called millions of
-// times per campaign, so neither its train buffer nor its sample buffer
-// may be reallocated per pair.
+// scratch is per-worker reusable state: medians prices millions of
+// trains per campaign, so none of its buffers may be reallocated per
+// batch.
 type scratch struct {
 	id      int32 // this worker's index in roundScratch.workers
 	train   []latency.PingSample
 	vals    []float64
-	hf      []float64              // slot schedule buffer for windowStart-based callers
-	pairs   []latency.EndpointPair // leg-chunk batch resolve input
-	handles []latency.PairHandle   // leg-chunk batch resolve output
+	pairs   []latency.EndpointPair // the batch medians resolves
+	handles []latency.PairHandle   // medians' resolved batch
 	improve []ImproveEntry         // the round's improving entries of the pairs this worker stitched
 	pings   int64                  // pings sent by this worker since the last flush
 }
@@ -816,36 +814,35 @@ func (c *campaign) flushPings(scr *roundScratch, pings *atomic.Int64) {
 	}
 }
 
-// medianRTT sends the round's ping train from a to b as one batched
-// PingTrain call and returns the median in milliseconds (0 when fewer
-// than MinValidPings replies arrived) plus the number of pings sent.
-func (c *campaign) medianRTT(view latency.View, s *scratch, a, b latency.Endpoint, round int, windowStart time.Time) (float32, int, error) {
-	s.hf = latency.SlotHourFracs(windowStart, c.cfg.PingInterval, c.cfg.PingsPerPair, s.hf[:0])
-	return c.medianRTTIn(view, s, a, b, round, s.hf)
-}
-
-// medianRTTIn is medianRTT on the round's precomputed slot schedule
-// (roundScratch.hourFrac): the direct-pair path of every round.
-func (c *campaign) medianRTTIn(view latency.View, s *scratch, a, b latency.Endpoint, round int, hourFrac []float64) (float32, int, error) {
+// medians prices the round's ping train for every pair: it resolves
+// pairs in one ResolveBatch, prices each handle's train on the slot
+// schedule hourFrac, and writes each train's median in milliseconds to
+// out (0 when fewer than MinValidPings replies arrived). It counts
+// every ping sent in s.pings.
+func (c *campaign) medians(view latency.View, s *scratch, pairs []latency.EndpointPair, round int, hourFrac []float64, out []float32) error {
 	n := c.cfg.PingsPerPair
-	if cap(s.train) < n {
-		s.train = make([]latency.PingSample, n)
-		s.vals = make([]float64, 0, n)
+	s.train = grown(s.train, n)
+	s.vals = grown(s.vals, n)
+	s.handles = grown(s.handles, len(pairs))
+	train, handles := s.train, s.handles
+	if err := view.ResolveBatch(pairs, handles); err != nil {
+		return err
 	}
-	train := s.train[:n]
-	if err := view.PingTrainSched(a, b, round, hourFrac, train); err != nil {
-		return 0, 0, err
-	}
-	vals := s.vals[:0]
-	for i := range train {
-		if train[i].OK {
-			vals = append(vals, float64(train[i].RTT)/float64(time.Millisecond))
+	for j := range handles {
+		view.PingTrainSchedHandle(&handles[j], round, hourFrac, train)
+		vals := s.vals[:0]
+		for _, p := range train {
+			if p.OK {
+				vals = append(vals, float64(p.RTT)/float64(time.Millisecond))
+			}
+		}
+		out[j] = 0
+		if len(vals) >= c.cfg.MinValidPings {
+			out[j] = float32(median(vals))
 		}
 	}
-	if len(vals) < c.cfg.MinValidPings {
-		return 0, n, nil
-	}
-	return float32(median(vals)), n, nil
+	s.pings += int64(len(pairs) * n)
+	return nil
 }
 
 // legChunk is how many leg jobs a worker gathers per batch resolve —
@@ -853,28 +850,6 @@ func (c *campaign) medianRTTIn(view latency.View, s *scratch, a, b latency.Endpo
 // latency.ResolveBatch) while staying far below a round's job count, so
 // the work-stealing dispatch stays balanced.
 const legChunk = 16
-
-// medianFromHandle is medianRTTIn for a batch-resolved pair: the train
-// is priced off the PairHandle, so no per-pair cache traffic remains.
-func (c *campaign) medianFromHandle(view latency.View, s *scratch, h *latency.PairHandle, round int, hourFrac []float64) (float32, int) {
-	n := c.cfg.PingsPerPair
-	if cap(s.train) < n {
-		s.train = make([]latency.PingSample, n)
-		s.vals = make([]float64, 0, n)
-	}
-	train := s.train[:n]
-	view.PingTrainSchedHandle(h, round, hourFrac, train)
-	vals := s.vals[:0]
-	for i := range train {
-		if train[i].OK {
-			vals = append(vals, float64(train[i].RTT)/float64(time.Millisecond))
-		}
-	}
-	if len(vals) < c.cfg.MinValidPings {
-		return 0, n
-	}
-	return float32(median(vals)), n
-}
 
 // median returns the exact median of vals, sorting in place. Ping trains
 // are tiny (6 by default), where insertion sort beats sort.Float64s; the

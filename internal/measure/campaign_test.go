@@ -9,6 +9,7 @@ import (
 
 	"shortcuts/internal/atlas"
 	"shortcuts/internal/relays"
+	"shortcuts/internal/scenario"
 	"shortcuts/internal/sim"
 )
 
@@ -188,6 +189,18 @@ func TestConfigValidation(t *testing.T) {
 	bad.MinValidPings = 3
 	if _, err := Run(w, bad); err == nil {
 		t.Fatal("PingsPerPair < MinValidPings accepted")
+	}
+	// With no reply required, a train whose pings are all lost would
+	// take the median of nothing: the outage scenario loses every ping
+	// through a downed city.
+	bad = QuickConfig(14)
+	bad.MinValidPings = 0
+	bad.Scenario = scenario.Outage()
+	if _, err := Run(w, bad); err == nil {
+		t.Fatal("MinValidPings 0 accepted")
+	}
+	if _, err := TwoRelayExperiment(w, bad, 0, 10, 5); err == nil {
+		t.Fatal("MinValidPings 0 accepted by TwoRelayExperiment")
 	}
 }
 

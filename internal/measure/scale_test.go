@@ -104,8 +104,8 @@ func TestFastAvailabilityGoldenDigests(t *testing.T) {
 // zero allocations: once an attachment pair is cached, pricing an
 // endpoint pair never priced before on it must not touch the heap, nor
 // add a cache entry. Each run moves one endpoint's access delay by a
-// nanosecond, so every run prices a new endpoint identity, through both
-// PingTrainSched and ResolveBatch + PingTrainSchedHandle.
+// nanosecond, so every run prices a new endpoint identity through
+// ResolveBatch + PingTrainSchedHandle.
 func TestUnseenEndpointPricingAllocs(t *testing.T) {
 	w, err := sim.Build(sim.SmallWorldParams(41))
 	if err != nil {
@@ -121,20 +121,14 @@ func TestUnseenEndpointPricingAllocs(t *testing.T) {
 	view := w.Engine.View(nil)
 	hourFrac := latency.SlotHourFracs(time.Unix(0, 0), time.Minute, 6, nil)
 	samples := make([]latency.PingSample, len(hourFrac))
-	pairs := make([]latency.EndpointPair, 1)
+	pairs := []latency.EndpointPair{{A: a, B: b}}
 	handles := make([]latency.PairHandle, 1)
 	// Admit the attachment pair.
-	if err := view.PingTrainSched(a, b, 0, hourFrac, samples); err != nil {
+	if err := view.ResolveBatch(pairs, handles); err != nil {
 		t.Fatal(err)
 	}
 	cached := w.Engine.CachedPairs()
-	sched := testing.AllocsPerRun(200, func() {
-		a.Access++
-		if err := view.PingTrainSched(a, b, 1, hourFrac, samples); err != nil {
-			t.Fatal(err)
-		}
-	})
-	batch := testing.AllocsPerRun(200, func() {
+	allocs := testing.AllocsPerRun(200, func() {
 		a.Access++
 		pairs[0] = latency.EndpointPair{A: a, B: b}
 		if err := view.ResolveBatch(pairs, handles); err != nil {
@@ -142,8 +136,8 @@ func TestUnseenEndpointPricingAllocs(t *testing.T) {
 		}
 		view.PingTrainSchedHandle(&handles[0], 1, hourFrac, samples)
 	})
-	if sched != 0 || batch != 0 {
-		t.Fatalf("unseen endpoint on a cached attachment pair allocates: PingTrainSched %v, ResolveBatch %v allocs/op, want 0", sched, batch)
+	if allocs != 0 {
+		t.Fatalf("unseen endpoint on a cached attachment pair allocates %v allocs/op, want 0", allocs)
 	}
 	if got := w.Engine.CachedPairs(); got != cached {
 		t.Fatalf("unseen endpoints on a cached attachment pair grew the cache from %d to %d entries", cached, got)

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"shortcuts/internal/latency"
 	"shortcuts/internal/relays"
 	"shortcuts/internal/rng"
 	"shortcuts/internal/sim"
@@ -30,19 +31,21 @@ type TwoRelayResult struct {
 
 // TwoRelayExperiment measures, for a sample of endpoint pairs, the best
 // one-relay path against the best two-relay path (src -> r1 -> r2 -> dst)
-// over the round's top COR relays. Legs reuse the campaign's median
-// machinery: 6 pings, median of >= 3.
+// over the round's top COR relays. Legs are priced like the campaign's:
+// 6 pings on the round's slot schedule, median of >= 3.
 func TwoRelayExperiment(w *sim.World, cfg Config, round, maxPairs, maxRelays int) (TwoRelayResult, error) {
+	if err := checkPings(cfg); err != nil {
+		return TwoRelayResult{}, err
+	}
+	// Extension experiment: outside the campaign budget, no ledger.
 	c := &campaign{
-		w:      w,
-		cfg:    cfg,
-		g:      rng.New(campaignSeed(cfg, w)).Split("two-relay"),
-		ledger: nil, // extension experiment: outside the campaign budget
-		nc:     len(w.Topo.Cities),
-		prop:   cityPropDelays(w),
+		w:   w,
+		cfg: cfg,
+		g:   rng.New(campaignSeed(cfg, w)).Split("two-relay"),
 	}
 	view := w.Engine.View(nil) // static world: the extension ignores scenarios
 	start := cfg.Start.Add(time.Duration(round) * cfg.RoundInterval)
+	hourFrac := latency.SlotHourFracs(start, cfg.PingInterval, cfg.PingsPerPair, nil)
 
 	endpoints := w.Selector.SampleEndpoints(c.g, round)
 	if len(endpoints) < 2 {
@@ -54,34 +57,34 @@ func TwoRelayExperiment(w *sim.World, cfg Config, round, maxPairs, maxRelays int
 		corIdxs = corIdxs[:maxRelays]
 	}
 
-	// Endpoint-relay legs.
+	// Endpoint-relay legs: one batch per endpoint row.
 	var s scratch
-	type legRow = []float32
-	legs := make(map[int]legRow, len(endpoints)) // endpoint idx -> per relay
+	legs := make([][]float32, len(endpoints)) // endpoint idx -> per relay
 	for ei, p := range endpoints {
-		row := make(legRow, len(corIdxs))
-		for k, ri := range corIdxs {
-			m, _, err := c.medianRTT(view, &s, p.Endpoint(), w.Catalog.Relays[ri].Endpoint, round, start)
-			if err != nil {
-				return TwoRelayResult{}, err
-			}
-			row[k] = m
+		s.pairs = s.pairs[:0]
+		for _, ri := range corIdxs {
+			s.pairs = append(s.pairs, latency.EndpointPair{A: p.Endpoint(), B: w.Catalog.Relays[ri].Endpoint})
 		}
-		legs[ei] = row
+		legs[ei] = make([]float32, len(corIdxs))
+		if err := c.medians(view, &s, s.pairs, round, hourFrac, legs[ei]); err != nil {
+			return TwoRelayResult{}, err
+		}
 	}
-	// Relay-relay legs.
+	// Relay-relay legs: one batch per relay row, relay a to every b > a.
 	mid := make([][]float32, len(corIdxs))
 	for a := range corIdxs {
 		mid[a] = make([]float32, len(corIdxs))
 	}
-	for a := 0; a < len(corIdxs); a++ {
+	for a, ra := range corIdxs {
+		s.pairs = s.pairs[:0]
+		for _, rb := range corIdxs[a+1:] {
+			s.pairs = append(s.pairs, latency.EndpointPair{A: w.Catalog.Relays[ra].Endpoint, B: w.Catalog.Relays[rb].Endpoint})
+		}
+		if err := c.medians(view, &s, s.pairs, round, hourFrac, mid[a][a+1:]); err != nil {
+			return TwoRelayResult{}, err
+		}
 		for b := a + 1; b < len(corIdxs); b++ {
-			m, _, err := c.medianRTT(view, &s, w.Catalog.Relays[corIdxs[a]].Endpoint,
-				w.Catalog.Relays[corIdxs[b]].Endpoint, round, start)
-			if err != nil {
-				return TwoRelayResult{}, err
-			}
-			mid[a][b], mid[b][a] = m, m
+			mid[b][a] = mid[a][b]
 		}
 	}
 

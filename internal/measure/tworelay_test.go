@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"math"
 	"testing"
 )
 
@@ -44,5 +45,27 @@ func TestTwoRelayDeterministic(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("two-relay experiment not deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestTwoRelayPinned pins the experiment's result on the test world
+// field by field, floats by their bits, so a change to how its legs are
+// priced cannot move a single value unnoticed.
+func TestTwoRelayPinned(t *testing.T) {
+	w, _ := testCampaign(t)
+	got, err := TwoRelayExperiment(w, QuickConfig(1), 0, 200, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := TwoRelayResult{
+		Pairs:              200,
+		OneRelaySufficient: 98,
+		MedianExtraGainMs:  2.2761383056640625,
+		MeanExtraLegMs:     8.181212583593293,
+	}
+	if got.Pairs != want.Pairs || got.OneRelaySufficient != want.OneRelaySufficient ||
+		math.Float64bits(got.MedianExtraGainMs) != math.Float64bits(want.MedianExtraGainMs) ||
+		math.Float64bits(got.MeanExtraLegMs) != math.Float64bits(want.MeanExtraLegMs) {
+		t.Fatalf("two-relay result drifted:\n got %+v\nwant %+v", got, want)
 	}
 }
