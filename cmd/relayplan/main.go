@@ -24,12 +24,22 @@ func main() {
 		confirm = flag.Int("confirm", 0, "extra campaign seeds to re-measure the plan over the same world")
 	)
 	flag.Parse()
+	if *topK < 1 {
+		fatal(fmt.Errorf("-k must be >= 1, got %d", *topK))
+	}
+	if *confirm < 0 {
+		fatal(fmt.Errorf("-confirm must be >= 0, got %d", *confirm))
+	}
+	cfg := shortcuts.Config{Seed: *seed, Rounds: *rounds}
+	if err := cfg.Validate(); err != nil {
+		fatal(err)
+	}
 
-	world, err := shortcuts.BuildWorld(shortcuts.Config{Seed: *seed})
+	world, err := shortcuts.BuildWorld(cfg)
 	if err != nil {
 		fatal(err)
 	}
-	campaign, err := shortcuts.NewCampaignWith(world, shortcuts.Config{Seed: *seed, Rounds: *rounds})
+	campaign, err := shortcuts.NewCampaignWith(world, cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -49,7 +49,9 @@ func main() {
 	if *seeds != "" && *out != "" {
 		fatal(fmt.Errorf("-out applies to a single campaign; drop -seeds to write figure CSVs"))
 	}
-	if err := validateFlags(*rounds, *par, *budget, *scale, *small); err != nil {
+	cfg := shortcuts.Config{Seed: *seed, Rounds: *rounds, SmallWorld: *small,
+		PairBudget: *budget, ScaleEndpoints: *scale, SelfHeal: *heal}
+	if err := validateFlags(cfg, *par); err != nil {
 		fatal(err)
 	}
 	if err := validateSelfHeal(*heal, *seeds); err != nil {
@@ -60,8 +62,6 @@ func main() {
 	}
 	defer stopProfiles()
 
-	cfg := shortcuts.Config{Seed: *seed, Rounds: *rounds, SmallWorld: *small,
-		PairBudget: *budget, ScaleEndpoints: *scale, SelfHeal: *heal}
 	if *scen != "" {
 		sc, err := shortcuts.ScenarioByName(*scen)
 		if err != nil {
@@ -208,27 +208,15 @@ func validateSelfHeal(heal bool, seeds string) error {
 }
 
 // validateFlags rejects nonsensical flag combinations up front, before
-// minutes of world building, with errors that name the offending flag.
-func validateFlags(rounds, parallel, pairBudget, scale int, small bool) error {
-	if rounds <= 0 {
-		return fmt.Errorf("-rounds must be positive, got %d", rounds)
-	}
+// minutes of world building: -parallel here, and every campaign and
+// world-tier flag through Config.Validate, whose errors name the Config
+// field a flag sets (-rounds Rounds, -pairbudget PairBudget, -scale
+// ScaleEndpoints, -small SmallWorld).
+func validateFlags(cfg shortcuts.Config, parallel int) error {
 	if parallel < 1 {
 		return fmt.Errorf("-parallel must be >= 1, got %d", parallel)
 	}
-	if pairBudget < 0 {
-		return fmt.Errorf("-pairbudget must be >= 0 (0 = exhaustive), got %d", pairBudget)
-	}
-	if scale < 0 {
-		return fmt.Errorf("-scale must be >= 0 (0 = the default world), got %d", scale)
-	}
-	if scale > 0 && small {
-		return fmt.Errorf("-scale and -small select conflicting worlds; pick one")
-	}
-	if scale > 0 && pairBudget == 0 {
-		return fmt.Errorf("-scale %d requires -pairbudget: the exhaustive pair universe is quadratic in the population and unmeasurable at scale", scale)
-	}
-	return nil
+	return cfg.Validate()
 }
 
 // runSweep fans one campaign per seed over the shared world and prints

@@ -134,12 +134,10 @@ type TopRelayPoint struct {
 
 // TopRelayCurve computes Figure 3 for one type: the fraction of all cases
 // improved when only the N most frequently improving relays are used,
-// N = 1..maxN.
+// N = 1..maxN. maxN is clamped to [0, ranked relays].
 func TopRelayCurve(res *measure.Results, t relays.Type, maxN int) []TopRelayPoint {
 	ranking := RankRelays(res, t)
-	if maxN > len(ranking) {
-		maxN = len(ranking)
-	}
+	maxN = min(max(maxN, 0), len(ranking))
 	rankOf := make(map[int32]int, len(ranking))
 	for i, rr := range ranking {
 		rankOf[int32(rr.Relay)] = i
@@ -209,12 +207,11 @@ type ThresholdPoint struct {
 
 // ThresholdCurves computes Figure 4 for one type: the fraction of all
 // cases whose improvement exceeds each threshold, using the best of the
-// top-N relays versus the best of all relays of the type.
+// top-N relays versus the best of all relays of the type. topN is
+// clamped to [0, ranked relays].
 func ThresholdCurves(res *measure.Results, t relays.Type, topN int, thresholds []float64) []ThresholdPoint {
 	ranking := RankRelays(res, t)
-	if topN > len(ranking) {
-		topN = len(ranking)
-	}
+	topN = min(max(topN, 0), len(ranking))
 	inTop := make(map[int32]bool, topN)
 	for _, rr := range ranking[:topN] {
 		inTop[int32(rr.Relay)] = true

@@ -27,12 +27,11 @@ type FacilityRow struct {
 // improving COR relays, collapse them to their facilities, and annotate
 // each facility with PeeringDB attributes and the fraction of
 // COR-improved cases in which one of its relays appeared. The paper uses
-// the top 20 relays, which collapse into 10 facilities.
+// the top 20 relays, which collapse into 10 facilities. topRelays is
+// clamped to [0, ranked COR relays].
 func TopFacilities(res *measure.Results, topRelays int) []FacilityRow {
 	ranking := RankRelays(res, relays.COR)
-	if topRelays > len(ranking) {
-		topRelays = len(ranking)
-	}
+	topRelays = min(max(topRelays, 0), len(ranking))
 	cat := res.World.Catalog
 
 	// Facilities of the top relays.

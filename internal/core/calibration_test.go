@@ -25,12 +25,12 @@ var (
 func calibrationResults(t *testing.T) *measure.Results {
 	t.Helper()
 	calOnce.Do(func() {
-		c, err := NewCampaign(sim.DefaultWorldParams(1), measure.QuickConfig(4))
+		w, err := sim.Build(sim.DefaultWorldParams(1))
 		if err != nil {
 			calErr = err
 			return
 		}
-		calRes, calErr = c.Run()
+		calRes, calErr = measure.Run(w, measure.QuickConfig(4))
 	})
 	if calErr != nil {
 		t.Fatal(calErr)

@@ -1,12 +1,7 @@
-// Package core ties the substrates into the paper's methodology: build a
-// world (topology, datasets, platforms, relay catalog), run the
-// measurement campaign, and hand the results to analysis. It is the
-// engine behind the public shortcuts API.
-//
-// The world is a first-class artifact: BuildWorld constructs it once
-// (staged, in parallel, routes warmed) and NewCampaignWith couples any
-// number of campaigns to it. NewCampaign remains the one-shot
-// convenience that does both.
+// Package core is the one place a world selection is checked and
+// mapped. The public shortcuts API and the relayserve service pick the
+// default, small or scale world from the same settings, so both apply
+// CheckTier, and both build through WorldParams and CampaignConfig.
 package core
 
 import (
@@ -16,43 +11,66 @@ import (
 	"shortcuts/internal/sim"
 )
 
-// BuildWorld constructs a reusable world under the given build options.
-// The result is safe to share across concurrent campaigns: its only
-// mutable state is internal caches (BGP trees, latency path state)
-// designed for concurrent use.
-func BuildWorld(wp sim.WorldParams, o sim.BuildOptions) (*sim.World, error) {
-	w, err := sim.BuildWith(wp, o)
-	if err != nil {
-		return nil, fmt.Errorf("core: building world: %w", err)
+// CheckTier validates a world-tier selection: small picks the reduced
+// world, a positive scaleEndpoints the scale tier, and pairBudget caps
+// the pairs measured per round (0 measures them all). A scale world must
+// set a pair budget: its exhaustive pair universe is quadratic.
+func CheckTier(small bool, scaleEndpoints, pairBudget int) error {
+	if pairBudget < 0 {
+		return fmt.Errorf("PairBudget must be >= 0 (0 = exhaustive), got %d", pairBudget)
 	}
-	return w, nil
-}
-
-// Campaign couples a built world with a measurement schedule.
-type Campaign struct {
-	World   *sim.World
-	Measure measure.Config
-}
-
-// NewCampaign builds the world for the given parameters and prepares the
-// measurement schedule.
-func NewCampaign(wp sim.WorldParams, mc measure.Config) (*Campaign, error) {
-	w, err := BuildWorld(wp, sim.DefaultBuildOptions())
-	if err != nil {
-		return nil, err
+	if err := checkWorld(small, scaleEndpoints); err != nil {
+		return err
 	}
-	return NewCampaignWith(w, mc), nil
+	if scaleEndpoints > 0 && pairBudget == 0 {
+		return fmt.Errorf("ScaleEndpoints %d requires PairBudget: the exhaustive pair universe is quadratic in the population and unmeasurable at scale", scaleEndpoints)
+	}
+	return nil
 }
 
-// NewCampaignWith couples a campaign to an existing world. Many
-// campaigns — differing in rounds, concurrency, or CampaignSeed — can
-// share one world and run concurrently.
-func NewCampaignWith(w *sim.World, mc measure.Config) *Campaign {
-	return &Campaign{World: w, Measure: mc}
+// checkWorld rejects the selections that name no single world.
+func checkWorld(small bool, scaleEndpoints int) error {
+	if scaleEndpoints < 0 {
+		return fmt.Errorf("ScaleEndpoints must be >= 0 (0 = no scale tier), got %d", scaleEndpoints)
+	}
+	if scaleEndpoints > 0 && small {
+		return fmt.Errorf("ScaleEndpoints and SmallWorld select conflicting worlds")
+	}
+	return nil
 }
 
-// Run executes the campaign and returns the raw results; analysis
-// functions in internal/analysis turn them into the paper's figures.
-func (c *Campaign) Run() (*measure.Results, error) {
-	return measure.Run(c.World, c.Measure)
+// WorldParams maps a world selection onto the parameters of the world
+// built from seed: the scale tier grown to roughly scaleEndpoints
+// responsive endpoints when it is positive, else the small or the
+// default world. It rejects a negative scaleEndpoints and a scale world
+// that is also small; it does not look at the pair budget.
+func WorldParams(seed int64, small bool, scaleEndpoints int) (sim.WorldParams, error) {
+	if err := checkWorld(small, scaleEndpoints); err != nil {
+		return sim.WorldParams{}, err
+	}
+	switch {
+	case scaleEndpoints > 0:
+		return sim.ScaleWorldParams(seed, scaleEndpoints), nil
+	case small:
+		return sim.SmallWorldParams(seed), nil
+	}
+	return sim.DefaultWorldParams(seed), nil
+}
+
+// CampaignConfig returns the campaign schedule of a world tier:
+// measure.QuickConfig(rounds), plus three changes on the scale tier
+// (scaleEndpoints positive). Every responsive probe is drafted; the
+// availability coins run the fast family the scale-tier digests were
+// recorded with (measure.Config.FastAvailability); and the credit cap,
+// calibrated to the paper's ~500 endpoints, is lifted. Callers set the
+// per-campaign fields (seed, concurrency, pair budget, scenario,
+// self-heal) on the result.
+func CampaignConfig(rounds, scaleEndpoints int) measure.Config {
+	mc := measure.QuickConfig(rounds)
+	if scaleEndpoints > 0 {
+		mc.EndpointsPerCountry = 1 << 20
+		mc.FastAvailability = true
+		mc.DailyCreditLimit = 0
+	}
+	return mc
 }

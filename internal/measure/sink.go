@@ -6,6 +6,13 @@ package measure
 // order; RoundDone is called once after all of a round's observations
 // have been emitted. Both are always invoked from a single goroutine,
 // so implementations need no locking of their own.
+//
+// A sink may keep what it receives. An emitted Observation's Improving
+// is an exact-size, capacity-clamped slice carved from the campaign's
+// improve arena, and the arena never writes it again, so an Emit
+// implementation can retain the value without copying. (BlockSink's
+// columnar delivery is the exception: its block is reused each round.)
+// The public shortcuts.Sink is this interface.
 type Sink interface {
 	Emit(o Observation)
 	RoundDone(info RoundInfo)

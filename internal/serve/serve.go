@@ -37,8 +37,10 @@ import (
 
 // Options shape the worlds and warm campaigns the server builds. The
 // world-selection knobs (SmallWorld, ScaleEndpoints, PairBudget,
-// Rounds, Concurrency) are fixed for the server's lifetime; Seed and
-// Scenario are only the initial pair — POST /v1/admin/swap moves them.
+// Rounds, Concurrency) are fixed for the server's lifetime, and New
+// checks the tier they select by the rules of shortcuts.Config.Validate
+// (core.CheckTier); Seed and Scenario are only the initial pair — POST
+// /v1/admin/swap moves them.
 type Options struct {
 	// Seed is the initial world + campaign seed (default 1).
 	Seed int64
@@ -83,14 +85,8 @@ func (o Options) withDefaults() (Options, error) {
 	if _, err := scenario.ByName(o.Scenario); err != nil {
 		return o, err
 	}
-	if o.PairBudget < 0 {
-		return o, fmt.Errorf("serve: PairBudget must be >= 0, got %d", o.PairBudget)
-	}
-	if o.ScaleEndpoints > 0 && o.SmallWorld {
-		return o, fmt.Errorf("serve: ScaleEndpoints and SmallWorld select conflicting worlds")
-	}
-	if o.ScaleEndpoints > 0 && o.PairBudget == 0 {
-		return o, fmt.Errorf("serve: ScaleEndpoints requires PairBudget (the exhaustive pair universe is quadratic)")
+	if err := core.CheckTier(o.SmallWorld, o.ScaleEndpoints, o.PairBudget); err != nil {
+		return o, fmt.Errorf("serve: %w", err)
 	}
 	return o, nil
 }
@@ -243,18 +239,6 @@ type SwapInfo struct {
 	CampaignMs int64  `json:"campaign_ms"`
 }
 
-// worldParams maps the server options onto world parameters for a seed.
-func (s *Server) worldParams(seed int64) sim.WorldParams {
-	switch {
-	case s.opts.ScaleEndpoints > 0:
-		return sim.ScaleWorldParams(seed, s.opts.ScaleEndpoints)
-	case s.opts.SmallWorld:
-		return sim.SmallWorldParams(seed)
-	default:
-		return sim.DefaultWorldParams(seed)
-	}
-}
-
 // buildState constructs one serving generation: world, warm campaign,
 // corridor catalog, plans, and the lookup tables the handlers read.
 // Equal (seed, scenario) under equal Options build bit-identical states
@@ -265,8 +249,12 @@ func (s *Server) buildState(seed int64, scenName string) (*servingState, error) 
 	if err != nil {
 		return nil, err
 	}
+	wp, err := core.WorldParams(seed, s.opts.SmallWorld, s.opts.ScaleEndpoints)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	t0 := time.Now()
-	w, err := core.BuildWorld(s.worldParams(seed), sim.DefaultBuildOptions())
+	w, err := sim.Build(wp)
 	if err != nil {
 		return nil, fmt.Errorf("serve: building world seed %d: %w", seed, err)
 	}
@@ -274,18 +262,11 @@ func (s *Server) buildState(seed int64, scenName string) (*servingState, error) 
 	s.logf("world seed %d built in %v; running %d-round warm campaign (scenario %s)",
 		seed, buildDur.Round(time.Millisecond), s.opts.Rounds, scenName)
 
-	mc := measure.QuickConfig(s.opts.Rounds)
+	mc := core.CampaignConfig(s.opts.Rounds, s.opts.ScaleEndpoints)
 	mc.Concurrency = s.opts.Concurrency
 	mc.PairBudget = s.opts.PairBudget
 	mc.CampaignSeed = seed
 	mc.Scenario = sc
-	if s.opts.ScaleEndpoints > 0 {
-		// Scale tier: full responsive population, fast availability
-		// coins, uncapped credits — the cmd/shortcuts -scale profile.
-		mc.EndpointsPerCountry = 1 << 20
-		mc.FastAvailability = true
-		mc.DailyCreditLimit = 0
-	}
 	// Every state watches its warm campaign with an online disruption
 	// detector; Options.SelfHeal additionally lets the detector exclude
 	// suspect relays and re-plan mid-campaign. In monitor mode the

@@ -6,7 +6,6 @@ import (
 
 	"shortcuts/internal/analysis"
 	"shortcuts/internal/measure"
-	"shortcuts/internal/relays"
 	"shortcuts/internal/report"
 )
 
@@ -48,7 +47,7 @@ func (r *Results) RelayedPathsStudied() int64 { return r.res.RelayedPathsStudied
 // ImprovedFraction returns the share of pairs improved by the best relay
 // of the type (Fig. 2: COR 76%, RAR_other 58%, PLR 43%, RAR_eye 35%).
 func (r *Results) ImprovedFraction(t RelayType) float64 {
-	return analysis.ImprovedFraction(r.res, relays.Type(t))
+	return analysis.ImprovedFraction(r.res, t)
 }
 
 // CDFPoint is one point of an improvement CDF.
@@ -60,7 +59,7 @@ type CDFPoint struct {
 // ImprovementCDF computes the Figure-2 CDF for the type on the given
 // millisecond grid.
 func (r *Results) ImprovementCDF(t RelayType, xs []float64) []CDFPoint {
-	pts := analysis.ImprovementCDF(r.res, relays.Type(t), xs)
+	pts := analysis.ImprovementCDF(r.res, t, xs)
 	out := make([]CDFPoint, len(pts))
 	for i, p := range pts {
 		out[i] = CDFPoint{ImprovementMs: p.X, Fraction: p.Y}
@@ -71,13 +70,13 @@ func (r *Results) ImprovementCDF(t RelayType, xs []float64) []CDFPoint {
 // MedianImprovementMs returns the median gain among improved cases
 // (paper: 12-14 ms for every type).
 func (r *Results) MedianImprovementMs(t RelayType) float64 {
-	return analysis.MedianImprovementMs(r.res, relays.Type(t))
+	return analysis.MedianImprovementMs(r.res, t)
 }
 
 // ImprovedOverFraction returns, among the type's improved cases, the
 // share improving by more than ms (paper: >100 ms for 6% of COR cases).
 func (r *Results) ImprovedOverFraction(t RelayType, ms float64) float64 {
-	return analysis.ImprovedOverFraction(r.res, relays.Type(t), ms)
+	return analysis.ImprovedOverFraction(r.res, t, ms)
 }
 
 // TopRelayPoint is one point of the Figure-3 coverage curve.
@@ -89,7 +88,7 @@ type TopRelayPoint struct {
 // TopRelayCurve computes Figure 3 for the type: fraction of all cases
 // improved using only the N most frequently improving relays.
 func (r *Results) TopRelayCurve(t RelayType, maxN int) []TopRelayPoint {
-	pts := analysis.TopRelayCurve(r.res, relays.Type(t), maxN)
+	pts := analysis.TopRelayCurve(r.res, t, maxN)
 	out := make([]TopRelayPoint, len(pts))
 	for i, p := range pts {
 		out[i] = TopRelayPoint{N: p.N, FracTotal: p.FracTotal}
@@ -101,7 +100,7 @@ func (r *Results) TopRelayCurve(t RelayType, maxN int) []TopRelayPoint {
 // given fraction of its total coverage, and (for COR) the facilities they
 // occupy (paper: 10 relays in 6 colos reach ~75%).
 func (r *Results) RelaysForCoverage(t RelayType, fracOfMax float64) (int, []string) {
-	return analysis.RelaysForCoverage(r.res, relays.Type(t), fracOfMax)
+	return analysis.RelaysForCoverage(r.res, t, fracOfMax)
 }
 
 // ThresholdPoint is one point of the Figure-4 curves.
@@ -114,7 +113,7 @@ type ThresholdPoint struct {
 // ThresholdCurves computes Figure 4 for the type with the given top-N
 // relay set size.
 func (r *Results) ThresholdCurves(t RelayType, topN int, thresholds []float64) []ThresholdPoint {
-	pts := analysis.ThresholdCurves(r.res, relays.Type(t), topN, thresholds)
+	pts := analysis.ThresholdCurves(r.res, t, topN, thresholds)
 	out := make([]ThresholdPoint, len(pts))
 	for i, p := range pts {
 		out[i] = ThresholdPoint{ThresholdMs: p.ThresholdMs, TopN: p.Top, All: p.All}
@@ -151,7 +150,7 @@ func (r *Results) TopFacilities(topRelays int) []FacilityRow {
 // (paper, COR: 75% improved with a third-country relay vs 50% when the
 // relay shares a country with an endpoint).
 func (r *Results) CountryChange(t RelayType) (diffImproved, sameImproved float64) {
-	s := analysis.CountryChange(r.res, relays.Type(t))
+	s := analysis.CountryChange(r.res, t)
 	return s.DiffCountryImproved, s.SameCountryImproved
 }
 
@@ -192,12 +191,12 @@ func (r *Results) SymmetryWithin5() float64 {
 // RelayRedundancyMedian returns the median number of improving relays per
 // improved pair for the type (paper: 8 COR / 3 PLR / 2 RAR).
 func (r *Results) RelayRedundancyMedian(t RelayType) float64 {
-	return analysis.RelayRedundancyMedian(r.res, relays.Type(t))
+	return analysis.RelayRedundancyMedian(r.res, t)
 }
 
 // PerRoundImproved returns the improved fraction per round for the type.
 func (r *Results) PerRoundImproved(t RelayType) []float64 {
-	return analysis.PerRoundImproved(r.res, relays.Type(t))
+	return analysis.PerRoundImproved(r.res, t)
 }
 
 // FacilityFeature pairs a facility attribute with its rank correlation to

@@ -1,9 +1,6 @@
 package shortcuts
 
-import (
-	"shortcuts/internal/relays"
-	"shortcuts/internal/scenario"
-)
+import "shortcuts/internal/scenario"
 
 // Scenario is a deterministic timeline of network disruptions a
 // campaign runs under: IXP/link failure windows, regional congestion
@@ -119,14 +116,11 @@ func (s *Scenario) WithDiurnalLoad(amplitude float64, periodRounds int) *Scenari
 // them. A fraction of 0 churns nothing (the control arm of a churn
 // sweep).
 func (s *Scenario) WithRelayChurn(fromFrac, toFrac, fraction float64, types ...RelayType) *Scenario {
-	ev := scenario.RelayChurn{
+	s.inner.Add(scenario.RelayChurn{
 		Window:   scenario.Rounds(fromFrac, toFrac),
 		Fraction: fraction,
-	}
-	for _, t := range types {
-		ev.Types = append(ev.Types, relays.Type(t))
-	}
-	s.inner.Add(ev)
+		Types:    append([]RelayType(nil), types...),
+	})
 	return s
 }
 

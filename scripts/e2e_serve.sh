@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# End-to-end gate for the relayserve service: build the binary, boot it
-# against the small world, wait for readiness, exercise the query and
-# resource endpoints, hot-swap the serving world, and verify the swap
-# took. Any non-200, bad JSON, or timeout fails the script (and the CI
-# job that runs it).
+# End-to-end gate for the relayserve service: build the binary, check
+# that it refuses a world tier no campaign can run, boot it against the
+# small world, wait for readiness, exercise the query and resource
+# endpoints, hot-swap the serving world, and verify the swap took. Any
+# non-200, bad JSON, or timeout fails the script (and the CI job that
+# runs it).
 #
 # Usage: scripts/e2e_serve.sh
 # Env:   E2E_ROUNDS (default 2)  warm-campaign rounds for the boot world
@@ -34,6 +35,21 @@ fail() {
 
 echo "e2e-serve: building cmd/relayserve"
 go build -o "$BIN" ./cmd/relayserve
+
+# Negative boot: a scale world without a pair budget is a selection no
+# campaign can run (its exhaustive pair universe is quadratic). The
+# server must refuse it before binding: exit non-zero within 10 s,
+# name PairBudget on stderr, and never print its listen address.
+echo "e2e-serve: negative boot (-scale 1000 without -pairbudget)"
+CODE=0
+timeout 10 "$BIN" -scale 1000 -addr 127.0.0.1:0 >"$WORKDIR/neg.out" 2>"$WORKDIR/neg.err" || CODE=$?
+cat "$WORKDIR/neg.out" "$WORKDIR/neg.err" >"$LOG"
+[ "$CODE" -ne 0 ] || fail "-scale without -pairbudget booted (exit 0)"
+[ "$CODE" -ne 124 ] || fail "-scale without -pairbudget still running after 10s"
+grep -q PairBudget "$WORKDIR/neg.err" || fail "negative boot stderr does not name PairBudget"
+! grep -q "listening on" "$WORKDIR/neg.out" || fail "negative boot printed its listen address"
+echo "e2e-serve: negative boot refused (exit $CODE)"
+: >"$LOG"
 
 # Port 0: the kernel picks a free port and the server prints it on
 # stdout as "relayserve: listening on http://HOST:PORT".

@@ -60,28 +60,27 @@ import (
 	"shortcuts/internal/detect"
 	"shortcuts/internal/measure"
 	"shortcuts/internal/relays"
+	"shortcuts/internal/sim"
 )
 
-// RelayType identifies one of the paper's relay populations.
-type RelayType int
+// RelayType identifies one of the paper's relay populations. It prints
+// the paper's labels: COR, PLR, RAR_eye and RAR_other.
+type RelayType = relays.Type
 
 // The four relay populations compared by the paper.
 const (
 	// COR are relays at verified colocation-facility IPs.
-	COR RelayType = RelayType(relays.COR)
+	COR = relays.COR
 	// PLR are PlanetLab nodes at research sites.
-	PLR RelayType = RelayType(relays.PLR)
+	PLR = relays.PLR
 	// RAREye are RIPE Atlas probes in verified eyeball networks.
-	RAREye RelayType = RelayType(relays.RAREye)
+	RAREye = relays.RAREye
 	// RAROther are RIPE Atlas probes in all other networks.
-	RAROther RelayType = RelayType(relays.RAROther)
+	RAROther = relays.RAROther
 )
 
 // RelayTypes lists all populations in the paper's reporting order.
 func RelayTypes() []RelayType { return []RelayType{COR, PLR, RAROther, RAREye} }
-
-// String implements fmt.Stringer with the paper's labels.
-func (t RelayType) String() string { return relays.Type(t).String() }
 
 // Config selects the world and campaign dimensions.
 type Config struct {
@@ -128,6 +127,21 @@ type Config struct {
 	SelfHeal bool
 }
 
+// Validate reports why no campaign can run cfg, or nil. Rounds must be
+// positive, PairBudget and ScaleEndpoints must not be negative, a scale
+// world cannot also be small, and a scale world must set PairBudget.
+// The world-tier rules are the ones relayserve applies to its options.
+// NewCampaign, NewCampaignWith and Sweep.Run call it before any work.
+func (cfg Config) Validate() error {
+	if cfg.Rounds <= 0 {
+		return fmt.Errorf("shortcuts: Rounds must be positive, got %d", cfg.Rounds)
+	}
+	if err := core.CheckTier(cfg.SmallWorld, cfg.ScaleEndpoints, cfg.PairBudget); err != nil {
+		return fmt.Errorf("shortcuts: %w", err)
+	}
+	return nil
+}
+
 // DefaultConfig returns the paper's full campaign: the default world and
 // 45 rounds.
 func DefaultConfig() Config {
@@ -142,17 +156,19 @@ func QuickConfig(rounds int) Config {
 
 // Campaign is a built world plus a measurement schedule, ready to run.
 type Campaign struct {
-	inner  *core.Campaign
+	world  *sim.World
+	mc     measure.Config
 	healer *detect.Detector // non-nil when Config.SelfHeal was set
 }
 
 // NewCampaign builds the synthetic world for the config and attaches
 // one campaign to it: shorthand for BuildWorld followed by
 // NewCampaignWith. To run several campaigns, build the world once and
-// share it.
+// share it. A config that fails Validate is rejected before the world
+// is built.
 func NewCampaign(cfg Config) (*Campaign, error) {
-	if cfg.Rounds <= 0 {
-		return nil, fmt.Errorf("shortcuts: Rounds must be positive, got %d", cfg.Rounds)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	w, err := BuildWorld(cfg)
 	if err != nil {
@@ -216,7 +232,7 @@ type TwoRelayStats struct {
 // TwoRelayCheck runs the one-vs-two-relay extension experiment over a
 // sample of endpoint pairs and the round-0 COR relay set.
 func (c *Campaign) TwoRelayCheck(maxPairs, maxRelays int) (TwoRelayStats, error) {
-	r, err := measure.TwoRelayExperiment(c.inner.World, c.inner.Measure, 0, maxPairs, maxRelays)
+	r, err := measure.TwoRelayExperiment(c.world, c.mc, 0, maxPairs, maxRelays)
 	if err != nil {
 		return TwoRelayStats{}, err
 	}

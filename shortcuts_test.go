@@ -2,6 +2,7 @@ package shortcuts
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -32,6 +33,60 @@ func apiResults(t *testing.T) (*Campaign, *Results) {
 func TestNewCampaignValidatesConfig(t *testing.T) {
 	if _, err := NewCampaign(Config{Seed: 1, Rounds: 0}); err == nil {
 		t.Fatal("zero rounds accepted")
+	}
+}
+
+// TestConfigValidate is the one table of config rules. Every verdict
+// holds for Validate and for NewCampaignWith over a built world; the
+// selections that name no single world fail BuildWorld too, before any
+// build.
+func TestConfigValidate(t *testing.T) {
+	cases := []struct {
+		name    string
+		cfg     Config
+		wantErr string // substring; "" = valid
+		noWorld bool   // BuildWorld rejects it as well
+	}{
+		{"defaults", Config{Rounds: 45}, "", false},
+		{"sampled sweep", Config{Rounds: 8, PairBudget: 5000}, "", false},
+		{"scale with budget", Config{Rounds: 4, PairBudget: 4096, ScaleEndpoints: 100_000}, "", false},
+		{"zero rounds", Config{Rounds: 0}, "Rounds", false},
+		{"negative rounds", Config{Rounds: -3}, "Rounds", false},
+		{"negative pair budget", Config{Rounds: 45, PairBudget: -1}, "PairBudget", false},
+		{"negative scale", Config{Rounds: 45, ScaleEndpoints: -1}, "ScaleEndpoints", true},
+		{"scale conflicts with small", Config{Rounds: 4, PairBudget: 4096, ScaleEndpoints: 100_000, SmallWorld: true}, "SmallWorld", true},
+		{"scale without budget", Config{Rounds: 4, ScaleEndpoints: 100_000}, "requires PairBudget", false},
+		// Each of these once passed NewCampaignWith or BuildWorld: an
+		// exhaustive 100k-endpoint round (~41 GB of direct medians), a
+		// negative scale that measured the default world, and a small
+		// world that built the scale world.
+		{"exhaustive scale", Config{Rounds: 2, ScaleEndpoints: 100_000}, "requires PairBudget", false},
+		{"scale -5", Config{Rounds: 2, ScaleEndpoints: -5}, "ScaleEndpoints", true},
+		{"small and scale", Config{Rounds: 2, SmallWorld: true, ScaleEndpoints: 5000}, "SmallWorld", true},
+	}
+	camp, _ := apiResults(t)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(what string, err error) {
+				t.Helper()
+				if tc.wantErr == "" {
+					if err != nil {
+						t.Fatalf("%s: unexpected error: %v", what, err)
+					}
+					return
+				}
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("%s: error %v, want one mentioning %q", what, err, tc.wantErr)
+				}
+			}
+			check("Validate", tc.cfg.Validate())
+			_, err := NewCampaignWith(camp.World(), tc.cfg)
+			check("NewCampaignWith", err)
+			if tc.noWorld {
+				_, err := BuildWorld(tc.cfg)
+				check("BuildWorld", err)
+			}
+		})
 	}
 }
 
@@ -115,6 +170,44 @@ func TestTable1Exposed(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), rows[0].Name) {
 		t.Fatal("rendered table missing the top facility")
+	}
+}
+
+// TestNegativeCountsActAsZero pins every count-taking Results method to
+// its zero-count result for a negative count, instead of a panic.
+func TestNegativeCountsActAsZero(t *testing.T) {
+	_, res := apiResults(t)
+	ths := []float64{0, 20}
+	write := func(f func(w *bytes.Buffer) error) string {
+		var buf bytes.Buffer
+		if err := f(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	cases := []struct {
+		name string
+		call func(n int) any
+	}{
+		{"TopFacilities", func(n int) any { return res.TopFacilities(n) }},
+		{"TopRelayCurve", func(n int) any { return res.TopRelayCurve(COR, n) }},
+		{"ThresholdCurves", func(n int) any { return res.ThresholdCurves(COR, n, ths) }},
+		{"WriteTable1", func(n int) any {
+			return write(func(w *bytes.Buffer) error { return res.WriteTable1(w, n) })
+		}},
+		{"WriteFig3CSV", func(n int) any {
+			return write(func(w *bytes.Buffer) error { return res.WriteFig3CSV(w, n) })
+		}},
+		{"WriteFig4CSV", func(n int) any {
+			return write(func(w *bytes.Buffer) error { return res.WriteFig4CSV(w, n) })
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got, want := tc.call(-1), tc.call(0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("count -1 gave %v, want the count-0 result %v", got, want)
+			}
+		})
 	}
 }
 

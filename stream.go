@@ -2,7 +2,6 @@ package shortcuts
 
 import (
 	"io"
-	"time"
 
 	"shortcuts/internal/measure"
 	"shortcuts/internal/relays"
@@ -15,69 +14,26 @@ const NumRelayTypes = relays.NumTypes
 
 // RoundInfo summarises one executed measurement round, delivered to
 // sinks (and progress callbacks) as soon as the round completes.
-type RoundInfo struct {
-	Round          int
-	Start          time.Time
-	Endpoints      int
-	PairsAttempted int // direct paths measured this round
-	PairsUsable    int // of those, pairs with a valid direct median
-	PingsSent      int64
-	RelaysChurned  int // sampled relays removed this round by scenario churn
-	RelaysHealed   int // sampled relays excluded this round by self-healing
-}
+type RoundInfo = measure.RoundInfo
 
-// ImproveEntry records one relay that beat the direct path for a pair.
-type ImproveEntry struct {
-	Relay     int     // relay catalog index
-	RelayedMs float32 // stitched median RTT via this relay
-}
+// ImproveEntry records one relay that beat the direct path for a pair:
+// its catalog index and the stitched median RTT via it, in milliseconds.
+type ImproveEntry = measure.ImproveEntry
 
 // Observation is everything the campaign learned about one endpoint
-// pair during one round. RTTs are median milliseconds; zero means "no
-// valid measurement". Arrays indexed by RelayType.
-type Observation struct {
-	Round            int
-	SrcCC, DstCC     string
-	SrcCont, DstCont string
-
-	DirectMs    float32
-	RevDirectMs float32
-
-	// BestMs / BestRelay hold, per relay type, the minimum stitched RTT
-	// and the catalog index achieving it (-1 when no feasible relay
-	// produced a valid median).
-	BestMs    [NumRelayTypes]float32
-	BestRelay [NumRelayTypes]int32
-
-	// FeasibleCount is the number of relays per type that passed the
-	// speed-of-light feasibility filter for this pair.
-	FeasibleCount [NumRelayTypes]uint16
-
-	// Improving lists every relay (any type) whose stitched RTT beat
-	// the direct path, in catalog order.
-	Improving []ImproveEntry
-}
-
-// Intercontinental reports whether the endpoints sit on different
-// continents.
-func (o *Observation) Intercontinental() bool { return o.SrcCont != o.DstCont }
-
-// ImprovementMs returns the latency gain of the best relay of the given
-// type, in milliseconds; <= 0 means no improvement.
-func (o *Observation) ImprovementMs(t RelayType) float64 {
-	if o.BestRelay[t] < 0 {
-		return 0
-	}
-	return float64(o.DirectMs - o.BestMs[t])
-}
+// pair during one round. RTTs are median milliseconds, and 0 means no
+// valid measurement. Per-type arrays are indexed by RelayType:
+// BestRelay is the catalog index of the type's best relay, or -1 when
+// no feasible relay produced a valid median. Improving lists every
+// relay that beat the direct path, in catalog order.
+type Observation = measure.Observation
 
 // Sink receives campaign output incrementally: Emit once per usable
 // pair observation (in deterministic order), RoundDone once after each
-// round's observations. Calls arrive from a single goroutine.
-type Sink interface {
-	Emit(Observation)
-	RoundDone(RoundInfo)
-}
+// round's observations. Calls arrive from a single goroutine. A sink
+// receives the campaign's own observations, not copies, and may keep
+// them: the campaign never writes an emitted Improving slice again.
+type Sink = measure.Sink
 
 // RunStream executes the campaign in streaming mode: observations are
 // pushed into sink as rounds complete and are never materialized, so
@@ -89,93 +45,38 @@ type Sink interface {
 // for any Concurrency and engine shard count.
 func (c *Campaign) RunStream(sink Sink) (*StreamStats, error) {
 	stats := measure.NewStreamStats()
-	var ms measure.Sink = stats
-	switch s := sink.(type) {
-	case nil:
-	case roundProgressSink:
-		// Progress-only sinks skip the per-observation conversion.
-		ms = measure.MultiSink(stats, roundFunc(s.f))
-	default:
-		ms = measure.MultiSink(stats, sinkAdapter{sink})
+	var ms Sink = stats
+	if sink != nil {
+		ms = measure.MultiSink(stats, sink)
 	}
-	if err := measure.RunStream(c.inner.World, c.inner.Measure, ms); err != nil {
+	if err := measure.RunStream(c.world, c.mc, ms); err != nil {
 		return nil, err
 	}
 	return &StreamStats{s: stats}, nil
 }
 
 // RoundProgressSink returns a Sink that invokes f after each round and
-// ignores per-observation detail. RunStream recognizes these sinks and
-// skips observation conversion entirely, so they add no per-pair cost
-// to a streaming campaign.
-func RoundProgressSink(f func(RoundInfo)) Sink { return roundProgressSink{f: f} }
+// ignores per-observation detail.
+func RoundProgressSink(f func(RoundInfo)) Sink { return roundProgressSink(f) }
 
-type roundProgressSink struct{ f func(RoundInfo) }
+type roundProgressSink func(RoundInfo)
 
-func (s roundProgressSink) Emit(Observation) {}
+func (f roundProgressSink) Emit(Observation) {}
 
-func (s roundProgressSink) RoundDone(ri RoundInfo) { s.f(ri) }
+func (f roundProgressSink) RoundDone(ri RoundInfo) { f(ri) }
 
 // RunWithProgress executes the campaign like Run, additionally invoking
 // onRound after each completed round (nil is allowed).
 func (c *Campaign) RunWithProgress(onRound func(RoundInfo)) (*Results, error) {
-	res := measure.NewResults(c.inner.Measure, c.inner.World)
-	var ms measure.Sink = res
+	res := measure.NewResults(c.mc, c.world)
+	var ms Sink = res
 	if onRound != nil {
-		ms = measure.MultiSink(res, roundFunc(onRound))
+		ms = measure.MultiSink(res, RoundProgressSink(onRound))
 	}
-	if err := measure.RunStream(c.inner.World, c.inner.Measure, ms); err != nil {
+	if err := measure.RunStream(c.world, c.mc, ms); err != nil {
 		return nil, err
 	}
 	return &Results{res: res}, nil
-}
-
-// sinkAdapter forwards the internal stream to a public Sink.
-type sinkAdapter struct{ sink Sink }
-
-func (a sinkAdapter) Emit(o measure.Observation) {
-	pub := Observation{
-		Round: o.Round,
-		SrcCC: o.SrcCC, DstCC: o.DstCC,
-		SrcCont: o.SrcCont, DstCont: o.DstCont,
-		DirectMs: o.DirectMs, RevDirectMs: o.RevDirectMs,
-	}
-	for t := 0; t < NumRelayTypes; t++ {
-		pub.BestMs[t] = o.BestMs[t]
-		pub.BestRelay[t] = o.BestRelay[t]
-		pub.FeasibleCount[t] = o.FeasibleCount[t]
-	}
-	if len(o.Improving) > 0 {
-		pub.Improving = make([]ImproveEntry, len(o.Improving))
-		for i, e := range o.Improving {
-			pub.Improving[i] = ImproveEntry{Relay: int(e.Relay), RelayedMs: e.RelayedMs}
-		}
-	}
-	a.sink.Emit(pub)
-}
-
-func (a sinkAdapter) RoundDone(info measure.RoundInfo) {
-	a.sink.RoundDone(publicRoundInfo(info))
-}
-
-// roundFunc adapts a progress callback into an internal sink.
-type roundFunc func(RoundInfo)
-
-func (f roundFunc) Emit(measure.Observation) {}
-
-func (f roundFunc) RoundDone(info measure.RoundInfo) { f(publicRoundInfo(info)) }
-
-func publicRoundInfo(info measure.RoundInfo) RoundInfo {
-	return RoundInfo{
-		Round:          info.Round,
-		Start:          info.Start,
-		Endpoints:      info.Endpoints,
-		PairsAttempted: info.PairsAttempted,
-		PairsUsable:    info.PairsUsable,
-		PingsSent:      info.PingsSent,
-		RelaysChurned:  info.RelaysChurned,
-		RelaysHealed:   info.RelaysHealed,
-	}
 }
 
 // StreamStats holds the paper's headline aggregates computed
@@ -210,25 +111,25 @@ func (s *StreamStats) IntercontinentalFraction() float64 { return s.s.Interconti
 // relay of the type, identical to Results.ImprovedFraction over the
 // same campaign.
 func (s *StreamStats) ImprovedFraction(t RelayType) float64 {
-	return s.s.ImprovedFraction(relays.Type(t))
+	return s.s.ImprovedFraction(t)
 }
 
 // MedianImprovementMs returns the median gain among improved cases,
 // resolved to the stream histogram's bin midpoint.
 func (s *StreamStats) MedianImprovementMs(t RelayType) float64 {
-	return s.s.MedianImprovementMs(relays.Type(t))
+	return s.s.MedianImprovementMs(t)
 }
 
 // ImprovedOverFraction returns, among the type's improved cases, the
 // share improving by more than ms (bin-quantized).
 func (s *StreamStats) ImprovedOverFraction(t RelayType, ms float64) float64 {
-	return s.s.ImprovedOverFraction(relays.Type(t), ms)
+	return s.s.ImprovedOverFraction(t, ms)
 }
 
 // ImprovementCDF computes the Figure-2 CDF for the type on the given
 // millisecond grid from the stream histogram.
 func (s *StreamStats) ImprovementCDF(t RelayType, xs []float64) []CDFPoint {
-	ys := s.s.ImprovementCDF(relays.Type(t), xs)
+	ys := s.s.ImprovementCDF(t, xs)
 	out := make([]CDFPoint, len(xs))
 	for i := range xs {
 		out[i] = CDFPoint{ImprovementMs: xs[i], Fraction: ys[i]}

@@ -2,8 +2,13 @@ package shortcuts
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"shortcuts/internal/measure"
+	"shortcuts/internal/sim"
 )
 
 // collectSink exercises the public Sink contract.
@@ -153,5 +158,79 @@ func TestStreamSummaryRenders(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("stream summary missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// keepSink retains every observation it receives, uncopied, and a deep
+// snapshot of each taken at Emit time.
+type keepSink struct {
+	kept, snap []Observation
+	rounds     []RoundInfo
+}
+
+func (k *keepSink) Emit(o Observation) {
+	k.kept = append(k.kept, o)
+	o.Improving = slices.Clone(o.Improving)
+	k.snap = append(k.snap, o)
+}
+
+func (k *keepSink) RoundDone(ri RoundInfo) { k.rounds = append(k.rounds, ri) }
+
+// TestPublicStreamIsInternalStream runs each world tier through the
+// public API and through the measure layer directly, with the measure
+// config written out in full: the observations a public sink kept must
+// equal the internal stream, and must still equal what the sink saw at
+// Emit time, so the campaign never overwrites what a sink keeps.
+func TestPublicStreamIsInternalStream(t *testing.T) {
+	small := measure.QuickConfig(2)
+	small.CampaignSeed = 1
+	scale := measure.QuickConfig(1)
+	scale.CampaignSeed = 1
+	scale.PairBudget = 256
+	scale.EndpointsPerCountry = 1 << 20
+	scale.FastAvailability = true
+	scale.DailyCreditLimit = 0
+	cells := []struct {
+		name string
+		cfg  Config
+		wp   sim.WorldParams
+		mc   measure.Config
+	}{
+		{"small exhaustive", Config{Seed: 1, Rounds: 2, SmallWorld: true}, sim.SmallWorldParams(1), small},
+		{"scale sampled", Config{Seed: 1, Rounds: 1, ScaleEndpoints: 20_000, PairBudget: 256},
+			sim.ScaleWorldParams(1, 20_000), scale},
+	}
+	for _, cell := range cells {
+		t.Run(cell.name, func(t *testing.T) {
+			camp, err := NewCampaign(cell.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pub keepSink
+			if _, err := camp.RunStream(&pub); err != nil {
+				t.Fatal(err)
+			}
+			w, err := sim.Build(cell.wp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := measure.Run(w, cell.mc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pub.kept) == 0 {
+				t.Fatal("empty stream")
+			}
+			if !reflect.DeepEqual(pub.kept, pub.snap) {
+				t.Fatal("kept observations changed after Emit")
+			}
+			if !reflect.DeepEqual(pub.kept, ref.Observations) {
+				t.Fatalf("public stream (%d observations) differs from the internal one (%d)",
+					len(pub.kept), len(ref.Observations))
+			}
+			if !reflect.DeepEqual(pub.rounds, ref.Rounds) {
+				t.Fatalf("public rounds %+v differ from internal %+v", pub.rounds, ref.Rounds)
+			}
+		})
 	}
 }

@@ -88,9 +88,14 @@ type SweepResult struct {
 }
 
 // Run executes the sweep and returns one result per seed, in seed-slice
-// order. Campaign failures are recorded per result; the returned error
-// is the first failure (the remaining campaigns still run).
+// order. A Config that fails Validate returns (nil, err) before any
+// world is built. Otherwise failures are recorded per result; the
+// returned error is the first failure (the remaining campaigns still
+// run).
 func (s Sweep) Run() ([]SweepResult, error) {
+	if err := s.Config.Validate(); err != nil {
+		return nil, err
+	}
 	seeds := s.Seeds
 	if len(seeds) == 0 {
 		seeds = []int64{s.Config.Seed}

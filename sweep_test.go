@@ -1,6 +1,7 @@
 package shortcuts
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -182,15 +183,20 @@ func TestSweepDefaultsToConfigSeed(t *testing.T) {
 	}
 }
 
-// TestSweepRoundsValidation ensures invalid templates surface per-seed
-// errors and a top-level error.
+// TestSweepRoundsValidation ensures an invalid template fails up front,
+// before any world is built or campaign run, in both sweep modes.
 func TestSweepRoundsValidation(t *testing.T) {
 	camp, _ := apiResults(t)
-	results, err := Sweep{Config: Config{Rounds: 0}, Seeds: []int64{1}, World: camp.World()}.Run()
-	if err == nil {
-		t.Fatal("zero-round sweep accepted")
-	}
-	if len(results) != 1 || results[0].Err == nil {
-		t.Fatalf("expected per-seed error, got %+v", results)
+	for _, sw := range []Sweep{
+		{Config: Config{Rounds: 0}, Seeds: []int64{1}, World: camp.World()},
+		{Config: Config{Rounds: 0, SmallWorld: true}, Seeds: []int64{1, 2}},
+	} {
+		results, err := sw.Run()
+		if err == nil || !strings.Contains(err.Error(), "Rounds") {
+			t.Fatalf("zero-round sweep: err = %v, want one naming Rounds", err)
+		}
+		if results != nil {
+			t.Fatalf("zero-round sweep returned results %+v, want nil", results)
+		}
 	}
 }

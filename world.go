@@ -6,7 +6,6 @@ import (
 
 	"shortcuts/internal/core"
 	"shortcuts/internal/detect"
-	"shortcuts/internal/measure"
 	"shortcuts/internal/report"
 	"shortcuts/internal/sim"
 )
@@ -23,9 +22,10 @@ type World struct {
 	inner *sim.World
 }
 
-// BuildWorld constructs the world selected by cfg (Seed and SmallWorld;
-// the campaign dimensions of cfg are ignored). Use NewCampaignWith to
-// attach campaigns.
+// BuildWorld constructs the world selected by cfg (Seed, SmallWorld and
+// ScaleEndpoints; the campaign dimensions of cfg are ignored). It
+// rejects a negative ScaleEndpoints and a scale world that is also
+// small. Use NewCampaignWith to attach campaigns.
 func BuildWorld(cfg Config) (*World, error) {
 	return buildWorldWith(cfg, 0)
 }
@@ -35,24 +35,17 @@ func BuildWorld(cfg Config) (*World, error) {
 // concurrently divide the machine between builds this way instead of
 // oversubscribing it; the built world is bit-identical for any budget.
 func buildWorldWith(cfg Config, buildWorkers int) (*World, error) {
+	wp, err := core.WorldParams(cfg.Seed, cfg.SmallWorld, cfg.ScaleEndpoints)
+	if err != nil {
+		return nil, fmt.Errorf("shortcuts: %w", err)
+	}
 	o := sim.DefaultBuildOptions()
 	o.Workers = buildWorkers
-	w, err := core.BuildWorld(worldParams(cfg), o)
+	w, err := sim.BuildWith(wp, o)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shortcuts: building world: %w", err)
 	}
 	return &World{inner: w}, nil
-}
-
-// worldParams maps the public config onto world parameters.
-func worldParams(cfg Config) sim.WorldParams {
-	if cfg.ScaleEndpoints > 0 {
-		return sim.ScaleWorldParams(cfg.Seed, cfg.ScaleEndpoints)
-	}
-	if cfg.SmallWorld {
-		return sim.SmallWorldParams(cfg.Seed)
-	}
-	return sim.DefaultWorldParams(cfg.Seed)
 }
 
 // Seed returns the seed the world was generated from.
@@ -63,44 +56,32 @@ func (w *World) Seed() int64 { return w.inner.Params.Seed }
 // campaign; cfg.Seed drives the campaign's stochastic draws (endpoint
 // and relay sampling), so several campaigns with distinct seeds can
 // measure one shared world independently. cfg.SmallWorld is ignored —
-// the world is already built. Seed 0 is the inherit sentinel: it runs
-// the campaign with the world's own seed, not a distinct stream.
+// the world is already built — but cfg must pass Validate. Seed 0 is
+// the inherit sentinel: it runs the campaign with the world's own seed,
+// not a distinct stream.
 //
 // A campaign whose cfg.Seed equals the world's seed is bit-identical to
 // NewCampaign(cfg) over a freshly built world.
 func NewCampaignWith(w *World, cfg Config) (*Campaign, error) {
-	if cfg.Rounds <= 0 {
-		return nil, fmt.Errorf("shortcuts: Rounds must be positive, got %d", cfg.Rounds)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	mc := measure.QuickConfig(cfg.Rounds)
+	mc := core.CampaignConfig(cfg.Rounds, cfg.ScaleEndpoints)
 	mc.Concurrency = cfg.Concurrency
 	mc.PairBudget = cfg.PairBudget
 	mc.CampaignSeed = cfg.Seed
 	mc.Scenario = cfg.Scenario.innerScenario()
-	if cfg.ScaleEndpoints > 0 {
-		// Scale tier: draft the full responsive population per country
-		// and run the fast availability coins — the configuration the
-		// scale-tier digests were recorded with (see
-		// measure.Config.FastAvailability). The RIPE Atlas credit model
-		// is calibrated to the paper's ~500 endpoints; a 100k round
-		// spends ~20x the daily budget on sampled pairs alone, so scale
-		// campaigns run uncapped.
-		mc.EndpointsPerCountry = 1 << 20
-		mc.FastAvailability = true
-		mc.DailyCreditLimit = 0
-	}
-	c := &Campaign{}
+	var healer *detect.Detector
 	if cfg.SelfHeal {
-		c.healer = detect.New(w.inner, detect.Options{SelfHeal: true})
-		mc.SelfHeal = c.healer
+		healer = detect.New(w.inner, detect.Options{SelfHeal: true})
+		mc.SelfHeal = healer
 	}
-	c.inner = core.NewCampaignWith(w.inner, mc)
-	return c, nil
+	return &Campaign{world: w.inner, mc: mc, healer: healer}, nil
 }
 
 // World returns the world this campaign measures, for reuse by further
 // campaigns.
-func (c *Campaign) World() *World { return &World{inner: c.inner.World} }
+func (c *Campaign) World() *World { return &World{inner: c.world} }
 
 // Funnel returns the world's COR pipeline counts (Section 2.2).
 func (w *World) Funnel() Funnel {
