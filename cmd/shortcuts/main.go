@@ -57,6 +57,10 @@ func main() {
 	if err := validateSelfHeal(*heal, *seeds); err != nil {
 		fatal(err)
 	}
+	sweepSeeds, err := parseSeeds(*seeds)
+	if err != nil {
+		fatal(err)
+	}
 	if err := startProfiles(*cpuProf, *memProf); err != nil {
 		fatal(err)
 	}
@@ -87,8 +91,8 @@ func main() {
 		fmt.Printf("scenario: %s (dynamic world)\n\n", cfg.Scenario.Name())
 	}
 
-	if *seeds != "" {
-		runSweep(world, cfg, *seeds, *par)
+	if sweepSeeds != nil {
+		runSweep(world, cfg, sweepSeeds, *par)
 		return
 	}
 
@@ -219,19 +223,28 @@ func validateFlags(cfg shortcuts.Config, parallel int) error {
 	return cfg.Validate()
 }
 
-// runSweep fans one campaign per seed over the shared world and prints
-// each seed's headline numbers side by side — the multi-experiment
-// workload the shared-world architecture exists for.
-func runSweep(world *shortcuts.World, cfg shortcuts.Config, seedList string, parallel int) {
+// parseSeeds reads the -seeds list, checked with the other flags before
+// the world is built. An empty list means no sweep (nil seeds); any
+// entry that is not an integer rejects the whole list, naming the entry.
+func parseSeeds(list string) ([]int64, error) {
+	if list == "" {
+		return nil, nil
+	}
 	var seeds []int64
-	for _, s := range strings.Split(seedList, ",") {
+	for _, s := range strings.Split(list, ",") {
 		v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 		if err != nil {
-			fatal(fmt.Errorf("bad -seeds entry %q: %w", s, err))
+			return nil, fmt.Errorf("bad -seeds entry %q: %w", s, err)
 		}
 		seeds = append(seeds, v)
 	}
+	return seeds, nil
+}
 
+// runSweep fans one campaign per seed over the shared world and prints
+// each seed's headline numbers side by side — the multi-experiment
+// workload the shared-world architecture exists for.
+func runSweep(world *shortcuts.World, cfg shortcuts.Config, seeds []int64, parallel int) {
 	start := time.Now()
 	results, err := shortcuts.Sweep{
 		Config:      cfg,

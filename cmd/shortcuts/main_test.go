@@ -1,6 +1,7 @@
 package main
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -45,6 +46,42 @@ func TestValidateFlags(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestParseSeeds checks the -seeds list is parsed with the other flag
+// checks, before any world is built: a bad entry rejects the list and
+// is named in the error, and an empty list means no sweep.
+func TestParseSeeds(t *testing.T) {
+	cases := []struct {
+		list    string
+		want    []int64
+		wantErr string // substring; "" = valid
+	}{
+		{"", nil, ""},
+		{" 3, 4 ", []int64{3, 4}, ""},
+		{"1,x", nil, `entry "x"`},
+		{"1,,2", nil, `entry ""`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.list, func(t *testing.T) {
+			got, err := parseSeeds(tc.list)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("parseSeeds(%q) error %v, want one naming %s", tc.list, err, tc.wantErr)
+				}
+				if got != nil {
+					t.Fatalf("parseSeeds(%q) = %v alongside its error, want nil", tc.list, got)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("parseSeeds(%q): %v", tc.list, err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("parseSeeds(%q) = %v, want %v", tc.list, got, tc.want)
 			}
 		})
 	}

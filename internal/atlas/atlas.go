@@ -460,9 +460,6 @@ func (pl *Platform) Probes() []*Probe { return pl.probes }
 // ProbesIn returns the probes hosted in the given country.
 func (pl *Platform) ProbesIn(cc string) []*Probe { return pl.byCC[cc] }
 
-// ProbesOf returns the probes hosted by the given AS.
-func (pl *Platform) ProbesOf(asn topology.ASN) []*Probe { return pl.byAS[asn] }
-
 // EligibleIn returns eligible probes in (asn, cc), the unit the paper's
 // two-step endpoint sampling draws from. The result is memoized (probe
 // attributes are immutable after Generate): callers must not mutate it.

@@ -107,45 +107,9 @@ type Event struct {
 // Active reports whether the event has not ended yet.
 func (e *Event) Active() bool { return e.EndRound < 0 }
 
-// Options tune the detector. Zero values take the documented defaults;
-// DefaultOptions returns them explicitly.
+// Options configure a detector. SelfHeal is the one switch; every
+// threshold is a fixed constant below.
 type Options struct {
-	// WarmupRounds is the number of rounds every baseline absorbs before
-	// deviation checks arm (default 3).
-	WarmupRounds int
-	// RTTFactor flags a corridor round whose mean direct RTT reaches
-	// this multiple of the baseline median (default 1.25).
-	RTTFactor float64
-	// SustainRounds is how many consecutive collapsed rounds confirm a
-	// city as a culprit (default 2) — the hysteresis against one-round
-	// noise.
-	SustainRounds int
-	// MinCorridors scopes the congestion fallback: a continent-wide
-	// event needs at least 2x this many sustained-slow corridors
-	// (default 4).
-	MinCorridors int
-	// CollapseFactor is the win-collapse threshold: a city whose count
-	// of distinct winning relays this round is at or below this
-	// fraction of its rolling baseline counts as collapsed (default
-	// 0.15). A true facility outage zeroes the count; calm sampling
-	// noise never drops a diverse city near zero.
-	CollapseFactor float64
-	// MinCityDiversity is the baseline floor: cities whose rolling
-	// distinct-winner count never reaches it are dominated by one or
-	// two relays — a zero round there is routine sampling noise, so
-	// they are never flagged (default 3 distinct winning relays/round).
-	MinCityDiversity float64
-	// RecoverFactor closes an active event once the city's distinct
-	// winners climb back to this fraction of the frozen baseline
-	// (default 0.5).
-	RecoverFactor float64
-	// CooldownRounds suppresses a new event for a city this many rounds
-	// after its previous event ended (default 2).
-	CooldownRounds int
-	// HealProbeInterval re-admits a masked city's relays every this many
-	// rounds while its event is active, so the detector can observe
-	// recovery at all under self-healing (default 3).
-	HealProbeInterval int
 	// SelfHeal enables the re-plan loop: suspect-city relays are
 	// excluded via ExcludedRelays and corridor plans re-pick their best
 	// surviving candidate on event confirmation and release on event
@@ -154,52 +118,42 @@ type Options struct {
 	SelfHeal bool
 }
 
-// DefaultOptions returns the documented defaults (monitor mode).
-func DefaultOptions() Options {
-	return Options{
-		WarmupRounds:      3,
-		RTTFactor:         1.25,
-		SustainRounds:     2,
-		MinCorridors:      4,
-		CollapseFactor:    0.15,
-		MinCityDiversity:  3,
-		RecoverFactor:     0.5,
-		CooldownRounds:    2,
-		HealProbeInterval: 3,
-	}
-}
-
-func (o Options) withDefaults() Options {
-	d := DefaultOptions()
-	if o.WarmupRounds <= 0 {
-		o.WarmupRounds = d.WarmupRounds
-	}
-	if o.RTTFactor <= 1 {
-		o.RTTFactor = d.RTTFactor
-	}
-	if o.SustainRounds <= 0 {
-		o.SustainRounds = d.SustainRounds
-	}
-	if o.MinCorridors <= 0 {
-		o.MinCorridors = d.MinCorridors
-	}
-	if o.CollapseFactor <= 0 {
-		o.CollapseFactor = d.CollapseFactor
-	}
-	if o.MinCityDiversity <= 0 {
-		o.MinCityDiversity = d.MinCityDiversity
-	}
-	if o.RecoverFactor <= 0 {
-		o.RecoverFactor = d.RecoverFactor
-	}
-	if o.CooldownRounds <= 0 {
-		o.CooldownRounds = d.CooldownRounds
-	}
-	if o.HealProbeInterval <= 0 {
-		o.HealProbeInterval = d.HealProbeInterval
-	}
-	return o
-}
+// Detection thresholds.
+const (
+	// warmupRounds is the number of rounds every baseline absorbs before
+	// deviation checks arm.
+	warmupRounds = 3
+	// rttFactor flags a corridor round whose mean direct RTT reaches
+	// this multiple of the baseline median.
+	rttFactor = 1.25
+	// sustainRounds is how many consecutive collapsed rounds confirm a
+	// city as a culprit — the hysteresis against one-round noise.
+	sustainRounds = 2
+	// minCorridors scopes the congestion fallback: a continent-wide
+	// event needs at least 2x this many sustained-slow corridors.
+	minCorridors = 4
+	// collapseFactor is the win-collapse threshold: a city whose count
+	// of distinct winning relays this round is at or below this
+	// fraction of its rolling baseline counts as collapsed. A true
+	// facility outage zeroes the count; calm sampling noise never drops
+	// a diverse city near zero.
+	collapseFactor = 0.15
+	// minCityDiversity is the baseline floor: cities whose rolling
+	// distinct-winner count never reaches it are dominated by one or
+	// two relays — a zero round there is routine sampling noise, so
+	// they are never flagged (3 distinct winning relays per round).
+	minCityDiversity = 3
+	// recoverFactor closes an active event once the city's distinct
+	// winners climb back to this fraction of the frozen baseline.
+	recoverFactor = 0.5
+	// cooldownRounds suppresses a new event for a city this many rounds
+	// after its previous event ended.
+	cooldownRounds = 2
+	// healProbeInterval re-admits a masked city's relays every this
+	// many rounds while its event is active, so the detector can
+	// observe recovery at all under self-healing.
+	healProbeInterval = 3
+)
 
 // maxCandidates bounds the per-corridor relay-candidate set: the best
 // known relay per distinct city, capped. O(1) memory per corridor.
@@ -298,12 +252,10 @@ type Detector struct {
 
 // New builds a detector over the campaign's world (the world supplies
 // the probe→city and relay→facility attribution the stream omits).
-// Zero-valued opts fields take DefaultOptions.
 func New(w *sim.World, opts Options) *Detector {
-	o := opts.withDefaults()
 	nc := len(w.Topo.Cities)
 	d := &Detector{
-		opts:          o,
+		opts:          opts,
 		w:             w,
 		corr:          make(map[measure.Corridor]*corridorState),
 		cityDivBase:   make([]float64, nc),
@@ -470,7 +422,6 @@ func (d *Detector) noteCandidate(st *corridorState, relay int32, gain float32, r
 // self-heal mode) refresh the exclusion mask and the corridor plans.
 func (d *Detector) RoundDone(info measure.RoundInfo) {
 	r := int32(info.Round)
-	o := &d.opts
 
 	// 1. Per-corridor fold: deviation flags against the P² baseline.
 	// These never open localized events on their own (endpoint
@@ -488,7 +439,7 @@ func (d *Detector) RoundDone(info measure.RoundInfo) {
 				d.contPresent[c]++
 			}
 		}
-		if st.warm < int32(o.WarmupRounds) {
+		if st.warm < warmupRounds {
 			if present {
 				st.base.add(st.rndSum / float64(st.rndCount))
 				st.warm++
@@ -506,7 +457,7 @@ func (d *Detector) RoundDone(info measure.RoundInfo) {
 			val = st.rndSum / float64(st.rndCount)
 		}
 		switch {
-		case present && base > 0 && val >= base*o.RTTFactor:
+		case present && base > 0 && val >= base*rttFactor:
 			st.streak++
 			st.devNow, st.dark = true, false
 			st.ratio = float32(val / base)
@@ -525,7 +476,7 @@ func (d *Detector) RoundDone(info measure.RoundInfo) {
 				st.seenObs = 0.7 * st.seenObs
 			}
 		}
-		if st.devNow && !st.dark && st.streak >= int32(o.SustainRounds) && st.haveCities {
+		if st.devNow && !st.dark && st.streak >= sustainRounds && st.haveCities {
 			if c := d.cityCont[st.srcCity]; c == d.cityCont[st.dstCity] {
 				d.contDev[c]++
 			}
@@ -542,7 +493,7 @@ func (d *Detector) RoundDone(info measure.RoundInfo) {
 		div := float64(d.cityDivRound[c])
 		d.cityDivRound[c] = 0
 		base := d.cityDivBase[c]
-		if d.winWarm < o.WarmupRounds {
+		if d.winWarm < warmupRounds {
 			if d.winWarm == 0 {
 				d.cityDivBase[c] = div
 			} else {
@@ -555,16 +506,16 @@ func (d *Detector) RoundDone(info measure.RoundInfo) {
 			// active; recovery is only judged on rounds the city was
 			// actually observable (every round in monitor mode, probe
 			// rounds under an exclusion mask).
-			if d.cityObservable(&d.events[ei], int(r)) && base > 0 && div >= o.RecoverFactor*base {
+			if d.cityObservable(&d.events[ei], int(r)) && base > 0 && div >= recoverFactor*base {
 				d.events[ei].EndRound = int(r)
-				d.cooldownUntil[c] = r + int32(o.CooldownRounds)
+				d.cooldownUntil[c] = r + cooldownRounds
 				d.cityStreak[c] = 0
 			}
 			continue
 		}
-		if base >= o.MinCityDiversity && div <= o.CollapseFactor*base {
+		if base >= minCityDiversity && div <= collapseFactor*base {
 			d.cityStreak[c]++
-			if d.cityStreak[c] >= int32(o.SustainRounds) && r >= d.cooldownUntil[c] {
+			if d.cityStreak[c] >= sustainRounds && r >= d.cooldownUntil[c] {
 				d.openEvent(int(r), int32(c), int(d.cityStreak[c]))
 			}
 		} else {
@@ -583,7 +534,7 @@ func (d *Detector) RoundDone(info measure.RoundInfo) {
 			d.facWinBase[f] = 0.7*d.facWinBase[f] + 0.3*wins
 		}
 	}
-	if d.winWarm < o.WarmupRounds {
+	if d.winWarm < warmupRounds {
 		d.winWarm++
 	}
 
@@ -637,35 +588,34 @@ func (d *Detector) cityObservable(ev *Event, round int) bool {
 }
 
 // probeDue reports whether the given round is a probe round for the
-// event: every HealProbeInterval rounds after confirmation the masked
+// event: every healProbeInterval rounds after confirmation the masked
 // city's relays are re-admitted for one round.
 func (d *Detector) probeDue(ev *Event, round int) bool {
 	if round <= ev.ConfirmedRound {
 		return false
 	}
-	return (round-ev.ConfirmedRound)%d.opts.HealProbeInterval == 0
+	return (round-ev.ConfirmedRound)%healProbeInterval == 0
 }
 
 // updateCongestion opens and closes continent-scoped events from the
 // sustained-slow corridor counts of step 1.
 func (d *Detector) updateCongestion(round int) {
-	o := &d.opts
 	// Close active congestion events whose footprint shrank.
 	for i := range d.events {
 		ev := &d.events[i]
 		if !ev.Active() || ev.contIdx < 0 {
 			continue
 		}
-		if int(d.contDev[ev.contIdx]) < o.MinCorridors {
+		if int(d.contDev[ev.contIdx]) < minCorridors {
 			ev.EndRound = round
 		}
 	}
-	if d.winWarm < o.WarmupRounds {
+	if d.winWarm < warmupRounds {
 		return
 	}
 	for ci := range d.contDev {
 		dev, present := int(d.contDev[ci]), int(d.contPresent[ci])
-		if dev < 2*o.MinCorridors || present == 0 || float64(dev) < 0.6*float64(present) {
+		if dev < 2*minCorridors || present == 0 || float64(dev) < 0.6*float64(present) {
 			continue
 		}
 		open := false
@@ -681,7 +631,7 @@ func (d *Detector) updateCongestion(round int) {
 		ev := Event{
 			ID:             len(d.events),
 			Kind:           Congestion,
-			OnsetRound:     round - o.SustainRounds + 1,
+			OnsetRound:     round - sustainRounds + 1,
 			ConfirmedRound: round,
 			EndRound:       -1,
 			Continent:      d.contNames[ci],
@@ -689,7 +639,7 @@ func (d *Detector) updateCongestion(round int) {
 			contIdx:        int32(ci),
 		}
 		for i, st := range d.states {
-			if st.devNow && !st.dark && st.streak >= int32(o.SustainRounds) && st.haveCities &&
+			if st.devNow && !st.dark && st.streak >= sustainRounds && st.haveCities &&
 				d.cityCont[st.srcCity] == int32(ci) && d.cityCont[st.dstCity] == int32(ci) {
 				ev.corrIdxs = append(ev.corrIdxs, int32(i))
 			}

@@ -190,9 +190,6 @@ type campaign struct {
 
 	// arena amortizes the exact-size copies of emitted Improving lists.
 	arena improveArena
-
-	// block is the reused columnar round buffer handed to BlockSinks.
-	block ObsBlock
 }
 
 // roundScratch is the arena of per-round buffers. Every field is either
@@ -606,14 +603,7 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	}
 
 	// Emission: one serial loop in pair order. Every observation field is
-	// a column read or a stitch record field. Sinks that understand
-	// columnar delivery (BlockSink) receive the round as one reused
-	// column block instead of per-observation Emit calls — same values,
-	// no per-observation arena copy or interface dispatch.
-	blockSink, _ := sink.(BlockSink)
-	if blockSink != nil {
-		c.block.reset(round)
-	}
+	// a column read or a stitch record field.
 	for it := newPairIter(plan); it.next(); {
 		k := it.k
 		if fwd[k] == 0 {
@@ -630,26 +620,15 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 			DirectMs: fwd[k], RevDirectMs: rev[k],
 			BestMs: st.bestMs, BestRelay: st.bestRelay, FeasibleCount: st.feasible,
 		}
-		improving := scr.workers[st.worker].improve[st.lo:st.hi]
-		if blockSink != nil {
-			// Columnar delivery: the improving entries copy straight into
-			// the block's flat buffer (the block is reused across rounds,
-			// so no arena escape bookkeeping is needed).
-			c.block.append(&o, improving)
-		} else {
-			// Improving entries escape into the sink, so they get an
-			// exact-size arena copy: the observation retains not an entry
-			// more than it owns.
-			if len(improving) > 0 {
-				o.Improving = c.arena.alloc(len(improving))
-				copy(o.Improving, improving)
-			}
-			sink.Emit(o)
+		// Improving entries escape into the sink, so they get an
+		// exact-size arena copy: the observation retains not an entry
+		// more than it owns.
+		if improving := scr.workers[st.worker].improve[st.lo:st.hi]; len(improving) > 0 {
+			o.Improving = c.arena.alloc(len(improving))
+			copy(o.Improving, improving)
 		}
+		sink.Emit(o)
 		info.PairsUsable++
-	}
-	if blockSink != nil {
-		blockSink.EmitBlock(&c.block)
 	}
 	return info, nil
 }

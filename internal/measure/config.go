@@ -13,12 +13,12 @@ type Config struct {
 	// RoundInterval separates round starts (12 h, to catch diurnal
 	// patterns).
 	RoundInterval time.Duration
-	// Window is the measurement window per round (30 min: long enough to
-	// absorb RTT variability, short enough to stay correlated).
-	Window time.Duration
 	// PingsPerPair is the number of pings per node pair per round (6).
 	PingsPerPair int
-	// PingInterval separates consecutive pings to a pair (5 min).
+	// PingInterval separates consecutive pings to a pair (5 min). The
+	// round's pings span PingsPerPair x PingInterval: the paper's 30-min
+	// window, long enough to absorb RTT variability and short enough to
+	// stay correlated.
 	PingInterval time.Duration
 	// MinValidPings is the minimum number of replies for a median to
 	// count (3).
@@ -100,7 +100,6 @@ func DefaultConfig() Config {
 	return Config{
 		Rounds:           45,
 		RoundInterval:    12 * time.Hour,
-		Window:           30 * time.Minute,
 		PingsPerPair:     6,
 		PingInterval:     5 * time.Minute,
 		MinValidPings:    3,

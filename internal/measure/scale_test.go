@@ -144,48 +144,6 @@ func TestUnseenEndpointPricingAllocs(t *testing.T) {
 	}
 }
 
-// TestBlockSinkEquivalence pins columnar emission against the classic
-// per-observation stream: one campaign aggregated through EmitBlock
-// (StreamStats is a BlockSink, so RunStream hands it column blocks) and
-// the same campaign aggregated through a Sink-only wrapper (forcing the
-// classic Emit path) must fold to byte-identical aggregates.
-func TestBlockSinkEquivalence(t *testing.T) {
-	w, err := sim.Build(sim.SmallWorldParams(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, budget := range []int{0, 200} {
-		t.Run(fmt.Sprintf("budget%d", budget), func(t *testing.T) {
-			cfg := QuickConfig(2)
-			cfg.PairBudget = budget
-			cfg.EndpointsPerCountry = 2
-			cfg.DailyCreditLimit = 0
-
-			viaBlock := NewStreamStats()
-			if err := RunStream(w, cfg, viaBlock); err != nil {
-				t.Fatal(err)
-			}
-			viaEmit := NewStreamStats()
-			if err := RunStream(w, cfg, sinkOnly{viaEmit}); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(viaBlock, viaEmit) {
-				t.Fatalf("block-path aggregates diverge from classic Emit path:\nblock %+v\nemit  %+v", viaBlock, viaEmit)
-			}
-			if viaBlock.Pairs() == 0 {
-				t.Fatal("campaign produced no observations; equivalence vacuous")
-			}
-		})
-	}
-}
-
-// sinkOnly hides a sink's BlockSink extension, forcing the campaign
-// onto the classic per-observation Emit path.
-type sinkOnly struct{ s Sink }
-
-func (w sinkOnly) Emit(o Observation)    { w.s.Emit(o) }
-func (w sinkOnly) RoundDone(i RoundInfo) { w.s.RoundDone(i) }
-
 // BenchmarkEndpointDraft times one full columnar draft of a scale-tier
 // round — every responsive probe of every country, drawn through the
 // fast availability coins — and pins its steady-state allocations to

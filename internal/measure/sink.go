@@ -10,9 +10,8 @@ package measure
 // A sink may keep what it receives. An emitted Observation's Improving
 // is an exact-size, capacity-clamped slice carved from the campaign's
 // improve arena, and the arena never writes it again, so an Emit
-// implementation can retain the value without copying. (BlockSink's
-// columnar delivery is the exception: its block is reused each round.)
-// The public shortcuts.Sink is this interface.
+// implementation can retain the value without copying. The public
+// shortcuts.Sink is this interface.
 type Sink interface {
 	Emit(o Observation)
 	RoundDone(info RoundInfo)

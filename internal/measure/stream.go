@@ -60,36 +60,6 @@ func (s *StreamStats) Emit(o Observation) {
 	}
 }
 
-// EmitBlock implements BlockSink: the same fold as Emit, over column
-// reads instead of an Observation value per pair. The improvement is
-// computed exactly as Observation.ImprovementMs does (float32 subtract,
-// then widen), so block and classic campaigns aggregate identically.
-func (s *StreamStats) EmitBlock(b *ObsBlock) {
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		s.cases++
-		if b.SrcCont[i] != b.DstCont[i] {
-			s.intercont++
-		}
-		for t := 0; t < relays.NumTypes; t++ {
-			s.relayedPaths += int64(b.FeasibleCount[t][i])
-			if b.BestRelay[t][i] < 0 {
-				continue
-			}
-			imp := float64(b.DirectMs[i] - b.BestMs[t][i])
-			if imp <= 0 {
-				continue
-			}
-			s.improved[t]++
-			bin := int(imp / streamBinMs)
-			if bin >= streamBins {
-				bin = streamBins
-			}
-			s.hist[t][bin]++
-		}
-	}
-}
-
 // RoundDone implements Sink.
 func (s *StreamStats) RoundDone(info RoundInfo) {
 	s.rounds++

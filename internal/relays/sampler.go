@@ -66,15 +66,6 @@ type RoundSet struct {
 	ByType [NumTypes][]int
 }
 
-// Total returns the number of selected relays across types.
-func (rs *RoundSet) Total() int {
-	n := 0
-	for _, s := range rs.ByType {
-		n += len(s)
-	}
-	return n
-}
-
 // SampleRound draws the round's relays:
 //
 //   - COR: 1-3 verified IPs per facility (covers every facility while

@@ -123,12 +123,6 @@ func (g *Rand) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform draw in [0, n). It panics if n <= 0.
 func (g *Rand) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative 63-bit integer.
-func (g *Rand) Int63() int64 { return g.r.Int63() }
-
-// Uint32 returns a uniform 32-bit value.
-func (g *Rand) Uint32() uint32 { return g.r.Uint32() }
-
 // Perm returns a random permutation of [0, n).
 func (g *Rand) Perm(n int) []int { return g.r.Perm(n) }
 
@@ -255,6 +249,3 @@ func (g *Rand) WeightedChoice(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Shuffle pseudo-randomly permutes the order of n elements using swap.
-func (g *Rand) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

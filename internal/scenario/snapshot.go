@@ -96,20 +96,6 @@ func (s *Snapshot) RelayOut(idx int) bool {
 	return s != nil && s.relayOut != nil && idx < len(s.relayOut) && s.relayOut[idx]
 }
 
-// RelaysOut counts relays churned out this round.
-func (s *Snapshot) RelaysOut() int {
-	if s == nil {
-		return 0
-	}
-	n := 0
-	for _, out := range s.relayOut {
-		if out {
-			n++
-		}
-	}
-	return n
-}
-
 // CitiesPerturbed counts cities with a non-neutral factor, loss or
 // blackhole this round.
 func (s *Snapshot) CitiesPerturbed() int {

@@ -56,16 +56,10 @@ type EndpointColumns struct {
 	rowOf []int32
 }
 
-// BuildEndpointColumns flattens the platform fleet against the topology
-// and the eyeball selector. It draws no randomness, so the columns are a
-// pure function of the already-built stages and build parallelism cannot
-// perturb them.
-func BuildEndpointColumns(pl *atlas.Platform, topo *topology.Topology, sel *eyeball.Selector) *EndpointColumns {
-	return BuildEndpointColumnsWith(pl, topo, sel, 1)
-}
-
-// BuildEndpointColumnsWith is BuildEndpointColumns sharded over the
-// given worker budget. The per-row columns are pure per-index writes
+// BuildEndpointColumnsWith flattens the platform fleet against the
+// topology and the eyeball selector, sharded over the given worker
+// budget. It draws no randomness, so the columns are a pure function of
+// the already-built stages. The per-row columns are pure per-index writes
 // against read-only inputs (probe attributes, the city table, the
 // selector's verification maps), so they fill in parallel ranges; only
 // the CC/Cont string-table interning walks sequentially, preserving the

@@ -56,9 +56,6 @@ func BuildEndpointDraft(pl *atlas.Platform, sel *eyeball.Selector, cols *Endpoin
 // NumCountries returns the number of draft countries.
 func (d *EndpointDraft) NumCountries() int { return len(d.countries) }
 
-// Country returns country ci's code.
-func (d *EndpointDraft) Country(ci int) string { return d.countries[ci] }
-
 // NumGroups returns how many (country, AS) groups country ci has.
 func (d *EndpointDraft) NumGroups(ci int) int {
 	return int(d.ccOff[ci+1] - d.ccOff[ci])

@@ -90,8 +90,3 @@ func (a *AS) HasPoP(city int) bool {
 	}
 	return false
 }
-
-// IsResearch reports whether the AS belongs to the research substrate.
-func (a *AS) IsResearch() bool {
-	return a.Type == Backbone || a.Type == NREN || a.Type == Campus
-}

@@ -26,6 +26,3 @@ func (f *Facility) HasMember(asn ASN) bool {
 	}
 	return false
 }
-
-// SharedIXPCount returns the number of IXPs this facility hosts.
-func (f *Facility) SharedIXPCount() int { return len(f.IXPs) }

@@ -28,7 +28,7 @@ type Topology struct {
 
 // NewManual returns an empty topology over the given cities for callers
 // that construct worlds by hand (tests, custom scenarios). Populate it
-// with AddAS, AddLink and AddFacility, then call Validate.
+// with AddAS and AddLink, then call Validate.
 func NewManual(cities []worlddata.City) *Topology {
 	return newTopology(cities)
 }
@@ -42,9 +42,6 @@ func (t *Topology) AddAS(a *AS) { t.addAS(a) }
 func (t *Topology) AddLink(a, b ASN, rel Rel, cities []int) *Link {
 	return t.addLink(a, b, rel, cities)
 }
-
-// AddFacility registers a facility and assigns its ID.
-func (t *Topology) AddFacility(f *Facility) { t.addFacility(f) }
 
 // newTopology initialises an empty topology over the given cities.
 func newTopology(cities []worlddata.City) *Topology {
