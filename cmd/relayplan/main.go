@@ -30,6 +30,12 @@ func main() {
 	if *confirm < 0 {
 		fatal(fmt.Errorf("-confirm must be >= 0, got %d", *confirm))
 	}
+	if *ccA == "" && *ccB != "" {
+		fatal(fmt.Errorf("-b %s names half a corridor: -a is missing", *ccB))
+	}
+	if *ccA != "" && *ccB == "" {
+		fatal(fmt.Errorf("-a %s names half a corridor: -b is missing", *ccA))
+	}
 	cfg := shortcuts.Config{Seed: *seed, Rounds: *rounds}
 	if err := cfg.Validate(); err != nil {
 		fatal(err)

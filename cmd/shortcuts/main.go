@@ -61,11 +61,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := startProfiles(*cpuProf, *memProf); err != nil {
-		fatal(err)
-	}
-	defer stopProfiles()
-
 	if *scen != "" {
 		sc, err := shortcuts.ScenarioByName(*scen)
 		if err != nil {
@@ -73,6 +68,13 @@ func main() {
 		}
 		cfg.Scenario = sc
 	}
+	// Profiles start only once every flag has been accepted, so a
+	// rejected run leaves no profile file behind.
+	if err := startProfiles(*cpuProf, *memProf); err != nil {
+		fatal(err)
+	}
+	defer stopProfiles()
+
 	start := time.Now()
 	world, err := shortcuts.BuildWorld(cfg)
 	if err != nil {

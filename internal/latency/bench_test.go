@@ -51,35 +51,3 @@ func BenchmarkPingHotPath(b *testing.B) {
 		pingTrain(b, v, x, y, i, hourFrac, out)
 	}
 }
-
-// BenchmarkPingTrain times one whole 6-ping train: the pair is resolved
-// once (key, hash, cache lookup, direction factor), then each slot costs
-// a few multiplies and its draws.
-func BenchmarkPingTrain(b *testing.B) {
-	e, x, y := benchEngine(b)
-	v := e.View(nil)
-	hourFrac := SlotHourFracs(benchTime, 5*time.Minute, 6, nil)
-	out := make([]PingSample, len(hourFrac))
-	pingTrain(b, v, x, y, 0, hourFrac, out)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pingTrain(b, v, x, y, i, hourFrac, out)
-	}
-}
-
-// BenchmarkBaseRTTWarm times the load-independent RTT query on a warmed
-// cache: pure hash + shard lookup.
-func BenchmarkBaseRTTWarm(b *testing.B) {
-	e, x, y := benchEngine(b)
-	if _, err := e.BaseRTT(x, y); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.BaseRTT(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -3,7 +3,6 @@ package measure
 import (
 	"math/bits"
 	"os"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,59 +10,10 @@ import (
 	"shortcuts/internal/sim"
 )
 
-// The package-level benchmarks isolate the round loop — its scratch
-// arena and its feasibility filter — from the world build and the cold
-// first round that the end-to-end benchmarks in the repo root include.
-
-var (
-	benchOnce sync.Once
-	benchW    *sim.World
-	benchErr  error
-)
-
-func benchWorld(b *testing.B) *sim.World {
-	b.Helper()
-	benchOnce.Do(func() {
-		benchW, benchErr = sim.Build(sim.DefaultWorldParams(1))
-	})
-	if benchErr != nil {
-		b.Fatal(benchErr)
-	}
-	return benchW
-}
-
-// BenchmarkCampaignRoundSteadyState times a 2nd+ round with everything
-// warm: scratch arena sized, engine path-state cache hot. This is the marginal cost of one more round in
-// a long campaign — the number the paper's 45-round schedule multiplies
-// — as opposed to BenchmarkCampaignRound (repo root), which pays a
-// fresh campaign's cold round. Allocations here are the per-round
-// floor: sampler outputs plus amortized improve-arena blocks.
-func BenchmarkCampaignRoundSteadyState(b *testing.B) {
-	w := benchWorld(b)
-	cfg := QuickConfig(4)
-	cfg.Concurrency = 1
-	cfg.DailyCreditLimit = 0
-	c, err := newCampaign(w, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for r := 0; r < 2; r++ {
-		if _, err := c.runRound(r, discardSink{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var pairs int
-	for i := 0; i < b.N; i++ {
-		info, err := c.runRound(1, discardSink{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pairs = info.PairsUsable
-	}
-	b.ReportMetric(float64(pairs), "pairs_usable")
-}
+// Two micro-benchmarks of the round loop: the feasibility filter over
+// one round's (pair × relay) universe, and one warm sampled round at the
+// scale tier. They time single mechanisms for profiling; perfbench (its
+// own module, see perfbench/README.md) times campaigns end to end.
 
 // benchFilterInput reconstructs one round's feasibility workload: the
 // endpoint pairs with a plausible direct-RTT threshold each, and the
@@ -77,7 +27,10 @@ type benchFilterInput struct {
 }
 
 func benchFilterSetup(b *testing.B) *benchFilterInput {
-	w := benchWorld(b)
+	w, err := sim.Build(sim.DefaultWorldParams(1))
+	if err != nil {
+		b.Fatal(err)
+	}
 	cfg := QuickConfig(1)
 	cfg.Concurrency = 1
 	c, err := newCampaign(w, cfg)

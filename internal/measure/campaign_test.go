@@ -2,6 +2,8 @@ package measure
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -123,6 +125,71 @@ func TestFeasibleCountsBounded(t *testing.T) {
 			t.Fatalf("observation %d has more improving relays (%d) than feasible (%d)",
 				i, len(o.Improving), total)
 		}
+	}
+}
+
+// TestFeasibilityFilterPrunesOnlyLosers holds the Section-2.4 filter to
+// what the paper frames it as, an efficiency device: a relay that beats
+// the direct path satisfies the speed-of-light bound by definition, so
+// switching the filter off must leave every pair's direct medians,
+// improving relays and per-type winners as they were, while stitching
+// strictly more relayed paths. BestRelay may move only on a type neither
+// run improves, where the unfiltered run's least-bad loser can be a
+// relay the filter pruned.
+func TestFeasibilityFilterPrunesOnlyLosers(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		t.Run(fmt.Sprintf("small%d", seed), func(t *testing.T) {
+			w, err := sim.Build(sim.SmallWorldParams(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			filtered, err := Run(w, QuickConfig(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := QuickConfig(2)
+			cfg.DisableFeasibilityFilter = true
+			cfg.DailyCreditLimit = 0 // the unfiltered rounds may exceed the budget
+			unfiltered, err := Run(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := len(unfiltered.Observations), len(filtered.Observations); got != want {
+				t.Fatalf("unfiltered run has %d observations, filtered %d", got, want)
+			}
+			losersMoved := 0
+			for i := range filtered.Observations {
+				f, u := &filtered.Observations[i], &unfiltered.Observations[i]
+				if f.Round != u.Round || f.SrcProbe != u.SrcProbe || f.DstProbe != u.DstProbe {
+					t.Fatalf("observation %d: round %d pair %d-%d filtered, round %d pair %d-%d unfiltered",
+						i, f.Round, f.SrcProbe, f.DstProbe, u.Round, u.SrcProbe, u.DstProbe)
+				}
+				if f.DirectMs != u.DirectMs || f.RevDirectMs != u.RevDirectMs {
+					t.Fatalf("observation %d: direct %v/%v ms filtered, %v/%v ms unfiltered",
+						i, f.DirectMs, f.RevDirectMs, u.DirectMs, u.RevDirectMs)
+				}
+				if !slices.Equal(f.Improving, u.Improving) {
+					t.Fatalf("observation %d: improving relays %v filtered, %v unfiltered", i, f.Improving, u.Improving)
+				}
+				for ty := 0; ty < relays.NumTypes; ty++ {
+					rt := relays.Type(ty)
+					if f.BestRelay[ty] == u.BestRelay[ty] && f.BestMs[ty] == u.BestMs[ty] {
+						continue
+					}
+					if f.ImprovementMs(rt) > 0 || u.ImprovementMs(rt) > 0 {
+						t.Fatalf("observation %d: best %v relay %d at %v ms filtered, %d at %v ms unfiltered",
+							i, rt, f.BestRelay[ty], f.BestMs[ty], u.BestRelay[ty], u.BestMs[ty])
+					}
+					losersMoved++
+				}
+			}
+			fp, up := filtered.RelayedPathsStudied(), unfiltered.RelayedPathsStudied()
+			if up <= fp {
+				t.Fatalf("unfiltered run stitched %d relayed paths, filtered %d: the filter pruned nothing", up, fp)
+			}
+			t.Logf("%d observations; relayed paths %d filtered, %d unfiltered; best loser moved on %d (observation, type) cells",
+				len(filtered.Observations), fp, up, losersMoved)
+		})
 	}
 }
 

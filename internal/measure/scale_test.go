@@ -144,42 +144,38 @@ func TestUnseenEndpointPricingAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkEndpointDraft times one full columnar draft of a scale-tier
+// TestEndpointDraftAllocs pins a warm columnar draft of a scale-tier
 // round — every responsive probe of every country, drawn through the
-// fast availability coins — and pins its steady-state allocations to
-// the O(1)-per-round floor (the permutation and row buffers are
-// retained in scratch).
-func BenchmarkEndpointDraft(b *testing.B) {
-	w, err := sim.BuildWith(sim.ScaleWorldParams(1, 100_000), sim.BuildOptions{WarmRoutes: false})
+// fast availability coins — to its O(1)-per-round allocation floor: the
+// permutation and row buffers are retained in scratch, so the per-round
+// rng split (SplitN) is the only heap traffic left, a constant few
+// allocations whatever the endpoint count. A per-row allocation would
+// scale with the draft and fail here.
+func TestEndpointDraftAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc budget is pinned in the plain test run")
+	}
+	w, err := sim.BuildWith(sim.ScaleWorldParams(1, 20_000), sim.BuildOptions{WarmRoutes: false})
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	cfg := QuickConfig(2)
 	cfg.FastAvailability = true
 	cfg.EndpointsPerCountry = 1 << 20
 	c, err := newCampaign(w, cfg)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	var scr roundScratch
 	scr.eps = c.draftEndpoints(&scr, 0, 1<<20) // grow buffers once
-	endpoints := len(scr.eps)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scr.eps = c.draftEndpoints(&scr, 1, 1<<20)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(endpoints), "endpoints")
-	b.ReportMetric(float64(endpoints)*float64(b.N)/b.Elapsed().Seconds(), "endpoints/sec")
 	allocs := testing.AllocsPerRun(3, func() {
 		scr.eps = c.draftEndpoints(&scr, 1, 1<<20)
 	})
-	// The draft's per-round rng split (SplitN) is its only remaining
-	// heap traffic — a constant few allocations per round regardless of
-	// endpoint count, not per-row work. Pin that ceiling so any per-row
-	// allocation regression (which would scale with the draft) fails.
+	t.Logf("warm draft of %d endpoints: %.0f allocs", len(scr.eps), allocs)
+	if len(scr.eps) < 10_000 {
+		t.Fatalf("drafted %d endpoints from a 20k-endpoint world, want a scale-tier draft", len(scr.eps))
+	}
 	if allocs > 3 {
-		b.Fatalf("steady-state draft allocates: %v allocs/op, want <= 3 (the per-round rng split)", allocs)
+		t.Fatalf("steady-state draft allocates %v times, want <= 3 (the per-round rng split)", allocs)
 	}
 }

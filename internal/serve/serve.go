@@ -4,10 +4,10 @@
 // warm campaign's cached results, and exposes list/show/filter resource
 // endpoints for facilities, relays and corridor plans.
 //
-// The serving substrate is one immutable servingState — world, warm
-// campaign results indexed by corridor (measure.ResultCatalog),
-// precomputed corridor plans, and a per-corridor rendered-response
-// cache — published through an atomic.Pointer. Every request loads the
+// The serving substrate is one immutable servingState — world,
+// corridor plans precomputed from the warm campaign (whose observations
+// are dropped once the plans exist), and a per-corridor
+// rendered-response cache — published through an atomic.Pointer. Every request loads the
 // pointer exactly once and derives its whole response from that one
 // state, so requests never observe a mix of two worlds. Hot swap
 // (Server.Swap, POST /v1/admin/swap) builds the next state in the
@@ -122,7 +122,6 @@ type servingState struct {
 	seed     int64
 	scenName string
 	world    *sim.World
-	catalog  *measure.ResultCatalog
 
 	// disruptions are the warm campaign's detected events (confirmation
 	// order); degraded reports any still active when the campaign ended
@@ -240,7 +239,9 @@ type SwapInfo struct {
 }
 
 // buildState constructs one serving generation: world, warm campaign,
-// corridor catalog, plans, and the lookup tables the handlers read.
+// plans, and the lookup tables the handlers read. The campaign's
+// observations and their corridor catalog live only until the plans are
+// built; the state keeps the plans, not the campaign.
 // Equal (seed, scenario) under equal Options build bit-identical states
 // — the campaign substrate's determinism guarantee — so a swapped-in
 // state serves byte-identical responses to a fresh server's.
@@ -284,7 +285,6 @@ func (s *Server) buildState(seed int64, scenName string) (*servingState, error) 
 		seed:        seed,
 		scenName:    scenName,
 		world:       w,
-		catalog:     measure.NewResultCatalog(res),
 		disruptions: det.Events(),
 		selfHeal:    s.opts.SelfHeal,
 		builtAt:     time.Now(),
@@ -304,7 +304,7 @@ func (s *Server) buildState(seed int64, scenName string) (*servingState, error) 
 		s.logf("warm campaign seed %d detected %d disruption(s), degraded=%v healed=%d relay-rounds",
 			seed, n, st.degraded, st.relaysHealed)
 	}
-	st.buildPlans()
+	st.buildPlans(measure.NewResultCatalog(res))
 	st.buildLookups()
 	return st, nil
 }
@@ -313,8 +313,7 @@ func (s *Server) buildState(seed int64, scenName string) (*servingState, error) 
 // improvement counts, the median direct RTT, and the single relay with
 // the largest observed improvement (ties break toward the earlier
 // observation, which is deterministic emission order).
-func (st *servingState) buildPlans() {
-	cat := st.catalog
+func (st *servingState) buildPlans(cat *measure.ResultCatalog) {
 	corridors := cat.Corridors()
 	st.plans = make([]Plan, 0, len(corridors))
 	st.planIdx = make(map[measure.Corridor]int, len(corridors))

@@ -371,7 +371,7 @@ func TestBestResponseCached(t *testing.T) {
 	s, _ := testServers(t)
 	h := s.Handler()
 	st := s.st()
-	key := st.catalog.Corridors()[0]
+	key := measure.Corridor{A: st.plans[0].Src, B: st.plans[0].Dst}
 	url := "/v1/relays/best?src=" + key.A + "&dst=" + key.B
 
 	_, first := get(t, h, url)
@@ -415,7 +415,8 @@ func canonicalBest(t *testing.T, s *Server) map[measure.Corridor]string {
 	t.Helper()
 	h := s.Handler()
 	out := make(map[measure.Corridor]string)
-	for _, key := range s.st().catalog.Corridors() {
+	for _, p := range s.st().plans {
+		key := measure.Corridor{A: p.Src, B: p.Dst}
 		code, body := get(t, h, "/v1/relays/best?src="+key.A+"&dst="+key.B)
 		if code != http.StatusOK {
 			t.Fatalf("corridor %v = %d", key, code)
