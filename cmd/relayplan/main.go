@@ -10,6 +10,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"shortcuts"
 )
@@ -55,12 +57,20 @@ func main() {
 	}
 
 	if *ccA != "" && *ccB != "" {
-		obs := res.ObservationsBetween(*ccA, *ccB)
+		// Codes resolve like relayserve's: trimmed and case-insensitive.
+		a, b := strings.ToUpper(strings.TrimSpace(*ccA)), strings.ToUpper(strings.TrimSpace(*ccB))
+		available := res.Countries()
+		for _, cc := range []string{a, b} {
+			if !slices.Contains(available, cc) {
+				fatal(fmt.Errorf("unknown country %q; available: %v", cc, available))
+			}
+		}
+		obs := res.ObservationsBetween(a, b)
 		if len(obs) == 0 {
-			fmt.Printf("no observations between %s and %s\navailable: %v\n", *ccA, *ccB, res.Countries())
+			fmt.Printf("no observations between %s and %s\navailable: %v\n", a, b, available)
 			return
 		}
-		fmt.Printf("corridor %s <-> %s (%d observations):\n", *ccA, *ccB, len(obs))
+		fmt.Printf("corridor %s <-> %s (%d observations):\n", a, b, len(obs))
 		for _, o := range obs {
 			fmt.Printf("  round %2d: direct %7.1f ms -> relayed %7.1f ms (%s)\n",
 				o.Round, o.DirectMs, o.BestRelayedMs, o.RelayID)

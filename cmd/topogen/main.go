@@ -1,16 +1,13 @@
 // Command topogen generates the synthetic Internet and prints an
 // inventory: AS population by type, facility pool, relay catalog sizes and
 // the COR pipeline funnel, so the world can be inspected without running
-// a campaign. The builder runs the generator stages as a parallel DAG;
-// -workers 1 forces the sequential build (bit-identical output) and
-// -warm precomputes the BGP trees every campaign destination needs.
+// a campaign.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"shortcuts/internal/relays"
 	"shortcuts/internal/rng"
@@ -21,23 +18,17 @@ import (
 func main() {
 	seed := flag.Int64("seed", 1, "world seed")
 	small := flag.Bool("small", false, "generate the reduced test world")
-	workers := flag.Int("workers", 0, "build-stage parallelism (0 = GOMAXPROCS, 1 = sequential)")
-	warm := flag.Bool("warm", true, "precompute BGP routing trees for campaign destinations")
 	flag.Parse()
 
 	params := sim.DefaultWorldParams(*seed)
 	if *small {
 		params = sim.SmallWorldParams(*seed)
 	}
-	opts := sim.BuildOptions{Workers: *workers, WarmRoutes: *warm}
-	start := time.Now()
-	w, err := sim.BuildWith(params, opts)
+	w, err := sim.Build(params)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "topogen:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("built in %v (workers=%d warm=%v): %d BGP trees cached\n",
-		time.Since(start).Round(time.Millisecond), opts.EffectiveWorkers(), *warm, w.Router.CachedTrees())
 
 	counts := make(map[topology.ASType]int)
 	for _, a := range w.Topo.ASes {
@@ -54,7 +45,7 @@ func main() {
 		fmt.Printf("  %-11s %4d\n", ty, counts[ty])
 	}
 	fmt.Printf("atlas probes: %d   planetlab nodes: %d at %d sites\n",
-		len(w.Atlas.Probes()), len(w.PlanetLab.Nodes()), len(w.PlanetLab.Sites()))
+		w.Atlas.Len(), len(w.PlanetLab.Nodes()), len(w.PlanetLab.Sites()))
 	fmt.Printf("endpoint countries: %d   verified eyeball tuples with probes: %d\n",
 		len(w.Selector.Countries()), w.Selector.VerifiedASCount())
 

@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"sort"
 
 	"shortcuts"
 )
@@ -56,9 +57,21 @@ func main() {
 			marker, o.Round, o.DirectMs, o.BestRelayedMs, o.RelayID, o.RelayType, o.RelayCC)
 	}
 
+	// Most wins first, ties by name: map order would reshuffle the rows
+	// from run to run.
+	sites := make([]string, 0, len(wins))
+	for site := range wins {
+		sites = append(sites, site)
+	}
+	sort.Slice(sites, func(i, j int) bool {
+		if wins[sites[i]] != wins[sites[j]] {
+			return wins[sites[i]] > wins[sites[j]]
+		}
+		return sites[i] < sites[j]
+	})
 	fmt.Println("\nwinning relay sites (rounds improved):")
-	for site, n := range wins {
-		fmt.Printf("  %-40s %d\n", site, n)
+	for _, site := range sites {
+		fmt.Printf("  %-40s %d\n", site, wins[site])
 	}
 	if len(obs) > 0 && obs[0].ImprovementMs > 0 {
 		fmt.Printf("\nbest seen shortcut saves %.1f ms — at $4M/ms of competitive edge,\n", obs[0].ImprovementMs)

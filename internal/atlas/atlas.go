@@ -9,10 +9,7 @@
 package atlas
 
 import (
-	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -30,7 +27,12 @@ const CurrentFirmware = 4790
 // ProbeID identifies a probe on the platform.
 type ProbeID int
 
-// Probe is one Atlas vantage point.
+// firstID is the first probe's ID. Both generators assign IDs densely
+// from it in registry order, so a probe's row is its ID minus firstID.
+const firstID ProbeID = 1000
+
+// Probe is one Atlas vantage point. The platform stores no Probe values:
+// Platform.Probe(row) assembles one from the fleet's columns on demand.
 type Probe struct {
 	ID        ProbeID
 	AS        topology.ASN
@@ -49,14 +51,14 @@ type Probe struct {
 }
 
 // Endpoint returns the probe's measurement attachment point.
-func (p *Probe) Endpoint() latency.Endpoint {
+func (p Probe) Endpoint() latency.Endpoint {
 	return latency.Endpoint{AS: p.AS, City: p.City, Access: p.Access}
 }
 
 // Eligible applies the paper's Section-2.1 probe filters: latest
 // firmware, publicly available, connected and pingable, geolocated, and
 // stable for the whole past month.
-func (p *Probe) Eligible() bool {
+func (p Probe) Eligible() bool {
 	return p.Firmware == CurrentFirmware &&
 		p.Public &&
 		p.Connected &&
@@ -64,37 +66,40 @@ func (p *Probe) Eligible() bool {
 		p.StableDays >= 30
 }
 
-// Platform is the probe registry plus the availability process.
+// Probe flag bits (Platform.flags).
+const (
+	flagAnchor uint8 = 1 << iota
+	flagPublic
+	flagConnected
+	flagGeoTagged
+	flagEligible // the probe passes Probe.Eligible
+)
+
+// Platform is the probe registry plus the availability process. The
+// fleet is stored once, as columns indexed by row (a probe's row is its
+// ID minus firstID, its position in registry order): a measurement round
+// reads the attributes it needs as flat array loads, and Probe(row)
+// reassembles a whole probe on demand. Rows are immutable after Generate.
 type Platform struct {
-	probes []*Probe
-	byCC   map[string][]*Probe
-	byAS   map[topology.ASN][]*Probe
-	avail  *rng.Rand // seeds the per-(probe, round) availability draws
+	as       []uint32
+	city     []int32
+	cc       []uint16 // index into ccs
+	firmware []int16
+	stable   []uint8 // StableDays
+	flags    []uint8
+	access   []time.Duration
+	// ccs holds each country code once, in first-appearance order.
+	ccs []string
 
-	// eligible memoizes EligibleIn per (asn, cc): probe attributes are
-	// immutable after Generate, and the campaign's endpoint sampler asks
-	// for the same tuples every round, so the filter runs once per tuple
-	// per platform instead of once per query.
-	eligible map[eligKey][]*Probe
+	// eligible memoizes EligibleIn per (asn, cc) as ascending row lists:
+	// the campaign's endpoint draft asks for the same tuples every round,
+	// so the filter runs once per platform instead of once per query.
+	eligible map[eligKey][]int32
 
-	// probeLabel/windowLabel are the per-probe availability stream
-	// labels, precomputed so the per-round Responsive and WindowUp draws
-	// don't rebuild identical strings millions of times per campaign.
-	// Indexed directly by ProbeID (IDs are dense but start at 1000, so
-	// the first thousand slots stay empty — cheaper than offset math).
-	probeLabel  []string
-	windowLabel []string
-
-	// availFast seeds the scale-tier availability coins; respBase and
-	// windBase are its per-probe derivations (indexed by ProbeID like
-	// the labels), so a ResponsiveFast coin is one 8-byte hash fold and
-	// one SplitMix64 step. The fast coins are a different stream family
-	// from Responsive/WindowUp, kept because the scale-tier golden
-	// digests were recorded with them: campaigns opt in per-config
-	// (measure.Config.FastAvailability).
-	availFast rng.Stream
-	respBase  []rng.Stream
-	windBase  []rng.Stream
+	avail *rng.Rand // seeds the per-(probe, round) availability draws
+	// respFast and windFast are the scale-tier fast coins' per-label
+	// derivation prefixes (see ResponsiveFast).
+	respFast, windFast rng.Prefix
 
 	// OfflineProb is the per-round probability that a probe is offline
 	// at selection time.
@@ -185,191 +190,80 @@ func Generate(g *rng.Rand, topo *topology.Topology, p Params) *Platform {
 func GenerateWith(g *rng.Rand, topo *topology.Topology, p Params, workers int) *Platform {
 	g = g.Split("atlas")
 	pl := &Platform{
-		byCC:             make(map[string][]*Probe),
-		byAS:             make(map[topology.ASN][]*Probe),
 		avail:            g.Split("availability"),
 		OfflineProb:      p.OfflineProb,
 		WindowOutageProb: p.WindowOutageProb,
 	}
+	fast := pl.avail.Stream("fast-avail")
+	pl.respFast, pl.windFast = fast.Prefix("probe"), fast.Prefix("window")
 	if p.ShardedDeployment {
 		pl.generateSharded(g, topo, p, workers)
 	} else {
 		pl.generateSequential(g, topo, p)
 	}
-	pl.finalize()
-	return pl
-}
-
-// maxProbeEstimate upper-bounds the fleet size without consuming a
-// single draw, so probes can be laid out in one flat block up front
-// (appending 1.9M individual *Probe allocations dominates scale-tier
-// build profiles otherwise).
-func maxProbeEstimate(topo *topology.Topology, p Params) int {
-	est := 0
-	for _, a := range topo.ASes {
-		if a.Type == topology.Eyeball {
-			est += p.EyeballBaseProbes + int(a.Coverage/p.EyeballCoverageDiv) + 3
-		} else if p.OtherNetProb[a.Type] > 0 {
-			est += p.OtherNetMax
+	pl.eligible = make(map[eligKey][]int32)
+	for row := range int32(pl.Len()) {
+		if pl.Eligible(row) {
+			k := eligKey{asn: pl.AS(row), cc: pl.CC(row)}
+			pl.eligible[k] = append(pl.eligible[k], row)
 		}
 	}
-	return est
+	return pl
 }
 
 // generateSequential is the original one-generator walk over the AS
 // list: the draw sequence (and therefore the fleet) is byte-identical
 // to every previous release, which the golden digests pin.
 func (pl *Platform) generateSequential(g *rng.Rand, topo *topology.Topology, p Params) {
-	block := make([]Probe, 0, maxProbeEstimate(topo, p))
-	pl.probes = make([]*Probe, 0, cap(block))
-	id := ProbeID(1000)
+	ccIndex := make(map[string]uint16)
 	for _, a := range topo.ASes {
-		var n int
-		var host bool
-		if a.Type == topology.Eyeball {
-			n = p.EyeballBaseProbes + int(a.Coverage/p.EyeballCoverageDiv) + g.IntBetween(0, 3)
-			host = true
-		} else if g.Bool(p.OtherNetProb[a.Type]) {
-			n = g.IntBetween(1, p.OtherNetMax)
-			host = true
-		}
-		if !host {
+		n := deployCount(g, a, p)
+		if n == 0 {
 			continue
 		}
+		cc := pl.intern(ccIndex, a.CC)
+		first := pl.grow(n)
 		for i := 0; i < n; i++ {
 			city := a.PoPs[g.Intn(len(a.PoPs))]
-			pr := probeSlot(&block)
-			*pr = Probe{
-				ID:        id,
-				AS:        a.ASN,
-				CC:        a.CC,
-				City:      city,
-				Firmware:  firmwareDraw(g, p.CurrentFirmwareProb),
-				Public:    g.Bool(p.PublicProb),
-				Connected: g.Bool(p.ConnectedProb),
-				GeoTagged: g.Bool(p.GeoTaggedProb),
-			}
-			if g.Bool(p.FullyStableProb) {
-				pr.StableDays = 30
-			} else {
-				pr.StableDays = g.IntBetween(0, 29)
-			}
-			if a.Type == topology.Eyeball {
-				// Residential last mile: right-skewed around ~6 ms.
-				ms := g.LogNormal(math.Log(6), 0.45)
-				if ms < 1.5 {
-					ms = 1.5
-				}
-				if ms > 30 {
-					ms = 30
-				}
-				pr.Access = time.Duration(ms * float64(time.Millisecond))
-			} else {
-				pr.Anchor = g.Bool(p.AnchorProb)
-				if pr.Anchor {
-					pr.Access = time.Duration(g.IntBetween(50, 300)) * time.Microsecond
-				} else {
-					pr.Access = time.Duration(g.IntBetween(100, 1000)) * time.Microsecond
-				}
-			}
-			pl.add(pr)
-			id++
+			pl.set(drawProbe(g, a, p, firstID+ProbeID(first+i), city), cc)
 		}
 	}
-}
-
-// probeSlot carves the next Probe from the flat block while capacity
-// lasts (the estimate is an upper bound, so it always does in practice)
-// and degrades to individual allocation if it ever doesn't — pointers
-// into the block must never be invalidated by a regrow.
-func probeSlot(block *[]Probe) *Probe {
-	if len(*block) < cap(*block) {
-		*block = (*block)[:len(*block)+1]
-		return &(*block)[len(*block)-1]
-	}
-	return &Probe{}
 }
 
 // generateSharded deploys the fleet with one value-type stream per AS,
 // drawn in parallel shards. Determinism does not depend on scheduling:
 // every AS's draws come only from its own stream (derived from the AS
-// index), probe IDs come from a prefix sum over per-AS counts, and the
-// final registry walk is sequential in AS order. The count draws are
-// taken twice (sizing pass, then attribute pass re-derives the stream)
-// so the two passes need no cross-AS coordination.
+// index), and each AS writes the contiguous rows a prefix sum over the
+// per-AS counts assigns it. The count draws are taken twice (sizing
+// pass, then attribute pass re-derives the stream) so the two passes
+// need no cross-AS coordination.
 func (pl *Platform) generateSharded(g *rng.Rand, topo *topology.Topology, p Params, workers int) {
 	base := g.Stream("deploy")
 	ases := topo.ASes
 	counts := make([]int32, len(ases))
-	drawCount := func(s *rng.Stream, a *topology.AS) int {
-		if a.Type == topology.Eyeball {
-			return p.EyeballBaseProbes + int(a.Coverage/p.EyeballCoverageDiv) + s.IntBetween(0, 3)
-		}
-		if s.Bool(p.OtherNetProb[a.Type]) {
-			return s.IntBetween(1, p.OtherNetMax)
-		}
-		return 0
-	}
 	parallelASes(len(ases), workers, func(i int) {
 		s := base.At(uint64(i))
-		counts[i] = int32(drawCount(&s, ases[i]))
+		counts[i] = int32(deployCount(&s, ases[i], p))
 	})
 	offsets := make([]int32, len(ases)+1)
+	ccs := make([]uint16, len(ases)) // per AS: its country's index
+	ccIndex := make(map[string]uint16)
 	for i, n := range counts {
 		offsets[i+1] = offsets[i] + n
+		if n > 0 {
+			ccs[i] = pl.intern(ccIndex, ases[i].CC)
+		}
 	}
-	total := int(offsets[len(ases)])
-	block := make([]Probe, total)
+	pl.grow(int(offsets[len(ases)]))
 	parallelASes(len(ases), workers, func(i int) {
 		a := ases[i]
 		s := base.At(uint64(i))
-		drawCount(&s, a) // burn the sizing draws; attributes follow
+		deployCount(&s, a, p) // burn the sizing draws; attributes follow
 		for j := 0; j < int(counts[i]); j++ {
-			pr := &block[int(offsets[i])+j]
-			*pr = Probe{
-				ID:        ProbeID(1000 + int(offsets[i]) + j),
-				AS:        a.ASN,
-				CC:        a.CC,
-				City:      a.PoPs[s.IntBetween(0, len(a.PoPs)-1)],
-				Firmware:  firmwareDrawStream(&s, p.CurrentFirmwareProb),
-				Public:    s.Bool(p.PublicProb),
-				Connected: s.Bool(p.ConnectedProb),
-				GeoTagged: s.Bool(p.GeoTaggedProb),
-			}
-			if s.Bool(p.FullyStableProb) {
-				pr.StableDays = 30
-			} else {
-				pr.StableDays = s.IntBetween(0, 29)
-			}
-			if a.Type == topology.Eyeball {
-				ms := s.LogNormal(math.Log(6), 0.45)
-				if ms < 1.5 {
-					ms = 1.5
-				}
-				if ms > 30 {
-					ms = 30
-				}
-				pr.Access = time.Duration(ms * float64(time.Millisecond))
-			} else {
-				pr.Anchor = s.Bool(p.AnchorProb)
-				if pr.Anchor {
-					pr.Access = time.Duration(s.IntBetween(50, 300)) * time.Microsecond
-				} else {
-					pr.Access = time.Duration(s.IntBetween(100, 1000)) * time.Microsecond
-				}
-			}
+			city := a.PoPs[s.IntBetween(0, len(a.PoPs)-1)]
+			pl.set(drawProbe(&s, a, p, firstID+ProbeID(int(offsets[i])+j), city), ccs[i])
 		}
 	})
-	pl.probes = make([]*Probe, 0, total)
-	for i := range ases {
-		if counts[i] == 0 {
-			continue
-		}
-		pl.byAS[ases[i].ASN] = make([]*Probe, 0, counts[i])
-		for j := 0; j < int(counts[i]); j++ {
-			pl.add(&block[int(offsets[i])+j])
-		}
-	}
 }
 
 // parallelASes fans f over [0, n) with the given worker budget; callers
@@ -402,106 +296,179 @@ func parallelASes(n, workers int, f func(i int)) {
 	wg.Wait()
 }
 
-// finalize builds the post-generation lookup structures: the per-(asn,
-// cc) eligibility memo, the per-probe availability-stream labels, and
-// the per-probe fast-coin stream bases. Probe attributes never change
-// after Generate, so all are immutable. The per-probe fills are pure
-// per-index writes, so they run sharded over the fleet.
-func (pl *Platform) finalize() {
-	pl.eligible = make(map[eligKey][]*Probe)
-	maxID := ProbeID(0)
-	for _, p := range pl.probes {
-		if p.Eligible() {
-			k := eligKey{asn: p.AS, cc: p.CC}
-			pl.eligible[k] = append(pl.eligible[k], p)
+// drawer is the draw surface both fleet generators share: the
+// sequential walk's *rng.Rand and the sharded generator's per-AS
+// *rng.Stream.
+type drawer interface {
+	Bool(p float64) bool
+	IntBetween(lo, hi int) int
+	LogNormal(mu, sigma float64) float64
+}
+
+// deployCount draws how many probes AS a hosts: every eyeball some,
+// sized by its coverage, other networks by chance.
+func deployCount(d drawer, a *topology.AS, p Params) int {
+	if a.Type == topology.Eyeball {
+		return p.EyeballBaseProbes + int(a.Coverage/p.EyeballCoverageDiv) + d.IntBetween(0, 3)
+	}
+	if d.Bool(p.OtherNetProb[a.Type]) {
+		return d.IntBetween(1, p.OtherNetMax)
+	}
+	return 0
+}
+
+// drawProbe draws the attributes of probe id of AS a, placed in city:
+// firmware, the Section-2.1 filter attributes, stability and the
+// last-mile delay, in the order both generators have always drawn them.
+func drawProbe(d drawer, a *topology.AS, p Params, id ProbeID, city int) Probe {
+	pr := Probe{ID: id, AS: a.ASN, CC: a.CC, City: city, Firmware: CurrentFirmware}
+	if !d.Bool(p.CurrentFirmwareProb) {
+		pr.Firmware -= d.IntBetween(1, 3) * 10
+	}
+	pr.Public = d.Bool(p.PublicProb)
+	pr.Connected = d.Bool(p.ConnectedProb)
+	pr.GeoTagged = d.Bool(p.GeoTaggedProb)
+	if d.Bool(p.FullyStableProb) {
+		pr.StableDays = 30
+	} else {
+		pr.StableDays = d.IntBetween(0, 29)
+	}
+	if a.Type == topology.Eyeball {
+		// Residential last mile: right-skewed around ~6 ms.
+		ms := d.LogNormal(math.Log(6), 0.45)
+		if ms < 1.5 {
+			ms = 1.5
 		}
-		if p.ID > maxID {
-			maxID = p.ID
+		if ms > 30 {
+			ms = 30
 		}
-	}
-	pl.availFast = pl.avail.Stream("fast-avail")
-	pl.probeLabel = make([]string, int(maxID)+1)
-	pl.windowLabel = make([]string, int(maxID)+1)
-	pl.respBase = make([]rng.Stream, int(maxID)+1)
-	pl.windBase = make([]rng.Stream, int(maxID)+1)
-	parallelASes(len(pl.probes), runtime.GOMAXPROCS(0), func(i int) {
-		p := pl.probes[i]
-		s := strconv.Itoa(int(p.ID))
-		pl.probeLabel[p.ID] = "probe-" + s
-		pl.windowLabel[p.ID] = "window-" + s
-		pl.respBase[p.ID] = pl.availFast.Derive("probe", uint64(p.ID))
-		pl.windBase[p.ID] = pl.availFast.Derive("window", uint64(p.ID))
-	})
-}
-
-func firmwareDraw(g *rng.Rand, currentProb float64) int {
-	if g.Bool(currentProb) {
-		return CurrentFirmware
-	}
-	return CurrentFirmware - g.IntBetween(1, 3)*10
-}
-
-func firmwareDrawStream(s *rng.Stream, currentProb float64) int {
-	if s.Bool(currentProb) {
-		return CurrentFirmware
-	}
-	return CurrentFirmware - s.IntBetween(1, 3)*10
-}
-
-func (pl *Platform) add(p *Probe) {
-	pl.probes = append(pl.probes, p)
-	pl.byCC[p.CC] = append(pl.byCC[p.CC], p)
-	pl.byAS[p.AS] = append(pl.byAS[p.AS], p)
-}
-
-// Probes returns the whole fleet.
-func (pl *Platform) Probes() []*Probe { return pl.probes }
-
-// ProbesIn returns the probes hosted in the given country.
-func (pl *Platform) ProbesIn(cc string) []*Probe { return pl.byCC[cc] }
-
-// EligibleIn returns eligible probes in (asn, cc), the unit the paper's
-// two-step endpoint sampling draws from. The result is memoized (probe
-// attributes are immutable after Generate): callers must not mutate it.
-func (pl *Platform) EligibleIn(asn topology.ASN, cc string) []*Probe {
-	if pl.eligible != nil {
-		return pl.eligible[eligKey{asn: asn, cc: cc}]
-	}
-	var out []*Probe
-	for _, p := range pl.byAS[asn] {
-		if p.CC == cc && p.Eligible() {
-			out = append(out, p)
+		pr.Access = time.Duration(ms * float64(time.Millisecond))
+	} else {
+		pr.Anchor = d.Bool(p.AnchorProb)
+		if pr.Anchor {
+			pr.Access = time.Duration(d.IntBetween(50, 300)) * time.Microsecond
+		} else {
+			pr.Access = time.Duration(d.IntBetween(100, 1000)) * time.Microsecond
 		}
 	}
-	return out
+	return pr
 }
 
-// Countries returns the sorted country codes with at least one probe.
-func (pl *Platform) Countries() []string {
-	out := make([]string, 0, len(pl.byCC))
-	for cc := range pl.byCC {
-		out = append(out, cc)
+// intern returns cc's index into ccs, appending it on first sight.
+func (pl *Platform) intern(index map[string]uint16, cc string) uint16 {
+	i, ok := index[cc]
+	if !ok {
+		i = uint16(len(pl.ccs))
+		index[cc] = i
+		pl.ccs = append(pl.ccs, cc)
 	}
-	sort.Strings(out)
-	return out
+	return i
 }
 
-// availLabel returns the precomputed stream label for the probe, or
-// formats one for IDs outside the generated fleet (hand-built tests).
-// The string content is exactly what SplitN always received, so the
-// memo cannot shift a single availability draw.
-func (pl *Platform) availLabel(labels []string, format string, id ProbeID) string {
-	if i := int(id); i >= 0 && i < len(labels) && labels[i] != "" {
-		return labels[i]
+// grow appends n zero rows to every column and returns the first of them.
+func (pl *Platform) grow(n int) int {
+	first := pl.Len()
+	pl.as = append(pl.as, make([]uint32, n)...)
+	pl.city = append(pl.city, make([]int32, n)...)
+	pl.cc = append(pl.cc, make([]uint16, n)...)
+	pl.firmware = append(pl.firmware, make([]int16, n)...)
+	pl.stable = append(pl.stable, make([]uint8, n)...)
+	pl.flags = append(pl.flags, make([]uint8, n)...)
+	pl.access = append(pl.access, make([]time.Duration, n)...)
+	return first
+}
+
+// set writes p into its row, which grow has already added; cc is p.CC's
+// index into ccs. Distinct rows may be set concurrently.
+func (pl *Platform) set(p Probe, cc uint16) {
+	r := p.ID - firstID
+	pl.as[r] = uint32(p.AS)
+	pl.city[r] = int32(p.City)
+	pl.cc[r] = cc
+	pl.firmware[r] = int16(p.Firmware)
+	pl.stable[r] = uint8(p.StableDays)
+	pl.access[r] = p.Access
+	var f uint8
+	if p.Anchor {
+		f |= flagAnchor
 	}
-	return fmt.Sprintf(format, id)
+	if p.Public {
+		f |= flagPublic
+	}
+	if p.Connected {
+		f |= flagConnected
+	}
+	if p.GeoTagged {
+		f |= flagGeoTagged
+	}
+	if p.Eligible() {
+		f |= flagEligible
+	}
+	pl.flags[r] = f
+}
+
+// Len returns the fleet size: rows run from 0 to Len()-1.
+func (pl *Platform) Len() int { return len(pl.as) }
+
+// Row returns the probe's row, or -1 when the ID is outside the fleet.
+func (pl *Platform) Row(id ProbeID) int32 {
+	if id < firstID || int(id-firstID) >= pl.Len() {
+		return -1
+	}
+	return int32(id - firstID)
+}
+
+// ID returns the probe ID of a row.
+func (pl *Platform) ID(row int32) ProbeID { return firstID + ProbeID(row) }
+
+// AS returns the row's host AS.
+func (pl *Platform) AS(row int32) topology.ASN { return topology.ASN(pl.as[row]) }
+
+// City returns the row's home-city index into the topology.
+func (pl *Platform) City(row int32) int { return int(pl.city[row]) }
+
+// CC returns the row's country code.
+func (pl *Platform) CC(row int32) string { return pl.ccs[pl.cc[row]] }
+
+// Eligible reports whether the row passes Probe.Eligible.
+func (pl *Platform) Eligible(row int32) bool { return pl.flags[row]&flagEligible != 0 }
+
+// Endpoint returns the row's measurement attachment point, equal to
+// Probe(row).Endpoint().
+func (pl *Platform) Endpoint(row int32) latency.Endpoint {
+	return latency.Endpoint{AS: pl.AS(row), City: pl.City(row), Access: pl.access[row]}
+}
+
+// Probe reassembles the row's probe exactly as generation drew it.
+func (pl *Platform) Probe(row int32) Probe {
+	f := pl.flags[row]
+	return Probe{
+		ID:         pl.ID(row),
+		AS:         pl.AS(row),
+		CC:         pl.CC(row),
+		City:       pl.City(row),
+		Anchor:     f&flagAnchor != 0,
+		Firmware:   int(pl.firmware[row]),
+		Public:     f&flagPublic != 0,
+		Connected:  f&flagConnected != 0,
+		GeoTagged:  f&flagGeoTagged != 0,
+		StableDays: int(pl.stable[row]),
+		Access:     pl.access[row],
+	}
+}
+
+// EligibleIn returns the rows of the eligible probes in (asn, cc), in
+// ascending order: the unit the paper's two-step endpoint sampling draws
+// from. The result is memoized: callers must not mutate it.
+func (pl *Platform) EligibleIn(asn topology.ASN, cc string) []int32 {
+	return pl.eligible[eligKey{asn: asn, cc: cc}]
 }
 
 // Responsive reports whether the probe is online for the given round at
 // selection time. The draw is a pure function of (platform seed, probe,
 // round).
 func (pl *Platform) Responsive(id ProbeID, round int) bool {
-	return !pl.avail.BoolSplitN(pl.availLabel(pl.probeLabel, "probe-%d", id), round, pl.OfflineProb)
+	return !pl.coin("probe-", id, round, pl.OfflineProb)
 }
 
 // WindowUp reports whether the probe keeps answering through the round's
@@ -509,7 +476,16 @@ func (pl *Platform) Responsive(id ProbeID, round int) bool {
 // be Responsive yet suffer a mid-window outage — that attrition is what
 // limits the paper's campaign to ~84% responsive destinations.
 func (pl *Platform) WindowUp(id ProbeID, round int) bool {
-	return !pl.avail.BoolSplitN(pl.availLabel(pl.windowLabel, "window-%d", id), round, pl.WindowOutageProb)
+	return !pl.coin("window-", id, round, pl.WindowOutageProb)
+}
+
+// coin flips the availability coin whose stream label is prefix followed
+// by the probe ID in decimal. The label is formatted into a stack buffer,
+// so a coin allocates nothing.
+func (pl *Platform) coin(prefix string, id ProbeID, round int, p float64) bool {
+	var buf [32]byte
+	label := strconv.AppendInt(append(buf[:0], prefix...), int64(id), 10)
+	return pl.avail.BoolSplitN(string(label), round, p)
 }
 
 // ResponsiveFast is the scale-tier selection-time availability coin: a
@@ -520,24 +496,13 @@ func (pl *Platform) WindowUp(id ProbeID, round int) bool {
 // Responsive; campaigns switch whole-config
 // (measure.Config.FastAvailability).
 func (pl *Platform) ResponsiveFast(id ProbeID, round int) bool {
-	s := pl.fastBase(pl.respBase, "probe", id).At(uint64(round))
+	s := pl.respFast.At(uint64(id)).At(uint64(round))
 	return !s.Bool(pl.OfflineProb)
 }
 
 // WindowUpFast is the scale-tier mid-window outage coin; see
 // ResponsiveFast.
 func (pl *Platform) WindowUpFast(id ProbeID, round int) bool {
-	s := pl.fastBase(pl.windBase, "window", id).At(uint64(round))
+	s := pl.windFast.At(uint64(id)).At(uint64(round))
 	return !s.Bool(pl.WindowOutageProb)
-}
-
-// fastBase returns the probe's precomputed fast-coin base stream, or
-// derives one on the fly for IDs outside the generated fleet
-// (hand-built tests) — the derivation is exactly what finalize stored,
-// so the memo cannot shift a draw.
-func (pl *Platform) fastBase(bases []rng.Stream, label string, id ProbeID) rng.Stream {
-	if i := int(id); i >= 0 && i < len(bases) && i < len(pl.probeLabel) && pl.probeLabel[i] != "" {
-		return bases[i]
-	}
-	return pl.availFast.Derive(label, uint64(id))
 }

@@ -38,7 +38,8 @@ func TestEligibleEyeballPopulationScale(t *testing.T) {
 	eligible := 0
 	ases := make(map[topology.ASN]bool)
 	ccs := make(map[string]bool)
-	for _, p := range pl.Probes() {
+	for row := range int32(pl.Len()) {
+		p := pl.Probe(row)
 		if topo.AS(p.AS).Type != topology.Eyeball || !p.Eligible() {
 			continue
 		}
@@ -60,8 +61,8 @@ func TestEligibleEyeballPopulationScale(t *testing.T) {
 func TestOtherNetworksHostProbes(t *testing.T) {
 	topo, pl := testPlatform(t)
 	other := 0
-	for _, p := range pl.Probes() {
-		if topo.AS(p.AS).Type != topology.Eyeball {
+	for row := range int32(pl.Len()) {
+		if topo.AS(pl.AS(row)).Type != topology.Eyeball {
 			other++
 		}
 	}
@@ -92,7 +93,8 @@ func TestEligibilityFilters(t *testing.T) {
 
 func TestEyeballProbesHaveLastMile(t *testing.T) {
 	topo, pl := testPlatform(t)
-	for _, p := range pl.Probes() {
+	for row := range int32(pl.Len()) {
+		p := pl.Probe(row)
 		if topo.AS(p.AS).Type == topology.Eyeball {
 			if p.Access < 1*time.Millisecond || p.Access > 31*time.Millisecond {
 				t.Fatalf("eyeball probe %d access = %v, want 1.5-30ms", p.ID, p.Access)
@@ -108,26 +110,41 @@ func TestEyeballProbesHaveLastMile(t *testing.T) {
 
 func TestProbeCitiesAreHostPoPs(t *testing.T) {
 	topo, pl := testPlatform(t)
-	for _, p := range pl.Probes() {
+	for row := range int32(pl.Len()) {
+		p := pl.Probe(row)
 		if !topo.AS(p.AS).HasPoP(p.City) {
 			t.Fatalf("probe %d in city %d where AS %d has no PoP", p.ID, p.City, p.AS)
 		}
 	}
 }
 
+// TestIndexesConsistent checks the eligible-row lists against the
+// columns: every listed row is eligible and hosted in its (AS, country),
+// each list ascends, and the lists of the topology's (AS, country)
+// tuples together cover every eligible row exactly once.
 func TestIndexesConsistent(t *testing.T) {
-	_, pl := testPlatform(t)
-	count := 0
-	for _, cc := range pl.Countries() {
-		for _, p := range pl.ProbesIn(cc) {
-			if p.CC != cc {
-				t.Fatalf("probe %d indexed under wrong country", p.ID)
+	topo, pl := testPlatform(t)
+	listed := 0
+	for _, a := range topo.ASes {
+		rows := pl.EligibleIn(a.ASN, a.CC)
+		for i, row := range rows {
+			if !pl.Eligible(row) || pl.AS(row) != a.ASN || pl.CC(row) != a.CC {
+				t.Fatalf("row %d indexed under %d/%s: %+v", row, a.ASN, a.CC, pl.Probe(row))
 			}
-			count++
+			if i > 0 && rows[i-1] >= row {
+				t.Fatalf("eligible rows of %d/%s not ascending: %v", a.ASN, a.CC, rows)
+			}
+		}
+		listed += len(rows)
+	}
+	eligible := 0
+	for row := range int32(pl.Len()) {
+		if pl.Eligible(row) {
+			eligible++
 		}
 	}
-	if count != len(pl.Probes()) {
-		t.Fatalf("country index covers %d probes, total %d", count, len(pl.Probes()))
+	if eligible == 0 || listed != eligible {
+		t.Fatalf("eligible-row lists cover %d rows, fleet has %d eligible", listed, eligible)
 	}
 }
 
@@ -143,8 +160,8 @@ func TestEligibleIn(t *testing.T) {
 	if eye == nil {
 		t.Fatal("no eyeball AS with eligible probes")
 	}
-	for _, p := range pl.EligibleIn(eye.ASN, eye.CC) {
-		if !p.Eligible() || p.AS != eye.ASN || p.CC != eye.CC {
+	for _, row := range pl.EligibleIn(eye.ASN, eye.CC) {
+		if p := pl.Probe(row); !p.Eligible() || p.AS != eye.ASN || p.CC != eye.CC {
 			t.Fatalf("EligibleIn returned bad probe %+v", p)
 		}
 	}
@@ -155,7 +172,7 @@ func TestEligibleIn(t *testing.T) {
 
 func TestResponsiveDeterministicAndPartial(t *testing.T) {
 	_, pl := testPlatform(t)
-	probe := pl.Probes()[0].ID
+	probe := pl.ID(0)
 	for round := 0; round < 10; round++ {
 		if pl.Responsive(probe, round) != pl.Responsive(probe, round) {
 			t.Fatal("Responsive not deterministic")
@@ -164,13 +181,10 @@ func TestResponsiveDeterministicAndPartial(t *testing.T) {
 	// Across the fleet and many rounds, the offline rate should track
 	// OfflineProb.
 	offline, total := 0, 0
-	for i, p := range pl.Probes() {
-		if i%5 != 0 {
-			continue
-		}
+	for row := int32(0); row < int32(pl.Len()); row += 5 {
 		for round := 0; round < 20; round++ {
 			total++
-			if !pl.Responsive(p.ID, round) {
+			if !pl.Responsive(pl.ID(row), round) {
 				offline++
 			}
 		}
@@ -220,13 +234,12 @@ func TestGenerateDeterministic(t *testing.T) {
 	topo, _ := testPlatform(t)
 	a := Generate(rng.New(5), topo, DefaultParams())
 	b := Generate(rng.New(5), topo, DefaultParams())
-	if len(a.Probes()) != len(b.Probes()) {
+	if a.Len() != b.Len() {
 		t.Fatal("fleet sizes differ")
 	}
-	for i := range a.Probes() {
-		pa, pb := a.Probes()[i], b.Probes()[i]
-		if *pa != *pb {
-			t.Fatalf("probe %d differs: %+v vs %+v", i, pa, pb)
+	for row := range int32(a.Len()) {
+		if pa, pb := a.Probe(row), b.Probe(row); pa != pb {
+			t.Fatalf("probe %d differs: %+v vs %+v", row, pa, pb)
 		}
 	}
 }

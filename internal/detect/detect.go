@@ -327,13 +327,10 @@ func (d *Detector) Emit(o measure.Observation) {
 	}
 	st.rndCount++
 	st.rndSum += float64(o.DirectMs)
-	if cols := d.w.Columns; cols != nil {
-		sr, dr := cols.Row(o.SrcProbe), cols.Row(o.DstProbe)
-		if sr >= 0 && dr >= 0 {
-			st.srcCity = int32(cols.City[sr])
-			st.dstCity = int32(cols.City[dr])
-			st.haveCities = true
-		}
+	if sr, dr := d.w.Atlas.Row(o.SrcProbe), d.w.Atlas.Row(o.DstProbe); sr >= 0 && dr >= 0 {
+		st.srcCity = int32(d.w.Atlas.City(sr))
+		st.dstCity = int32(d.w.Atlas.City(dr))
+		st.haveCities = true
 	}
 	// Candidate upkeep and win counts ride the per-type best relays — a
 	// fixed amount of work per observation, independent of how many

@@ -125,11 +125,11 @@ func (s *Selector) ASes() []topology.ASN { return s.ases }
 // SampleEndpointsInto permutes. Callers must not mutate the slice.
 func (s *Selector) ASNsIn(cc string) []topology.ASN { return s.byCountry[cc] }
 
-// SampleEndpoints draws the round's RAE set: for each country, one
-// uniformly random verified AS, then one uniformly random eligible probe
-// within it. Countries whose candidate probes are all offline this round
-// are skipped.
-func (s *Selector) SampleEndpoints(g *rng.Rand, round int) []*atlas.Probe {
+// SampleEndpoints draws the round's RAE set as atlas rows: for each
+// country, one uniformly random verified AS, then one uniformly random
+// eligible probe within it. Countries whose candidate probes are all
+// offline this round are skipped.
+func (s *Selector) SampleEndpoints(g *rng.Rand, round int) []int32 {
 	return s.SampleEndpointsInto(g, round, 1, nil)
 }
 
@@ -142,7 +142,7 @@ func (s *Selector) SampleEndpoints(g *rng.Rand, round int) []*atlas.Probe {
 // until the quota fills, so scaling the per-round endpoint population
 // perturbs no other stream. Quotas above a country's responsive
 // population saturate at what the country has.
-func (s *Selector) SampleEndpointsInto(g *rng.Rand, round, perCountry int, buf []*atlas.Probe) []*atlas.Probe {
+func (s *Selector) SampleEndpointsInto(g *rng.Rand, round, perCountry int, buf []int32) []int32 {
 	if perCountry < 1 {
 		perCountry = 1
 	}
@@ -159,11 +159,11 @@ func (s *Selector) SampleEndpointsInto(g *rng.Rand, round, perCountry int, buf [
 		took := 0
 		asPerm = g.PermInto(asPerm, len(asns))
 		for _, ai := range asPerm {
-			probes := s.platform.EligibleIn(asns[ai], cc)
-			probePerm = g.PermInto(probePerm, len(probes))
+			rows := s.platform.EligibleIn(asns[ai], cc)
+			probePerm = g.PermInto(probePerm, len(rows))
 			for _, pi := range probePerm {
-				if s.platform.Responsive(probes[pi].ID, round) {
-					out = append(out, probes[pi])
+				if s.platform.Responsive(s.platform.ID(rows[pi]), round) {
+					out = append(out, rows[pi])
 					took++
 					if took == perCountry {
 						break

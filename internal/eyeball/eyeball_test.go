@@ -66,7 +66,8 @@ func TestSampleOnePerCountry(t *testing.T) {
 		t.Fatalf("sampled %d endpoints, want most of ~75 countries", len(eps))
 	}
 	seen := make(map[string]bool)
-	for _, p := range eps {
+	for _, row := range eps {
+		p := w.Atlas.Probe(row)
 		if seen[p.CC] {
 			t.Fatalf("two endpoints in %s", p.CC)
 		}
@@ -91,7 +92,7 @@ func TestSampleDeterministicPerRound(t *testing.T) {
 		t.Fatal("sample sizes differ")
 	}
 	for i := range a {
-		if a[i].ID != b[i].ID {
+		if a[i] != b[i] {
 			t.Fatalf("sample differs at %d", i)
 		}
 	}
@@ -104,7 +105,7 @@ func TestSampleVariesAcrossRounds(t *testing.T) {
 	b := w.Selector.SampleEndpoints(g, 1)
 	diff := 0
 	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i].ID != b[i].ID {
+		if a[i] != b[i] {
 			diff++
 		}
 	}
@@ -131,8 +132,8 @@ func TestSampleIntoMatchesClassic(t *testing.T) {
 		t.Fatalf("sizes differ: %d vs %d", len(classic), len(buf))
 	}
 	for i := range classic {
-		if classic[i].ID != buf[i].ID {
-			t.Fatalf("samples diverge at %d: probe %d vs %d", i, classic[i].ID, buf[i].ID)
+		if classic[i] != buf[i] {
+			t.Fatalf("samples diverge at %d: row %d vs %d", i, classic[i], buf[i])
 		}
 	}
 	reused := w.Selector.SampleEndpointsInto(rng.New(5), 3, 1, buf)
@@ -155,7 +156,8 @@ func TestSamplePerCountryQuota(t *testing.T) {
 		t.Fatalf("quota %d yielded %d endpoints, quota 1 yielded %d", quota, len(eps), len(one))
 	}
 	perCC := make(map[string]int)
-	for _, p := range eps {
+	for _, row := range eps {
+		p := w.Atlas.Probe(row)
 		perCC[p.CC]++
 		if perCC[p.CC] > quota {
 			t.Fatalf("country %s exceeds quota: %d", p.CC, perCC[p.CC])
@@ -175,7 +177,7 @@ func TestSamplePerCountryQuota(t *testing.T) {
 	}
 	again := w.Selector.SampleEndpointsInto(rng.New(7), 2, quota, nil)
 	for i := range eps {
-		if eps[i].ID != again[i].ID {
+		if eps[i] != again[i] {
 			t.Fatalf("quota sample not deterministic at %d", i)
 		}
 	}

@@ -39,8 +39,8 @@ func benchFilterSetup(b *testing.B) *benchFilterInput {
 	}
 	endpoints := c.w.Selector.SampleEndpoints(c.g, 0)
 	exclude := make(map[atlas.ProbeID]bool, len(endpoints))
-	for _, p := range endpoints {
-		exclude[p.ID] = true
+	for _, row := range endpoints {
+		exclude[w.Atlas.ID(row)] = true
 	}
 	relaySet := c.w.Sampler.SampleRound(c.g, 0, exclude)
 	in := &benchFilterInput{c: c}
@@ -51,8 +51,8 @@ func benchFilterSetup(b *testing.B) *benchFilterInput {
 	}
 	for i := 0; i < len(endpoints); i++ {
 		for j := i + 1; j < len(endpoints); j++ {
-			a, bb := endpoints[i], endpoints[j]
-			rtt, err := w.Engine.BaseRTT(a.Endpoint(), bb.Endpoint())
+			a, bb := w.Atlas.Endpoint(endpoints[i]), w.Atlas.Endpoint(endpoints[j])
+			rtt, err := w.Engine.BaseRTT(a, bb)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -48,7 +48,6 @@ import (
 	"shortcuts/internal/rng"
 	"shortcuts/internal/scenario"
 	"shortcuts/internal/sim"
-	"shortcuts/internal/topology"
 )
 
 // Run executes the campaign and materializes the full observation
@@ -123,7 +122,6 @@ func newCampaign(w *sim.World, cfg Config) (*campaign, error) {
 		cfg:      cfg,
 		g:        g,
 		pairBase: g.Stream("pairs"),
-		cols:     w.Columns,
 		ledger:   atlas.NewLedger(cfg.DailyCreditLimit),
 		nc:       len(w.Topo.Cities),
 		prop:     prop,
@@ -162,10 +160,6 @@ type campaign struct {
 	nc     int             // city count (side of the prop matrix)
 	prop   []time.Duration // flat nc x nc one-way propagation delays
 
-	// cols is the world's columnar endpoint layout: the round loop reads
-	// endpoint attributes (AS, city, access delay, strings) as flat array
-	// loads instead of chasing *atlas.Probe pointers.
-	cols *sim.EndpointColumns
 	// pairBase seeds the stratified pair sampler. Every sampling draw
 	// derives from (campaign seed, "pairs", round, stratum) — never from
 	// call order — so sampled plans are schedule-independent.
@@ -198,9 +192,10 @@ type campaign struct {
 // (regression-tested by the shrinking-world test).
 type roundScratch struct {
 	exclude     map[atlas.ProbeID]bool
-	eps         []int32 // per endpoint: row in the world's columns
-	asPerm      []int   // drafting: per-country AS-group permutation
-	probePerm   []int   // drafting: per-group row permutation
+	eps         []int32   // per endpoint: its atlas row
+	epWeight    []float32 // per endpoint: its (country, AS) group's eyeball population weight
+	asPerm      []int     // drafting: per-country AS-group permutation
+	probePerm   []int     // drafting: per-group row permutation
 	roundRelays []int
 	hourFrac    []float64     // per ping slot: UTC hour fraction of the round's schedule
 	windowUp    []bool        // per endpoint: answers through the window
@@ -336,10 +331,9 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 		c.view = c.w.Engine.View(nil)
 	}
 
-	// Step 1: endpoint selection, drafted over the world's columnar
-	// (country, AS) row index — draw-for-draw what the selector's probe
-	// walk draws, but landing directly on column rows; everything
-	// downstream reads endpoint attributes from the columns.
+	// Step 1: endpoint selection, drafted as atlas rows — draw-for-draw
+	// what the selector's walk draws; everything downstream reads
+	// endpoint attributes from the atlas columns.
 	perCountry := c.cfg.EndpointsPerCountry
 	if perCountry < 1 {
 		perCountry = 1
@@ -348,14 +342,14 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	eps := scr.eps
 	ne := len(eps)
 	info.Endpoints = ne
-	cols := c.cols
+	fleet := c.w.Atlas
 	if scr.exclude == nil {
 		scr.exclude = make(map[atlas.ProbeID]bool, ne)
 	} else {
 		clear(scr.exclude)
 	}
 	for _, row := range eps {
-		scr.exclude[atlas.ProbeID(cols.ProbeID[row])] = true
+		scr.exclude[fleet.ID(row)] = true
 	}
 
 	// Step 3 (selection half): relay sampling. Sampled before leg
@@ -376,7 +370,7 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	scr.windowUp = grown(scr.windowUp, ne)
 	windowUp := scr.windowUp
 	for i := 0; i < ne; i++ {
-		windowUp[i] = c.windowUpAt(atlas.ProbeID(cols.ProbeID[eps[i]]), round)
+		windowUp[i] = c.windowUpAt(fleet.ID(eps[i]), round)
 	}
 	nrW := (nr + 63) / 64 // words per relay-position bitset row
 	scr.relayUp = grown(scr.relayUp, nrW)
@@ -434,7 +428,7 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	plan.ne = ne
 	plan.idx = nil
 	if c.cfg.PairBudget > 0 && c.cfg.PairBudget < pairCount(ne) {
-		plan.idx = c.buildPairPlan(scr, eps, round)
+		plan.idx = c.buildPairPlan(scr, round)
 	}
 	np := plan.count()
 	info.PairsAttempted = np
@@ -460,7 +454,7 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 			s.pings += int64(2 * c.cfg.PingsPerPair) // pings sent, unanswered
 			return nil
 		}
-		a, b := cols.Endpoint(eps[i]), cols.Endpoint(eps[j])
+		a, b := fleet.Endpoint(eps[i]), fleet.Endpoint(eps[j])
 		s.pairs = append(s.pairs[:0], latency.EndpointPair{A: a, B: b}, latency.EndpointPair{A: b, B: a})
 		var m [2]float32
 		if err := c.medians(c.view, s, s.pairs, round, hourFrac, m[:]); err != nil {
@@ -469,7 +463,7 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 		fwd[k], rev[k] = m[0], m[1]
 		if m[0] != 0 { // unresponsive pair: no relay measurements either
 			directRTT := time.Duration(float64(m[0]) * float64(time.Millisecond))
-			c.markFeasible(row, int(cols.City[eps[i]]), int(cols.City[eps[j]]), directRTT)
+			c.markFeasible(row, fleet.City(eps[i]), fleet.City(eps[j]), directRTT)
 		}
 		return nil
 	})
@@ -566,7 +560,7 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 		for _, idx := range legJobs[lo:hi] {
 			e := int(activeList[int(idx/int64(nr))])
 			relay := &c.w.Catalog.Relays[roundRelays[int(idx%int64(nr))]]
-			s.pairs = append(s.pairs, latency.EndpointPair{A: cols.Endpoint(eps[e]), B: relay.Endpoint})
+			s.pairs = append(s.pairs, latency.EndpointPair{A: fleet.Endpoint(eps[e]), B: relay.Endpoint})
 		}
 		return c.medians(c.view, s, s.pairs, round, hourFrac, legVals[lo:hi])
 	})
@@ -603,7 +597,8 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	}
 
 	// Emission: one serial loop in pair order. Every observation field is
-	// a column read or a stitch record field.
+	// an atlas column read, its city's continent, or a stitch record field.
+	cities := c.w.Topo.Cities
 	for it := newPairIter(plan); it.next(); {
 		k := it.k
 		if fwd[k] == 0 {
@@ -613,10 +608,10 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 		ra, rb := eps[it.i], eps[it.j]
 		o := Observation{
 			Round:    round,
-			SrcProbe: atlas.ProbeID(cols.ProbeID[ra]), DstProbe: atlas.ProbeID(cols.ProbeID[rb]),
-			SrcAS: topology.ASN(cols.AS[ra]), DstAS: topology.ASN(cols.AS[rb]),
-			SrcCC: cols.CCString(ra), DstCC: cols.CCString(rb),
-			SrcCont: cols.ContString(ra), DstCont: cols.ContString(rb),
+			SrcProbe: fleet.ID(ra), DstProbe: fleet.ID(rb),
+			SrcAS: fleet.AS(ra), DstAS: fleet.AS(rb),
+			SrcCC: fleet.CC(ra), DstCC: fleet.CC(rb),
+			SrcCont: cities[fleet.City(ra)].Continent, DstCont: cities[fleet.City(rb)].Continent,
 			DirectMs: fwd[k], RevDirectMs: rev[k],
 			BestMs: st.bestMs, BestRelay: st.bestRelay, FeasibleCount: st.feasible,
 		}
@@ -707,28 +702,30 @@ func (c *campaign) stitchPair(s *scratch, st *pairStitch, row []uint64, ai, aj i
 	*st = rec
 }
 
-// draftEndpoints draws the round's endpoint rows over the world's draft
-// index: per country (the selector's sorted order) a permutation of its
-// verified AS groups, per group a permutation of its eligible rows,
-// taking responsive rows until the per-country quota — the exact draw
-// sequence of eyeball.SampleEndpointsInto (pinned by the
-// draw-equivalence test), over int32 column rows instead of
-// *atlas.Probe pointers.
+// draftEndpoints draws the round's endpoint rows: per country (the
+// selector's sorted order) a permutation of its verified AS groups, per
+// group a permutation of its eligible atlas rows, taking responsive rows
+// until the per-country quota — the exact draw sequence of
+// eyeball.SampleEndpointsInto (pinned by the draw-equivalence test),
+// under the campaign's availability coins. Each drafted endpoint's group
+// population weight lands in scr.epWeight, position for position.
 func (c *campaign) draftEndpoints(scr *roundScratch, round, perCountry int) []int32 {
-	d := c.w.Draft
-	cols := c.cols
+	sel, fleet := c.w.Selector, c.w.Atlas
 	g := c.g.SplitN("endpoints", round)
-	eps := scr.eps[:0]
-	for ci := 0; ci < d.NumCountries(); ci++ {
+	eps, weights := scr.eps[:0], scr.epWeight[:0]
+	for _, cc := range sel.Countries() {
+		asns := sel.ASNsIn(cc)
 		took := 0
-		scr.asPerm = g.PermInto(scr.asPerm, d.NumGroups(ci))
-		for _, gi := range scr.asPerm {
-			rows := d.Rows(ci, gi)
+		scr.asPerm = g.PermInto(scr.asPerm, len(asns))
+		for _, ai := range scr.asPerm {
+			rows := fleet.EligibleIn(asns[ai], cc)
+			weight := float32(sel.PopulationWeight(asns[ai], cc))
 			scr.probePerm = g.PermInto(scr.probePerm, len(rows))
 			for _, pi := range scr.probePerm {
 				row := rows[pi]
-				if c.responsiveAt(atlas.ProbeID(cols.ProbeID[row]), round) {
+				if c.responsiveAt(fleet.ID(row), round) {
 					eps = append(eps, row)
+					weights = append(weights, weight)
 					took++
 					if took == perCountry {
 						break
@@ -740,6 +737,7 @@ func (c *campaign) draftEndpoints(scr *roundScratch, round, perCountry int) []in
 			}
 		}
 	}
+	scr.epWeight = weights
 	return eps
 }
 

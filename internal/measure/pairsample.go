@@ -21,14 +21,16 @@ import "slices"
 type sampleKey struct{ s, t int64 }
 
 // buildPairPlan fills scr.sPairs with the round's stratified pair
-// sample over the round's endpoint rows and returns it. Callers invoke
-// it only when 0 < budget < pairCount(len(eps)). The prologue runs
-// single-threaded, reusing the round scratch.
-func (c *campaign) buildPairPlan(scr *roundScratch, eps []int32, round int) []pairIdx32 {
+// sample over the round's drafted endpoints (scr.eps, scr.epWeight) and
+// returns it. Callers invoke it only when 0 < budget <
+// pairCount(len(scr.eps)). The prologue runs single-threaded, reusing
+// the round scratch.
+func (c *campaign) buildPairPlan(scr *roundScratch, round int) []pairIdx32 {
+	eps := scr.eps
 	ne := len(eps)
 	nc := c.nc
 	budget := c.cfg.PairBudget
-	cols := c.cols
+	fleet := c.w.Atlas
 
 	// Group the round's endpoints by home city: counting sort, stable in
 	// endpoint order, so byCity holds each city's endpoint positions in
@@ -36,7 +38,7 @@ func (c *campaign) buildPairPlan(scr *roundScratch, eps []int32, round int) []pa
 	scr.cityCount = grown(scr.cityCount, nc)
 	clear(scr.cityCount)
 	for _, r := range eps {
-		scr.cityCount[cols.City[r]]++
+		scr.cityCount[fleet.City(r)]++
 	}
 	scr.cityStart = grown(scr.cityStart, nc+1)
 	cityStart := scr.cityStart
@@ -50,7 +52,7 @@ func (c *campaign) buildPairPlan(scr *roundScratch, eps []int32, round int) []pa
 	copy(scr.cityFill, cityStart[:nc])
 	scr.byCity = grown(scr.byCity, ne)
 	for i, r := range eps {
-		city := cols.City[r]
+		city := fleet.City(r)
 		scr.byCity[scr.cityFill[city]] = int32(i)
 		scr.cityFill[city]++
 	}
@@ -62,9 +64,9 @@ func (c *campaign) buildPairPlan(scr *roundScratch, eps []int32, round int) []pa
 	scr.cityWeight = grown(scr.cityWeight, nc)
 	clear(scr.cityWeight)
 	totalMass := 0.0
-	for _, r := range eps {
-		w := float64(cols.Weight[r])
-		scr.cityWeight[cols.City[r]] += w
+	for i, r := range eps {
+		w := float64(scr.epWeight[i])
+		scr.cityWeight[fleet.City(r)] += w
 		totalMass += w
 	}
 	if totalMass == 0 {

@@ -7,7 +7,8 @@ import (
 )
 
 // samplerHarness builds a campaign with the given pair budget over the
-// seed-17 small world and returns it with round 0's endpoint rows.
+// seed-17 small world and returns it with round 0's endpoint rows,
+// drafted into its scratch (which buildPairPlan reads).
 func samplerHarness(t *testing.T, budget int) (*campaign, []int32) {
 	t.Helper()
 	w, err := sim.Build(sim.SmallWorldParams(17))
@@ -24,24 +25,20 @@ func samplerHarness(t *testing.T, budget int) (*campaign, []int32) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probes := c.w.Selector.SampleEndpointsInto(c.g, 0, 4, nil)
-	eps := make([]int32, len(probes))
-	for i, p := range probes {
-		eps[i] = c.cols.Row(p.ID)
-	}
-	return c, eps
+	c.scr.eps = c.draftEndpoints(&c.scr, 0, 4)
+	return c, c.scr.eps
 }
 
 // TestBuildPairPlanDeterministic: two independent campaigns over the
 // same seed produce byte-identical plans — the sampler draws only from
 // (seed, round, stratum)-keyed streams, never from shared state.
 func TestBuildPairPlanDeterministic(t *testing.T) {
-	c1, eps1 := samplerHarness(t, 300)
-	c2, eps2 := samplerHarness(t, 300)
+	c1, _ := samplerHarness(t, 300)
+	c2, _ := samplerHarness(t, 300)
 	// buildPairPlan returns a view of the campaign's reused scratch, so
 	// snapshot before any further build call on the same campaign.
-	p1 := append([]pairIdx32(nil), c1.buildPairPlan(&c1.scr, eps1, 0)...)
-	p2 := c2.buildPairPlan(&c2.scr, eps2, 0)
+	p1 := append([]pairIdx32(nil), c1.buildPairPlan(&c1.scr, 0)...)
+	p2 := c2.buildPairPlan(&c2.scr, 0)
 	if len(p1) != len(p2) {
 		t.Fatalf("plan lengths differ: %d vs %d", len(p1), len(p2))
 	}
@@ -51,7 +48,7 @@ func TestBuildPairPlanDeterministic(t *testing.T) {
 		}
 	}
 	// And across rounds the plans must differ (fresh draws per round).
-	p3 := c1.buildPairPlan(&c1.scr, eps1, 1)
+	p3 := c1.buildPairPlan(&c1.scr, 1)
 	same := len(p3) == len(p1)
 	if same {
 		for k := range p1 {
@@ -76,7 +73,7 @@ func TestBuildPairPlanWellFormed(t *testing.T) {
 	if pairCount(ne) < 10*budget {
 		t.Fatalf("universe %d too small to exercise sampling at budget %d", pairCount(ne), budget)
 	}
-	plan := c.buildPairPlan(&c.scr, eps, 0)
+	plan := c.buildPairPlan(&c.scr, 0)
 	seen := make(map[pairIdx32]bool, len(plan))
 	for _, p := range plan {
 		if p.i >= p.j || p.i < 0 || int(p.j) >= ne {
@@ -102,18 +99,22 @@ func TestBuildPairPlanWellFormed(t *testing.T) {
 func TestBuildPairPlanQuotas(t *testing.T) {
 	const budget = 300
 	c, eps := samplerHarness(t, budget)
-	cols := c.cols
-	plan := c.buildPairPlan(&c.scr, eps, 0)
+	fleet := c.w.Atlas
+	plan := c.buildPairPlan(&c.scr, 0)
 
 	// Recompute weights and strata independently of the sampler.
 	nc := c.nc
 	count := make([]int, nc)
 	weight := make([]float64, nc)
 	mass := 0.0
-	for _, r := range eps {
-		count[cols.City[r]]++
-		weight[cols.City[r]] += float64(cols.Weight[r])
-		mass += float64(cols.Weight[r])
+	for i, r := range eps {
+		w := float32(c.w.Selector.PopulationWeight(fleet.AS(r), fleet.CC(r)))
+		if w != c.scr.epWeight[i] {
+			t.Fatalf("endpoint %d: drafted weight %v, selector says %v", i, c.scr.epWeight[i], w)
+		}
+		count[fleet.City(r)]++
+		weight[fleet.City(r)] += float64(w)
+		mass += float64(w)
 	}
 	if mass == 0 {
 		t.Fatal("world has no eyeball population mass; quota test needs weights")
@@ -141,7 +142,7 @@ func TestBuildPairPlanQuotas(t *testing.T) {
 	// Realized counts per stratum.
 	realized := make(map[[2]int]int)
 	for _, p := range plan {
-		a, b := int(cols.City[eps[p.i]]), int(cols.City[eps[p.j]])
+		a, b := fleet.City(eps[p.i]), fleet.City(eps[p.j])
 		if a > b {
 			a, b = b, a
 		}

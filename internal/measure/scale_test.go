@@ -10,20 +10,16 @@ import (
 	"shortcuts/internal/sim"
 )
 
-// TestDraftEquivalence pins the columnar drafting contract: for every
-// round and per-country quota, the campaign's draftEndpoints — which
-// permutes the world's precomputed (country, AS) row lists — lands on
-// exactly the rows that eyeball.SampleEndpointsInto's probe-pointer
-// walk selects, in the same order. The exhaustive golden digests depend
-// on this equivalence; this test localizes a violation to the drafting
-// layer instead of a whole-stream digest mismatch.
+// TestDraftEquivalence pins the drafting contract: for every round and
+// per-country quota, the campaign's draftEndpoints lands on exactly the
+// atlas rows that eyeball.SampleEndpointsInto's walk selects, in the
+// same order. The exhaustive golden digests depend on this equivalence;
+// this test localizes a violation to the drafting layer instead of a
+// whole-stream digest mismatch.
 func TestDraftEquivalence(t *testing.T) {
 	w, err := sim.Build(sim.SmallWorldParams(17))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if w.Draft == nil {
-		t.Fatal("built world has no draft index")
 	}
 	for _, perCountry := range []int{1, 4} {
 		t.Run(fmt.Sprintf("perCountry%d", perCountry), func(t *testing.T) {
@@ -38,11 +34,7 @@ func TestDraftEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				probes := w.Selector.SampleEndpointsInto(cRef.g, round, perCountry, nil)
-				want := make([]int32, len(probes))
-				for i, p := range probes {
-					want[i] = w.Columns.Row(p.ID)
-				}
+				want := w.Selector.SampleEndpointsInto(cRef.g, round, perCountry, nil)
 				var scr roundScratch
 				got := cCol.draftEndpoints(&scr, round, perCountry)
 				if !reflect.DeepEqual(got, want) {
@@ -100,6 +92,75 @@ func TestFastAvailabilityGoldenDigests(t *testing.T) {
 	}
 }
 
+// TestShardedFleetGoldenDigests pins the scale tier's fleet generator in
+// the module's own test suite: every other golden here runs the
+// sequential generator, so without this pin the sharded fleet and the
+// fast availability coins it pairs with would be held only by
+// perfbench's scale-campaign digests. Two SHA-256 digests over a small
+// sharded world: the fleet itself (every probe's fields in registry
+// order, then every relay's ID and endpoint), and a 2-round sampled
+// FastAvailability campaign's stream at Concurrency 1 and 8.
+func TestShardedFleetGoldenDigests(t *testing.T) {
+	const (
+		wantFleet  = "74b91bf4209c4ac0960b29145308426f46fd6bba4e302b5b8e915c0a047a60ac"
+		wantStream = "36cfbbdbb1130bc13eb88c5fe1ea9d6aa612742a9617e2fa904f90295b81f904"
+	)
+	p := sim.SmallWorldParams(29)
+	p.Atlas.ShardedDeployment = true
+	w, err := sim.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := newDigestSink()
+	flag := func(b bool) uint64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	for row := range int32(w.Atlas.Len()) {
+		pr := w.Atlas.Probe(row)
+		fleet.word(uint64(pr.ID))
+		fleet.word(uint64(pr.AS))
+		fleet.h.Write([]byte(pr.CC))
+		fleet.word(uint64(pr.City))
+		fleet.word(flag(pr.Anchor))
+		fleet.word(uint64(pr.Firmware))
+		fleet.word(flag(pr.Public))
+		fleet.word(flag(pr.Connected))
+		fleet.word(flag(pr.GeoTagged))
+		fleet.word(uint64(pr.StableDays))
+		fleet.word(uint64(pr.Access))
+	}
+	for i := range w.Catalog.Relays {
+		r := &w.Catalog.Relays[i]
+		fleet.h.Write([]byte(r.ID))
+		fleet.word(uint64(r.Endpoint.AS))
+		fleet.word(uint64(r.Endpoint.City))
+		fleet.word(uint64(r.Endpoint.Access))
+	}
+	if got := fleet.sum(); got != wantFleet {
+		t.Errorf("sharded fleet digest drifted:\n got %s\nwant %s", got, wantFleet)
+	}
+	for _, conc := range []int{1, 8} {
+		t.Run(fmt.Sprintf("stream/c%d", conc), func(t *testing.T) {
+			cfg := QuickConfig(2)
+			cfg.Concurrency = conc
+			cfg.PairBudget = 200
+			cfg.EndpointsPerCountry = 4
+			cfg.DailyCreditLimit = 0
+			cfg.FastAvailability = true
+			sink := newDigestSink()
+			if err := RunStream(w, cfg, sink); err != nil {
+				t.Fatal(err)
+			}
+			if got := sink.sum(); got != wantStream {
+				t.Fatalf("sharded fast-availability stream digest drifted:\n got %s\nwant %s", got, wantStream)
+			}
+		})
+	}
+}
+
 // TestUnseenEndpointPricingAllocs pins the sampled-round hot case to
 // zero allocations: once an attachment pair is cached, pricing an
 // endpoint pair never priced before on it must not touch the heap, nor
@@ -111,13 +172,13 @@ func TestUnseenEndpointPricingAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probes := w.Atlas.Probes()
-	if len(probes) < 2 {
+	n := int32(w.Atlas.Len())
+	if n < 2 {
 		t.Fatal("world too small")
 	}
 	// Endpoints from opposite ends of the fleet, so the expansion is a
 	// real multi-hop path.
-	a, b := probes[0].Endpoint(), probes[len(probes)-1].Endpoint()
+	a, b := w.Atlas.Endpoint(0), w.Atlas.Endpoint(n-1)
 	view := w.Engine.View(nil)
 	hourFrac := latency.SlotHourFracs(time.Unix(0, 0), time.Minute, 6, nil)
 	samples := make([]latency.PingSample, len(hourFrac))

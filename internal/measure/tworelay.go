@@ -60,10 +60,10 @@ func TwoRelayExperiment(w *sim.World, cfg Config, round, maxPairs, maxRelays int
 	// Endpoint-relay legs: one batch per endpoint row.
 	var s scratch
 	legs := make([][]float32, len(endpoints)) // endpoint idx -> per relay
-	for ei, p := range endpoints {
+	for ei, row := range endpoints {
 		s.pairs = s.pairs[:0]
 		for _, ri := range corIdxs {
-			s.pairs = append(s.pairs, latency.EndpointPair{A: p.Endpoint(), B: w.Catalog.Relays[ri].Endpoint})
+			s.pairs = append(s.pairs, latency.EndpointPair{A: w.Atlas.Endpoint(row), B: w.Catalog.Relays[ri].Endpoint})
 		}
 		legs[ei] = make([]float32, len(corIdxs))
 		if err := c.medians(view, &s, s.pairs, round, hourFrac, legs[ei]); err != nil {

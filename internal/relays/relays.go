@@ -244,12 +244,13 @@ func (c *Catalog) buildRAR(d Deps) {
 	// ~a million ~136-byte Relay values, and letting append regrow the
 	// slice dominates the whole world build in memclr/memmove. One
 	// counting pass costs microseconds and makes every append O(1).
+	fleet := d.Atlas
 	eye, other := 0, 0
-	for _, p := range d.Atlas.Probes() {
-		if !p.Eligible() {
+	for row := range int32(fleet.Len()) {
+		if !fleet.Eligible(row) {
 			continue
 		}
-		if d.IsEyeball(p.AS, p.CC) {
+		if d.IsEyeball(fleet.AS(row), fleet.CC(row)) {
 			eye++
 		} else {
 			other++
@@ -258,10 +259,11 @@ func (c *Catalog) buildRAR(d Deps) {
 	c.Relays = grow(c.Relays, eye+other)
 	c.byType[RAREye] = grow(c.byType[RAREye], eye)
 	c.byType[RAROther] = grow(c.byType[RAROther], other)
-	for _, p := range d.Atlas.Probes() {
-		if !p.Eligible() {
+	for row := range int32(fleet.Len()) {
+		if !fleet.Eligible(row) {
 			continue
 		}
+		p := fleet.Probe(row)
 		if d.IsEyeball(p.AS, p.CC) {
 			idx := c.add(Relay{
 				Type:     RAREye,

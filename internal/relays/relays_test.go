@@ -183,8 +183,8 @@ func TestSampleRoundExcludesEndpointProbes(t *testing.T) {
 	w := testWorld(t)
 	eps := w.Selector.SampleEndpoints(rng.New(7), 0)
 	exclude := make(map[atlas.ProbeID]bool)
-	for _, p := range eps {
-		exclude[p.ID] = true
+	for _, row := range eps {
+		exclude[w.Atlas.ID(row)] = true
 	}
 	set := w.Sampler.SampleRound(rng.New(7), 0, exclude)
 	for _, ty := range []relays.Type{relays.RAREye, relays.RAROther} {

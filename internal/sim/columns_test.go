@@ -7,84 +7,78 @@ import (
 	"shortcuts/internal/atlas"
 )
 
-// TestColumnsMirrorProbes proves every column row reproduces its probe's
-// attributes exactly — IDs, AS, city, strings (byte-equal through the
-// tables), flags, weights, and the full-precision measurement endpoint —
-// so the round loop can read columns in place of probe structs without
-// perturbing a single observation field.
+// TestColumnsMirrorProbes proves the atlas columns hand back what
+// generation drew, for both fleet generators: row r holds probe ID
+// 1000+r, Probe(row) and every column accessor agree field for field,
+// each probe sits in a PoP city of its AS under that AS's country, and
+// IDs outside the fleet resolve to no row. The round loop reads the
+// accessors, so this is what keeps its observations equal to the probes.
 func TestColumnsMirrorProbes(t *testing.T) {
-	w, err := Build(SmallWorldParams(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := w.Columns
-	probes := w.Atlas.Probes()
-	if cols == nil || cols.Len() != len(probes) {
-		t.Fatalf("columns hold %d rows, fleet has %d probes", cols.Len(), len(probes))
-	}
-	eyeballs := 0
-	for _, p := range probes {
-		row := cols.Row(p.ID)
-		if row < 0 {
-			t.Fatalf("probe %d has no row", p.ID)
+	for _, sharded := range []bool{false, true} {
+		p := SmallWorldParams(17)
+		p.Atlas.ShardedDeployment = sharded
+		w, err := BuildWith(p, BuildOptions{WarmRoutes: false})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if atlas.ProbeID(cols.ProbeID[row]) != p.ID || int(cols.AS[row]) != int(p.AS) ||
-			int(cols.City[row]) != p.City {
-			t.Fatalf("probe %d: identity columns diverge", p.ID)
+		pl := w.Atlas
+		if pl.Len() == 0 {
+			t.Fatalf("sharded=%v: empty fleet", sharded)
 		}
-		if cols.CCString(row) != p.CC {
-			t.Fatalf("probe %d: CC %q != %q", p.ID, cols.CCString(row), p.CC)
-		}
-		city := &w.Topo.Cities[p.City]
-		if cols.ContString(row) != city.Continent {
-			t.Fatalf("probe %d: continent %q != %q", p.ID, cols.ContString(row), city.Continent)
-		}
-		if cols.Endpoint(row) != p.Endpoint() {
-			t.Fatalf("probe %d: endpoint %+v != %+v", p.ID, cols.Endpoint(row), p.Endpoint())
-		}
-		f := cols.Flags[row]
-		if got, want := f&FlagEligible != 0, p.Eligible(); got != want {
-			t.Fatalf("probe %d: eligible flag %v, probe says %v", p.ID, got, want)
-		}
-		if got, want := f&FlagAnchor != 0, p.Anchor; got != want {
-			t.Fatalf("probe %d: anchor flag %v, probe says %v", p.ID, got, want)
-		}
-		isEye := w.Selector.IsEyeball(p.AS, p.CC)
-		if got := f&FlagEyeball != 0; got != isEye {
-			t.Fatalf("probe %d: eyeball flag %v, selector says %v", p.ID, got, isEye)
-		}
-		if isEye {
-			eyeballs++
-			if want := float32(w.Selector.PopulationWeight(p.AS, p.CC)); cols.Weight[row] != want {
-				t.Fatalf("probe %d: weight %v != %v", p.ID, cols.Weight[row], want)
+		eligible := 0
+		for row := range int32(pl.Len()) {
+			pr := pl.Probe(row)
+			if pr.ID != atlas.ProbeID(1000+row) || pl.ID(row) != pr.ID || pl.Row(pr.ID) != row {
+				t.Fatalf("sharded=%v: row %d holds probe %d", sharded, row, pr.ID)
 			}
-		} else if cols.Weight[row] != 0 {
-			t.Fatalf("probe %d: non-eyeball probe carries weight %v", p.ID, cols.Weight[row])
+			if pl.AS(row) != pr.AS || pl.City(row) != pr.City || pl.CC(row) != pr.CC {
+				t.Fatalf("sharded=%v: probe %d: accessors diverge from %+v", sharded, pr.ID, pr)
+			}
+			if pl.Endpoint(row) != pr.Endpoint() {
+				t.Fatalf("sharded=%v: probe %d: endpoint %+v != %+v", sharded, pr.ID, pl.Endpoint(row), pr.Endpoint())
+			}
+			if pl.Eligible(row) != pr.Eligible() {
+				t.Fatalf("sharded=%v: probe %d: eligible %v, probe says %v", sharded, pr.ID, pl.Eligible(row), pr.Eligible())
+			}
+			if pr.Eligible() {
+				eligible++
+			}
+			as := w.Topo.AS(pr.AS)
+			if as == nil || as.CC != pr.CC || !as.HasPoP(pr.City) {
+				t.Fatalf("sharded=%v: probe %d not placed in its AS: %+v", sharded, pr.ID, pr)
+			}
+			if pr.Access <= 0 || pr.StableDays < 0 || pr.StableDays > 30 || pr.Firmware > atlas.CurrentFirmware {
+				t.Fatalf("sharded=%v: probe %d has undrawn attributes: %+v", sharded, pr.ID, pr)
+			}
 		}
-	}
-	if eyeballs == 0 {
-		t.Fatal("no eyeball rows; the weight column was never exercised")
-	}
-	// Absent IDs resolve to no row, in and beyond the dense range.
-	if cols.Row(0) != -1 || cols.Row(atlas.ProbeID(1<<30)) != -1 {
-		t.Fatal("absent probe IDs must map to row -1")
+		if eligible == 0 {
+			t.Fatalf("sharded=%v: no eligible rows", sharded)
+		}
+		// IDs outside the fleet resolve to no row, on both sides.
+		if pl.Row(999) != -1 || pl.Row(atlas.ProbeID(1000+pl.Len())) != -1 || pl.Row(atlas.ProbeID(1<<30)) != -1 {
+			t.Fatalf("sharded=%v: absent probe IDs must map to row -1", sharded)
+		}
 	}
 }
 
-// TestColumnsBuildDeterministic: the columns stage draws no randomness,
-// so two builds of the same seed — whatever the build-pool schedule did
-// to stage ordering — must produce identical columns.
+// TestColumnsBuildDeterministic: two builds of the same seed, whatever
+// the worker count did to stage ordering and fleet sharding, must hold
+// identical atlas columns, eligible-row lists and coin seeds.
 func TestColumnsBuildDeterministic(t *testing.T) {
-	w1, err := Build(SmallWorldParams(23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := BuildWith(SmallWorldParams(23), BuildOptions{Workers: 8, WarmRoutes: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(w1.Columns, w2.Columns) {
-		t.Fatal("columns differ between sequential and parallel builds of one seed")
+	for _, sharded := range []bool{false, true} {
+		p := SmallWorldParams(23)
+		p.Atlas.ShardedDeployment = sharded
+		w1, err := BuildWith(p, BuildOptions{Workers: 1, WarmRoutes: false})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w2, err := BuildWith(p, BuildOptions{Workers: 8, WarmRoutes: false})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(w1.Atlas, w2.Atlas) {
+			t.Fatalf("sharded=%v: atlas columns differ between sequential and parallel builds of one seed", sharded)
+		}
 	}
 }
 

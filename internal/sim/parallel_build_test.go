@@ -8,8 +8,8 @@ import (
 // TestShardedBuildWorkerInvariance is the parallel-build determinism
 // proof: a ShardedDeployment world built sequentially (Workers 1) and
 // one built on a wide worker pool must be bit-identical — same probes
-// in the same registry order with the same attributes, same columns,
-// same relay catalog. The sharded fleet generator guarantees this by
+// in the same registry order with the same attributes, same atlas
+// columns, same relay catalog. The sharded fleet generator guarantees this by
 // deriving every AS's draws from a per-AS value stream (indexed, not
 // scheduled) and assigning probe IDs by prefix sum, so this test failing
 // means a draw leaked onto a schedule-dependent path.
@@ -27,20 +27,17 @@ func TestShardedBuildWorkerInvariance(t *testing.T) {
 	seq := build(1)
 	par := build(8)
 
-	a, b := seq.Atlas.Probes(), par.Atlas.Probes()
-	if len(a) != len(b) {
-		t.Fatalf("probe counts differ: %d vs %d", len(a), len(b))
+	a, b := seq.Atlas, par.Atlas
+	if a.Len() != b.Len() {
+		t.Fatalf("probe counts differ: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a {
-		if *a[i] != *b[i] {
-			t.Fatalf("probe %d differs:\nseq %+v\npar %+v", i, *a[i], *b[i])
+	for row := range int32(a.Len()) {
+		if pa, pb := a.Probe(row), b.Probe(row); pa != pb {
+			t.Fatalf("probe %d differs:\nseq %+v\npar %+v", row, pa, pb)
 		}
 	}
-	if !reflect.DeepEqual(seq.Columns, par.Columns) {
-		t.Fatal("endpoint columns differ between worker counts")
-	}
-	if !reflect.DeepEqual(seq.Draft, par.Draft) {
-		t.Fatal("endpoint draft index differs between worker counts")
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("atlas columns differ between worker counts")
 	}
 	if !reflect.DeepEqual(seq.Catalog.Relays, par.Catalog.Relays) {
 		t.Fatal("relay catalogs differ between worker counts")

@@ -123,8 +123,6 @@ type World struct {
 	Catalog   *relays.Catalog
 	Sampler   *relays.Sampler
 	Selector  *eyeball.Selector
-	Columns   *EndpointColumns
-	Draft     *EndpointDraft
 
 	// cache backs SharedCache. Its presence makes World non-copyable
 	// (use the *World that Build returns, as all code already does).
@@ -242,14 +240,6 @@ func worldStages(workers int) []buildStage {
 		}},
 		{name: "eyeball", deps: []string{"apnic", "atlas"}, run: func(w *World, p WorldParams, g *rng.Rand) error {
 			w.Selector = eyeball.New(w.Apnic, w.Atlas, p.EyeballCutoff)
-			return nil
-		}},
-		{name: "columns", deps: []string{"atlas", "topology", "eyeball"}, run: func(w *World, p WorldParams, g *rng.Rand) error {
-			w.Columns = BuildEndpointColumnsWith(w.Atlas, w.Topo, w.Selector, workers)
-			return nil
-		}},
-		{name: "draft", deps: []string{"columns", "eyeball"}, run: func(w *World, p WorldParams, g *rng.Rand) error {
-			w.Draft = BuildEndpointDraft(w.Atlas, w.Selector, w.Columns)
 			return nil
 		}},
 		{name: "relays", deps: []string{"peeringdb", "facmap", "periscope", "planetlab", "eyeball"}, run: func(w *World, p WorldParams, g *rng.Rand) error {

@@ -75,7 +75,7 @@ func worldFingerprint(t *testing.T, w *World) string {
 	fmt.Fprintf(&sb, "ases=%d cities=%d links=%d facs=%d|",
 		len(w.Topo.ASes), len(w.Topo.Cities), len(w.Topo.Links), len(w.Topo.Facilities))
 	fmt.Fprintf(&sb, "probes=%d plnodes=%d lgs=%d prefixes=%d facrecs=%d|",
-		len(w.Atlas.Probes()), len(w.PlanetLab.Nodes()), len(w.Periscope.LGs()),
+		w.Atlas.Len(), len(w.PlanetLab.Nodes()), len(w.Periscope.LGs()),
 		w.Prefixes.Size(), len(w.FacMap.Records))
 	fmt.Fprintf(&sb, "funnel=%+v|countries=%v|", w.Catalog.Funnel, w.Selector.Countries())
 	for i := range w.Catalog.Relays {
