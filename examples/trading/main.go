@@ -9,7 +9,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 	"sort"
+	"strings"
 
 	"shortcuts"
 )
@@ -34,14 +36,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	obs := res.ObservationsBetween(*ccA, *ccB)
+	// Codes resolve like relayplan's: trimmed and case-insensitive; an
+	// unknown one fails and is named.
+	a, b := strings.ToUpper(strings.TrimSpace(*ccA)), strings.ToUpper(strings.TrimSpace(*ccB))
+	available := res.Countries()
+	for _, cc := range []string{a, b} {
+		if !slices.Contains(available, cc) {
+			log.Fatalf("unknown country %q; available: %v", cc, available)
+		}
+	}
+	obs := res.ObservationsBetween(a, b)
 	if len(obs) == 0 {
-		fmt.Printf("no observations between %s and %s; available countries: %v\n",
-			*ccA, *ccB, res.Countries())
+		fmt.Printf("no observations between %s and %s; available countries: %v\n", a, b, available)
 		return
 	}
 
-	fmt.Printf("corridor %s <-> %s: %d observations\n\n", *ccA, *ccB, len(obs))
+	fmt.Printf("corridor %s <-> %s: %d observations\n\n", a, b, len(obs))
 	wins := make(map[string]int)
 	for _, o := range obs {
 		marker := " "

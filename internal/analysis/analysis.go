@@ -71,7 +71,7 @@ func MedianImprovementMs(res *measure.Results, t relays.Type) float64 {
 			imps = append(imps, imp)
 		}
 	}
-	return median(imps)
+	return measure.Median(imps)
 }
 
 // ImprovedOverFraction returns, among improved cases of the type, the
@@ -253,19 +253,6 @@ func ThresholdCurves(res *measure.Results, t relays.Type, topN int, thresholds [
 		}
 	}
 	return out
-}
-
-func median(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
-	}
-	return (s[mid-1] + s[mid]) / 2
 }
 
 func mean(v []float64) float64 {

@@ -313,15 +313,3 @@ func TestSpearmanKnownValues(t *testing.T) {
 		t.Fatalf("degenerate input correlation = %v", got)
 	}
 }
-
-func TestMedianHelper(t *testing.T) {
-	if median(nil) != 0 {
-		t.Fatal("median(nil) != 0")
-	}
-	if got := median([]float64{3, 1, 2}); got != 2 {
-		t.Fatalf("median odd = %v", got)
-	}
-	if got := median([]float64{4, 1, 2, 3}); got != 2.5 {
-		t.Fatalf("median even = %v", got)
-	}
-}

@@ -212,7 +212,7 @@ func RelayRedundancyMedian(res *measure.Results, t relays.Type) float64 {
 			counts = append(counts, float64(n))
 		}
 	}
-	return median(counts)
+	return measure.Median(counts)
 }
 
 // PerRoundImproved returns the improved fraction of the type for every

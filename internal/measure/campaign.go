@@ -815,7 +815,7 @@ func (c *campaign) medians(view latency.View, s *scratch, pairs []latency.Endpoi
 		}
 		out[j] = 0
 		if len(vals) >= c.cfg.MinValidPings {
-			out[j] = float32(median(vals))
+			out[j] = float32(Median(vals))
 		}
 	}
 	s.pings += int64(len(pairs) * n)
@@ -828,10 +828,13 @@ func (c *campaign) medians(view latency.View, s *scratch, pairs []latency.Endpoi
 // the work-stealing dispatch stays balanced.
 const legChunk = 16
 
-// median returns the exact median of vals, sorting in place. Ping trains
-// are tiny (6 by default), where insertion sort beats sort.Float64s; the
-// generic sort remains the fallback for unusually long trains.
-func median(vals []float64) float64 {
+// Median returns the exact median of vals, sorting vals in place; it is
+// 0 for no values. Ping trains are tiny (6 by default), where insertion
+// sort beats sort.Float64s; the generic sort takes longer inputs.
+func Median(vals []float64) float64 {
+	if len(vals) == 0 {
+		return 0
+	}
 	if len(vals) <= 16 {
 		for i := 1; i < len(vals); i++ {
 			for j := i; j > 0 && vals[j] < vals[j-1]; j-- {

@@ -353,3 +353,26 @@ func TestRelayedPathsStudiedCounts(t *testing.T) {
 		t.Fatal("no relayed paths studied")
 	}
 }
+
+func TestMedianHelper(t *testing.T) {
+	if Median(nil) != 0 {
+		t.Fatal("Median(nil) != 0")
+	}
+	if got := Median([]float64{3, 1, 2}); got != 2 {
+		t.Fatalf("median odd = %v", got)
+	}
+	if got := Median([]float64{4, 1, 2, 3}); got != 2.5 {
+		t.Fatalf("median even = %v", got)
+	}
+	// Past 16 values Median sorts with sort.Float64s, still in place.
+	long := make([]float64, 18)
+	for i := range long {
+		long[i] = float64(len(long) - i)
+	}
+	if got := Median(long); got != 9.5 {
+		t.Fatalf("median of 18 = %v", got)
+	}
+	if !slices.IsSorted(long) {
+		t.Fatalf("Median left %v unsorted", long)
+	}
+}

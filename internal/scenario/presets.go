@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -22,6 +23,10 @@ func PresetNames() []string {
 	return names
 }
 
+// ErrUnknownPreset is the error ByName wraps for a name that is not a
+// built-in scenario.
+var ErrUnknownPreset = errors.New("unknown preset")
+
 // ByName returns one of the built-in scenarios. Presets address cities
 // by hub rank and windows by campaign fraction, so they scale to any
 // world and campaign length.
@@ -36,7 +41,7 @@ func ByName(name string) (*Scenario, error) {
 	case PresetChurn:
 		return Churn(), nil
 	default:
-		return nil, fmt.Errorf("scenario: unknown preset %q (have %v)", name, PresetNames())
+		return nil, fmt.Errorf("scenario: %w %q (have %v)", ErrUnknownPreset, name, PresetNames())
 	}
 }
 

@@ -1,33 +1,70 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
 
 	"shortcuts/internal/measure"
+	"shortcuts/internal/relays"
+	"shortcuts/internal/scenario"
 	"shortcuts/internal/topology"
 )
+
+// route is one entry of the service's surface: the method and path the
+// mux registers, the query string GET / lists after it, and its handler.
+// Until a state publishes, a route answers 503 unless it is cold, in
+// which case its handler runs with a nil state.
+type route struct {
+	pattern, query string
+	cold           bool
+	handle         func(w http.ResponseWriter, r *http.Request, st *servingState)
+}
+
+// routes is the service's surface, in the order GET / lists it.
+func (s *Server) routes() []route {
+	return []route{
+		{"GET /healthz", "", true, handleHealthz},
+		{"GET /readyz", "", true, handleReadyz},
+		{"GET /v1/relays/best", "?src=<city|cc>&dst=<city|cc>", false, handleBest},
+		{"GET /v1/relays", "?type=&cc=&facility=&limit=&offset=", false, handleRelays},
+		{"GET /v1/relays/{id}", "", false, handleRelayShow},
+		{"GET /v1/facilities", "?cc=&city=&name=&cloud=&top10=", false, handleFacilities},
+		{"GET /v1/facilities/{id}", "", false, handleFacilityShow},
+		{"GET /v1/plans", "?src=&dst=&improved=&limit=&offset=", false, handlePlans},
+		{"GET /v1/disruptions", "?active=", false, handleDisruptions},
+		{"POST /v1/admin/swap", "?seed=N&scenario=<name>", false, s.handleSwap},
+	}
+}
 
 // Handler returns the service's HTTP handler. Every request loads the
 // serving state exactly once and answers wholly from it, so responses
 // are never a mix of two worlds even while a swap publishes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /{$}", s.handleIndex)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /v1/relays/best", s.handleBest)
-	mux.HandleFunc("GET /v1/relays", s.handleRelays)
-	mux.HandleFunc("GET /v1/relays/{id}", s.handleRelayShow)
-	mux.HandleFunc("GET /v1/facilities", s.handleFacilities)
-	mux.HandleFunc("GET /v1/facilities/{id}", s.handleFacilityShow)
-	mux.HandleFunc("GET /v1/plans", s.handlePlans)
-	mux.HandleFunc("GET /v1/disruptions", s.handleDisruptions)
-	mux.HandleFunc("POST /v1/admin/swap", s.handleSwap)
+	var endpoints []string
+	for _, rt := range s.routes() {
+		endpoints = append(endpoints, rt.pattern+rt.query)
+		mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) {
+			st := s.st()
+			if st == nil && !rt.cold {
+				writeErr(w, http.StatusServiceUnavailable, "no serving state yet; poll /readyz")
+				return
+			}
+			rt.handle(w, r, st)
+		})
+	}
+	index := map[string]any{"service": "relayserve", "endpoints": endpoints}
+	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, index)
+	})
 	return mux
 }
 
@@ -57,35 +94,97 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// notReady answers 503 when no serving state exists yet and reports
-// whether it did.
-func notReady(w http.ResponseWriter, st *servingState) bool {
-	if st == nil {
-		writeErr(w, http.StatusServiceUnavailable, "no serving state yet; poll /readyz")
-		return true
+// query reads one request's query parameters against a serving state.
+// The first parameter that fails to parse or resolve sets the one error
+// the request answers; later failures are dropped.
+type query struct {
+	st   *servingState
+	v    url.Values
+	code int // status of the first failure; 0 while none
+	msg  string
+}
+
+func (st *servingState) query(r *http.Request) *query { return &query{st: st, v: r.URL.Query()} }
+
+func (q *query) fail(code int, format string, args ...any) {
+	if q.code == 0 {
+		q.code, q.msg = code, fmt.Sprintf(format, args...)
 	}
-	return false
 }
 
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"service": "relayserve",
-		"endpoints": []string{
-			"GET /healthz",
-			"GET /readyz",
-			"GET /v1/relays/best?src=<city|cc>&dst=<city|cc>",
-			"GET /v1/relays?type=&cc=&facility=&limit=&offset=",
-			"GET /v1/relays/{id}",
-			"GET /v1/facilities?cc=&city=&name=&cloud=&top10=",
-			"GET /v1/facilities/{id}",
-			"GET /v1/plans?src=&dst=&improved=&limit=&offset=",
-			"GET /v1/disruptions?active=",
-			"POST /v1/admin/swap?seed=N&scenario=<name>",
-		},
-	})
+// answered writes the first failure, if any, and reports whether it did.
+func (q *query) answered(w http.ResponseWriter) bool {
+	if q.code != 0 {
+		writeErr(w, q.code, "%s", q.msg)
+	}
+	return q.code != 0
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// boolean reads an optional boolean filter; set reports whether it was
+// given and parsed.
+func (q *query) boolean(key string) (val, set bool) {
+	v := q.v.Get(key)
+	if v == "" {
+		return false, false
+	}
+	val, err := strconv.ParseBool(v)
+	if err != nil {
+		q.fail(http.StatusBadRequest, "bad %s filter: %v", key, err)
+	}
+	return val, err == nil
+}
+
+// integer reads an optional integer, def when absent. A value that does
+// not parse, or parses below floor, fails with bad, a format of the
+// value.
+func (q *query) integer(key string, def, floor int64, bad string) int64 {
+	v := q.v.Get(key)
+	if v == "" {
+		return def
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || n < floor {
+		q.fail(http.StatusBadRequest, bad, v)
+	}
+	return n
+}
+
+// loc reads an optional location, a city name or an ISO country code
+// (trimmed, case-insensitive), as its country code; "" when absent.
+func (q *query) loc(key string) string {
+	v := q.v.Get(key)
+	if v == "" {
+		return ""
+	}
+	cc, ok := q.st.resolve[strings.ToLower(strings.TrimSpace(v))]
+	if !ok {
+		q.fail(http.StatusNotFound, "unknown location %q", v)
+	}
+	return cc
+}
+
+// page reads limit and offset, limit def when absent.
+func (q *query) page(def int64) pager {
+	return pager{
+		limit:  q.integer("limit", def, 0, "limit must be a non-negative integer, got %q"),
+		offset: q.integer("offset", 0, 0, "offset must be a non-negative integer, got %q"),
+	}
+}
+
+// pager keeps the offset/limit window of a scan (limit 0 keeps every
+// match from offset on) while counting every match.
+type pager struct{ limit, offset, count int64 }
+
+// take counts one match and reports whether it falls in the window.
+// It tests count-offset against limit: offset+limit overflows when a
+// client asks for a limit near the int64 maximum.
+func (p *pager) take() bool {
+	in := p.count >= p.offset && (p.limit == 0 || p.count-p.offset < p.limit)
+	p.count++
+	return in
+}
+
+func handleHealthz(w http.ResponseWriter, _ *http.Request, _ *servingState) {
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
@@ -107,22 +206,15 @@ type readyResponse struct {
 	BuiltAt           time.Time `json:"built_at"`
 }
 
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	st := s.st()
+func handleReadyz(w http.ResponseWriter, _ *http.Request, st *servingState) {
 	if st == nil {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]bool{"ready": false})
 		return
 	}
-	active := 0
-	for i := range st.disruptions {
-		if st.disruptions[i].Active() {
-			active++
-		}
-	}
 	writeJSON(w, http.StatusOK, readyResponse{
 		Ready:             true,
-		Degraded:          st.degraded,
-		ActiveDisruptions: active,
+		Degraded:          st.active > 0,
+		ActiveDisruptions: st.active,
 		SelfHeal:          st.selfHeal,
 		RelaysHealed:      st.relaysHealed,
 		Seed:              st.seed,
@@ -142,29 +234,16 @@ type BestResponse struct {
 	Plan     Plan   `json:"plan"`
 }
 
-func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
-	st := s.st()
-	if notReady(w, st) {
-		return
+func handleBest(w http.ResponseWriter, r *http.Request, st *servingState) {
+	q := st.query(r)
+	if q.v.Get("src") == "" || q.v.Get("dst") == "" {
+		q.fail(http.StatusBadRequest, "src and dst query parameters are required (city name or country code)")
 	}
-	src := r.URL.Query().Get("src")
-	dst := r.URL.Query().Get("dst")
-	if src == "" || dst == "" {
-		writeErr(w, http.StatusBadRequest, "src and dst query parameters are required (city name or country code)")
-		return
+	ccS, ccD := q.loc("src"), q.loc("dst")
+	if ccS != "" && ccS == ccD {
+		q.fail(http.StatusBadRequest, "src and dst resolve to the same country (%s); a corridor needs two", ccS)
 	}
-	ccS, ok := st.resolveLoc(src)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown location %q", src)
-		return
-	}
-	ccD, ok := st.resolveLoc(dst)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown location %q", dst)
-		return
-	}
-	if ccS == ccD {
-		writeErr(w, http.StatusBadRequest, "src and dst resolve to the same country (%s); a corridor needs two", ccS)
+	if q.answered(w) {
 		return
 	}
 	key := measure.CorridorOf(ccS, ccD)
@@ -228,31 +307,18 @@ func (st *servingState) facilityInfo(f *topology.Facility) FacilityInfo {
 	}
 }
 
-func (s *Server) handleFacilities(w http.ResponseWriter, r *http.Request) {
-	st := s.st()
-	if notReady(w, st) {
+func handleFacilities(w http.ResponseWriter, r *http.Request, st *servingState) {
+	q := st.query(r)
+	cc := strings.ToUpper(q.v.Get("cc"))
+	city := strings.ToLower(q.v.Get("city"))
+	name := strings.ToLower(q.v.Get("name"))
+	cloud, cloudSet := q.boolean("cloud")
+	top10, top10Set := q.boolean("top10")
+	pg := q.page(0)
+	if q.answered(w) {
 		return
 	}
-	q := r.URL.Query()
-	cc := strings.ToUpper(q.Get("cc"))
-	city := strings.ToLower(q.Get("city"))
-	name := strings.ToLower(q.Get("name"))
-	cloud, cloudSet, err := boolFilter(q.Get("cloud"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad cloud filter: %v", err)
-		return
-	}
-	top10, top10Set, err := boolFilter(q.Get("top10"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad top10 filter: %v", err)
-		return
-	}
-	limit, offset, err := pageParams(q, 0)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var out []FacilityInfo
+	out := []FacilityInfo{}
 	for _, f := range st.world.Registry.Facilities() {
 		c := &st.world.Topo.Cities[f.City]
 		if cc != "" && c.CC != cc {
@@ -270,20 +336,14 @@ func (s *Server) handleFacilities(w http.ResponseWriter, r *http.Request) {
 		if top10Set && f.PDBTop10 != top10 {
 			continue
 		}
-		out = append(out, st.facilityInfo(f))
+		if pg.take() {
+			out = append(out, st.facilityInfo(f))
+		}
 	}
-	total := len(out)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"count":      total,
-		"facilities": page(out, limit, offset),
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"count": pg.count, "facilities": out})
 }
 
-func (s *Server) handleFacilityShow(w http.ResponseWriter, r *http.Request) {
-	st := s.st()
-	if notReady(w, st) {
-		return
-	}
+func handleFacilityShow(w http.ResponseWriter, r *http.Request, st *servingState) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "facility id must be the numeric PeeringDB id, got %q", r.PathValue("id"))
@@ -299,131 +359,72 @@ func (s *Server) handleFacilityShow(w http.ResponseWriter, r *http.Request) {
 
 // RelayInfo is one catalog relay in API responses.
 type RelayInfo struct {
-	Index       int    `json:"index"` // stable catalog position
-	ID          string `json:"id"`
-	Type        string `json:"type"`
-	CC          string `json:"cc"`
-	City        string `json:"city"`
-	Facility    string `json:"facility,omitempty"`
-	FacilityPDB int    `json:"facility_pdb,omitempty"`
+	Index int `json:"index"` // stable catalog position
+	RelayRef
 }
 
-func (s *Server) handleRelays(w http.ResponseWriter, r *http.Request) {
-	st := s.st()
-	if notReady(w, st) {
-		return
+// relayType matches a type filter case-insensitively against the type
+// labels; an unknown label yields NumTypes, which no relay has.
+func relayType(label string) relays.Type {
+	t := relays.Type(0)
+	for t < relays.NumTypes && !strings.EqualFold(label, t.String()) {
+		t++
 	}
-	q := r.URL.Query()
-	typ := strings.ToUpper(q.Get("type"))
-	cc := strings.ToUpper(q.Get("cc"))
-	var facility int
-	if v := q.Get("facility"); v != "" {
-		var err error
-		if facility, err = strconv.Atoi(v); err != nil {
-			writeErr(w, http.StatusBadRequest, "facility filter must be the numeric PeeringDB id, got %q", v)
-			return
-		}
-	}
+	return t
+}
+
+func handleRelays(w http.ResponseWriter, r *http.Request, st *servingState) {
+	q := st.query(r)
+	label := q.v.Get("type")
+	typ := relayType(label)
+	cc := strings.ToUpper(q.v.Get("cc"))
+	facility := q.integer("facility", 0, math.MinInt64, "facility filter must be the numeric PeeringDB id, got %q")
 	// Relay catalogs reach millions of entries at the scale tier, so the
 	// list defaults to a 100-entry page; count always reports the full
 	// match cardinality.
-	limit, offset, err := pageParams(q, 100)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+	pg := q.page(100)
+	if q.answered(w) {
 		return
 	}
-	total := 0
-	var out []RelayInfo
+	out := []RelayInfo{}
 	for i := range st.world.Catalog.Relays {
 		rel := &st.world.Catalog.Relays[i]
-		if typ != "" && strings.ToUpper(rel.Type.String()) != typ {
+		if label != "" && rel.Type != typ {
 			continue
 		}
 		if cc != "" && rel.CC != cc {
 			continue
 		}
-		if facility != 0 && rel.FacilityPDB != facility {
+		if facility != 0 && int64(rel.FacilityPDB) != facility {
 			continue
 		}
-		if total >= offset && (limit <= 0 || len(out) < limit) {
-			out = append(out, RelayInfo{
-				Index:       rel.Index,
-				ID:          rel.ID,
-				Type:        rel.Type.String(),
-				CC:          rel.CC,
-				City:        st.world.Topo.Cities[rel.City].Name,
-				Facility:    rel.FacilityName,
-				FacilityPDB: rel.FacilityPDB,
-			})
+		if pg.take() {
+			out = append(out, RelayInfo{Index: i, RelayRef: st.relayRef(i)})
 		}
-		total++
 	}
-	if out == nil {
-		out = []RelayInfo{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": total, "relays": out})
+	writeJSON(w, http.StatusOK, map[string]any{"count": pg.count, "relays": out})
 }
 
-func (s *Server) handleRelayShow(w http.ResponseWriter, r *http.Request) {
-	st := s.st()
-	if notReady(w, st) {
-		return
-	}
+func handleRelayShow(w http.ResponseWriter, r *http.Request, st *servingState) {
 	id := r.PathValue("id")
-	for i := range st.world.Catalog.Relays {
-		rel := &st.world.Catalog.Relays[i]
-		if rel.ID != id {
-			continue
-		}
-		writeJSON(w, http.StatusOK, RelayInfo{
-			Index:       rel.Index,
-			ID:          rel.ID,
-			Type:        rel.Type.String(),
-			CC:          rel.CC,
-			City:        st.world.Topo.Cities[rel.City].Name,
-			Facility:    rel.FacilityName,
-			FacilityPDB: rel.FacilityPDB,
-		})
+	i, ok := st.relayIdx[id]
+	if !ok {
+		writeErr(w, http.StatusNotFound, "no relay with id %q", id)
 		return
 	}
-	writeErr(w, http.StatusNotFound, "no relay with id %q", id)
+	writeJSON(w, http.StatusOK, RelayInfo{Index: i, RelayRef: st.relayRef(i)})
 }
 
-func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
-	st := s.st()
-	if notReady(w, st) {
-		return
-	}
-	q := r.URL.Query()
-	var ccS, ccD string
-	if v := q.Get("src"); v != "" {
-		cc, ok := st.resolveLoc(v)
-		if !ok {
-			writeErr(w, http.StatusNotFound, "unknown location %q", v)
-			return
-		}
-		ccS = cc
-	}
-	if v := q.Get("dst"); v != "" {
-		cc, ok := st.resolveLoc(v)
-		if !ok {
-			writeErr(w, http.StatusNotFound, "unknown location %q", v)
-			return
-		}
-		ccD = cc
-	}
-	improved, improvedSet, err := boolFilter(q.Get("improved"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad improved filter: %v", err)
-		return
-	}
-	limit, offset, err := pageParams(q, 0)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+func handlePlans(w http.ResponseWriter, r *http.Request, st *servingState) {
+	q := st.query(r)
+	ccS, ccD := q.loc("src"), q.loc("dst")
+	improved, improvedSet := q.boolean("improved")
+	pg := q.page(0)
+	if q.answered(w) {
 		return
 	}
 	matches := func(p *Plan, cc string) bool { return cc == "" || p.Src == cc || p.Dst == cc }
-	var out []Plan
+	out := []Plan{}
 	for i := range st.plans {
 		p := &st.plans[i]
 		if !matches(p, ccS) || !matches(p, ccD) {
@@ -432,14 +433,15 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 		if improvedSet && (p.Relay != nil) != improved {
 			continue
 		}
-		out = append(out, *p)
+		if pg.take() {
+			out = append(out, *p)
+		}
 	}
-	total := len(out)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"seed":     st.seed,
 		"scenario": st.scenName,
-		"count":    total,
-		"plans":    page(out, limit, offset),
+		"count":    pg.count,
+		"plans":    out,
 	})
 }
 
@@ -461,23 +463,15 @@ type DisruptionInfo struct {
 	DarkCorridors  int      `json:"dark_corridors,omitempty"`
 }
 
-func (s *Server) handleDisruptions(w http.ResponseWriter, r *http.Request) {
-	st := s.st()
-	if notReady(w, st) {
+func handleDisruptions(w http.ResponseWriter, r *http.Request, st *servingState) {
+	q := st.query(r)
+	activeOnly, activeSet := q.boolean("active")
+	if q.answered(w) {
 		return
 	}
-	activeOnly, activeSet, err := boolFilter(r.URL.Query().Get("active"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad active filter: %v", err)
-		return
-	}
-	activeCount := 0
 	out := []DisruptionInfo{}
 	for i := range st.disruptions {
 		ev := &st.disruptions[i]
-		if ev.Active() {
-			activeCount++
-		}
 		if activeSet && ev.Active() != activeOnly {
 			continue
 		}
@@ -506,92 +500,31 @@ func (s *Server) handleDisruptions(w http.ResponseWriter, r *http.Request) {
 		"seed":          st.seed,
 		"scenario":      st.scenName,
 		"self_heal":     st.selfHeal,
-		"degraded":      st.degraded,
-		"active":        activeCount,
+		"degraded":      st.active > 0,
+		"active":        st.active,
 		"count":         len(out),
 		"disruptions":   out,
 		"relays_healed": st.relaysHealed,
 	})
 }
 
-func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
-	st := s.st()
-	if notReady(w, st) {
+func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request, st *servingState) {
+	q := st.query(r)
+	seed := q.integer("seed", st.seed, math.MinInt64, "bad seed %q")
+	if q.answered(w) {
 		return
 	}
-	q := r.URL.Query()
-	seed := st.seed
-	if v := q.Get("seed"); v != "" {
-		var err error
-		if seed, err = strconv.ParseInt(v, 10, 64); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad seed %q", v)
-			return
-		}
-	}
-	scen := st.scenName
-	if v := q.Get("scenario"); v != "" {
-		scen = v
-	}
-	info, err := s.Swap(seed, scen)
+	info, err := s.Swap(seed, cmp.Or(q.v.Get("scenario"), st.scenName))
 	switch {
-	case err == ErrSwapInFlight:
+	case errors.Is(err, ErrSwapInFlight):
 		writeErr(w, http.StatusConflict, "%v", err)
-	case err != nil:
+	case errors.Is(err, scenario.ErrUnknownPreset):
 		// Unknown scenario names are the caller's mistake; build
 		// failures are ours.
-		if strings.Contains(err.Error(), "unknown preset") {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
+		writeErr(w, http.StatusBadRequest, "%v", err)
+	case err != nil:
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 	default:
 		writeJSON(w, http.StatusOK, map[string]any{"swapped": true, "state": info})
 	}
-}
-
-// boolFilter parses an optional boolean query value; set reports
-// whether the filter was present.
-func boolFilter(v string) (val, set bool, err error) {
-	if v == "" {
-		return false, false, nil
-	}
-	val, err = strconv.ParseBool(v)
-	return val, err == nil, err
-}
-
-// pageParams parses limit/offset with a per-endpoint default limit
-// (0 = unlimited).
-func pageParams(q map[string][]string, defLimit int) (limit, offset int, err error) {
-	limit = defLimit
-	get := func(key string) (string, bool) {
-		vs := q[key]
-		if len(vs) == 0 || vs[0] == "" {
-			return "", false
-		}
-		return vs[0], true
-	}
-	if v, ok := get("limit"); ok {
-		if limit, err = strconv.Atoi(v); err != nil || limit < 0 {
-			return 0, 0, fmt.Errorf("limit must be a non-negative integer, got %q", v)
-		}
-	}
-	if v, ok := get("offset"); ok {
-		if offset, err = strconv.Atoi(v); err != nil || offset < 0 {
-			return 0, 0, fmt.Errorf("offset must be a non-negative integer, got %q", v)
-		}
-	}
-	return limit, offset, nil
-}
-
-// page applies offset/limit to a filtered slice (limit 0 = unlimited),
-// returning an empty — not nil — slice so JSON lists render as [].
-func page[T any](s []T, limit, offset int) []T {
-	if offset >= len(s) {
-		return []T{}
-	}
-	s = s[offset:]
-	if limit > 0 && len(s) > limit {
-		s = s[:limit]
-	}
-	return s
 }

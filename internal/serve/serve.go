@@ -21,7 +21,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -124,18 +123,19 @@ type servingState struct {
 	world    *sim.World
 
 	// disruptions are the warm campaign's detected events (confirmation
-	// order); degraded reports any still active when the campaign ended
-	// — the world is being served while a disruption persists.
+	// order); active counts those still active when the campaign ended,
+	// which marks the state degraded: served while a disruption persists.
 	disruptions  []detect.Event
-	degraded     bool
+	active       int
 	selfHeal     bool
 	relaysHealed int // total relay-round exclusions the healer applied
 
-	plans   []Plan                   // sorted by corridor (Src, Dst)
-	planIdx map[measure.Corridor]int // corridor -> index into plans
-	resolve map[string]string        // lowercased city name / country code -> CC
-	facPDB  map[int]int              // facility PDB id -> index into world.Registry.Facilities()
-	corBy   map[int]int              // facility PDB id -> COR relay count
+	plans    []Plan                   // sorted by corridor (Src, Dst)
+	planIdx  map[measure.Corridor]int // corridor -> index into plans
+	resolve  map[string]string        // lowercased city name / country code -> CC
+	facPDB   map[int]int              // facility PDB id -> index into world.Registry.Facilities()
+	corBy    map[int]int              // facility PDB id -> COR relay count
+	relayIdx map[string]int           // relay ID -> index into world.Catalog.Relays
 
 	builtAt     time.Time
 	buildDur    time.Duration
@@ -154,7 +154,7 @@ type servingState struct {
 type Server struct {
 	opts     Options
 	state    atomic.Pointer[servingState]
-	building atomic.Bool // serializes Warm/Swap builds
+	building atomic.Bool // serializes builds
 }
 
 // New validates opts and returns a server with no serving state yet:
@@ -174,26 +174,12 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Ready reports whether a serving state has been published.
-func (s *Server) Ready() bool { return s.state.Load() != nil }
-
-// Warm builds the initial world + warm campaign and publishes it. It is
-// the boot half of Swap: call it once, typically in a goroutine beside
-// ListenAndServe, and poll /readyz.
+// Warm builds the initial world + warm campaign and publishes it: the
+// first Swap, onto Options.Seed and Options.Scenario. Call it once,
+// typically in a goroutine beside ListenAndServe, and poll /readyz.
 func (s *Server) Warm() error {
-	if !s.building.CompareAndSwap(false, true) {
-		return fmt.Errorf("serve: a build is already in progress")
-	}
-	defer s.building.Store(false)
-	st, err := s.buildState(s.opts.Seed, s.opts.Scenario)
-	if err != nil {
-		return err
-	}
-	s.state.Store(st)
-	s.logf("serving seed %d scenario %s: %d corridors (world %v, campaign %v)",
-		st.seed, st.scenName, len(st.plans), st.buildDur.Round(time.Millisecond),
-		st.campaignDur.Round(time.Millisecond))
-	return nil
+	_, err := s.Swap(s.opts.Seed, s.opts.Scenario)
+	return err
 }
 
 // Swap builds a fresh (seed, scenario) state in the background of the
@@ -201,19 +187,20 @@ func (s *Server) Warm() error {
 // keep the state they loaded; no request ever blocks on the build. Only
 // one build runs at a time — a concurrent Swap returns ErrSwapInFlight.
 func (s *Server) Swap(seed int64, scenName string) (*SwapInfo, error) {
-	if _, err := scenario.ByName(scenName); err != nil {
+	sc, err := scenario.ByName(scenName)
+	if err != nil {
 		return nil, err
 	}
 	if !s.building.CompareAndSwap(false, true) {
 		return nil, ErrSwapInFlight
 	}
 	defer s.building.Store(false)
-	st, err := s.buildState(seed, scenName)
+	st, err := s.buildState(seed, sc)
 	if err != nil {
 		return nil, err
 	}
 	s.state.Store(st)
-	s.logf("swapped to seed %d scenario %s: %d corridors (world %v, campaign %v)",
+	s.logf("serving seed %d scenario %s: %d corridors (world %v, campaign %v)",
 		st.seed, st.scenName, len(st.plans), st.buildDur.Round(time.Millisecond),
 		st.campaignDur.Round(time.Millisecond))
 	return &SwapInfo{
@@ -245,11 +232,7 @@ type SwapInfo struct {
 // Equal (seed, scenario) under equal Options build bit-identical states
 // — the campaign substrate's determinism guarantee — so a swapped-in
 // state serves byte-identical responses to a fresh server's.
-func (s *Server) buildState(seed int64, scenName string) (*servingState, error) {
-	sc, err := scenario.ByName(scenName)
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) buildState(seed int64, sc *scenario.Scenario) (*servingState, error) {
 	wp, err := core.WorldParams(seed, s.opts.SmallWorld, s.opts.ScaleEndpoints)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -261,7 +244,7 @@ func (s *Server) buildState(seed int64, scenName string) (*servingState, error) 
 	}
 	buildDur := time.Since(t0)
 	s.logf("world seed %d built in %v; running %d-round warm campaign (scenario %s)",
-		seed, buildDur.Round(time.Millisecond), s.opts.Rounds, scenName)
+		seed, buildDur.Round(time.Millisecond), s.opts.Rounds, sc.Name)
 
 	mc := core.CampaignConfig(s.opts.Rounds, s.opts.ScaleEndpoints)
 	mc.Concurrency = s.opts.Concurrency
@@ -283,7 +266,7 @@ func (s *Server) buildState(seed int64, scenName string) (*servingState, error) 
 
 	st := &servingState{
 		seed:        seed,
-		scenName:    scenName,
+		scenName:    sc.Name,
 		world:       w,
 		disruptions: det.Events(),
 		selfHeal:    s.opts.SelfHeal,
@@ -294,7 +277,7 @@ func (s *Server) buildState(seed int64, scenName string) (*servingState, error) 
 	}
 	for _, ev := range st.disruptions {
 		if ev.Active() {
-			st.degraded = true
+			st.active++
 		}
 	}
 	for _, ps := range det.PlanHistory() {
@@ -302,7 +285,7 @@ func (s *Server) buildState(seed int64, scenName string) (*servingState, error) 
 	}
 	if n := len(st.disruptions); n > 0 {
 		s.logf("warm campaign seed %d detected %d disruption(s), degraded=%v healed=%d relay-rounds",
-			seed, n, st.degraded, st.relaysHealed)
+			seed, n, st.active > 0, st.relaysHealed)
 	}
 	st.buildPlans(measure.NewResultCatalog(res))
 	st.buildLookups()
@@ -317,7 +300,6 @@ func (st *servingState) buildPlans(cat *measure.ResultCatalog) {
 	corridors := cat.Corridors()
 	st.plans = make([]Plan, 0, len(corridors))
 	st.planIdx = make(map[measure.Corridor]int, len(corridors))
-	relayCat := st.world.Catalog
 	directs := make([]float64, 0, 64)
 	for _, key := range corridors {
 		idxs := cat.Indices(key.A, key.B)
@@ -349,28 +331,34 @@ func (st *servingState) buildPlans(cat *measure.ResultCatalog) {
 				p.Improved++
 			}
 		}
-		sort.Float64s(directs)
-		p.DirectMs = median(directs)
+		p.DirectMs = measure.Median(directs)
 		if bestRelay >= 0 {
-			r := &relayCat.Relays[bestRelay]
+			ref := st.relayRef(int(bestRelay))
 			p.BestRelayedMs = bestRelayed
 			p.ImprovementMs = bestGain
-			p.Relay = &RelayRef{
-				ID:          r.ID,
-				Type:        r.Type.String(),
-				CC:          r.CC,
-				City:        st.world.Topo.Cities[r.City].Name,
-				Facility:    r.FacilityName,
-				FacilityPDB: r.FacilityPDB,
-			}
+			p.Relay = &ref
 		}
 		st.planIdx[key] = len(st.plans)
 		st.plans = append(st.plans, p)
 	}
 }
 
+// relayRef renders catalog relay i.
+func (st *servingState) relayRef(i int) RelayRef {
+	r := &st.world.Catalog.Relays[i]
+	return RelayRef{
+		ID:          r.ID,
+		Type:        r.Type.String(),
+		CC:          r.CC,
+		City:        st.world.Topo.Cities[r.City].Name,
+		Facility:    r.FacilityName,
+		FacilityPDB: r.FacilityPDB,
+	}
+}
+
 // buildLookups precomputes the request-path tables: location resolution
-// (city name or country code -> CC) and the facility indexes.
+// (city name or country code -> CC), the facility indexes and the relay
+// ID index.
 func (st *servingState) buildLookups() {
 	st.resolve = make(map[string]string, 2*len(st.world.Topo.Cities))
 	for i := range st.world.Topo.Cities {
@@ -387,28 +375,16 @@ func (st *servingState) buildLookups() {
 		st.facPDB[f.PDBID] = i
 	}
 	st.corBy = make(map[int]int)
+	st.relayIdx = make(map[string]int, len(st.world.Catalog.Relays))
 	for i := range st.world.Catalog.Relays {
 		r := &st.world.Catalog.Relays[i]
+		// COR IDs name drawn IPs, which may repeat: the first relay
+		// keeps the ID, as a catalog scan would find it.
+		if _, dup := st.relayIdx[r.ID]; !dup {
+			st.relayIdx[r.ID] = i
+		}
 		if r.Type == relays.COR {
 			st.corBy[r.FacilityPDB]++
 		}
 	}
-}
-
-// resolveLoc maps a src/dst query value — a city name or an ISO country
-// code, case-insensitive — to its country code.
-func (st *servingState) resolveLoc(q string) (string, bool) {
-	cc, ok := st.resolve[strings.ToLower(strings.TrimSpace(q))]
-	return cc, ok
-}
-
-func median(sorted []float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
