@@ -11,11 +11,10 @@ package atlas
 import (
 	"math"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"shortcuts/internal/latency"
+	"shortcuts/internal/par"
 	"shortcuts/internal/rng"
 	"shortcuts/internal/topology"
 )
@@ -241,9 +240,11 @@ func (pl *Platform) generateSharded(g *rng.Rand, topo *topology.Topology, p Para
 	base := g.Stream("deploy")
 	ases := topo.ASes
 	counts := make([]int32, len(ases))
-	parallelASes(len(ases), workers, func(i int) {
+	// Neither pass can fail, so their pool errors are always nil.
+	_ = par.For(len(ases), workers, func(_, i int) error {
 		s := base.At(uint64(i))
 		counts[i] = int32(deployCount(&s, ases[i], p))
+		return nil
 	})
 	offsets := make([]int32, len(ases)+1)
 	ccs := make([]uint16, len(ases)) // per AS: its country's index
@@ -255,7 +256,7 @@ func (pl *Platform) generateSharded(g *rng.Rand, topo *topology.Topology, p Para
 		}
 	}
 	pl.grow(int(offsets[len(ases)]))
-	parallelASes(len(ases), workers, func(i int) {
+	_ = par.For(len(ases), workers, func(_, i int) error {
 		a := ases[i]
 		s := base.At(uint64(i))
 		deployCount(&s, a, p) // burn the sizing draws; attributes follow
@@ -263,37 +264,8 @@ func (pl *Platform) generateSharded(g *rng.Rand, topo *topology.Topology, p Para
 			city := a.PoPs[s.IntBetween(0, len(a.PoPs)-1)]
 			pl.set(drawProbe(&s, a, p, firstID+ProbeID(int(offsets[i])+j), city), ccs[i])
 		}
+		return nil
 	})
-}
-
-// parallelASes fans f over [0, n) with the given worker budget; callers
-// guarantee f(i) touches only index-i state.
-func parallelASes(n, workers int, f func(i int)) {
-	if workers <= 1 || n < 64 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // drawer is the draw surface both fleet generators share: the

@@ -15,10 +15,10 @@ package bgp
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"shortcuts/internal/par"
 	"shortcuts/internal/topology"
 )
 
@@ -171,7 +171,8 @@ func (r *Router) treeFor(dst topology.ASN) (*tree, error) {
 }
 
 // Warm precomputes the routing trees toward every given destination
-// using a bounded worker pool (workers <= 0 means GOMAXPROCS).
+// on par.For (workers <= 0 means GOMAXPROCS), and stops claiming
+// destinations after the first error, which it returns.
 // Destinations already cached cost nothing; duplicates are deduplicated.
 // Warming the campaign's destination set at world build removes the
 // cold-start serialization otherwise paid during round 0.
@@ -188,56 +189,15 @@ func (r *Router) Warm(dsts []topology.ASN, workers int) error {
 		todo = append(todo, d)
 	}
 	r.mu.RUnlock()
-	if len(todo) == 0 {
-		return nil
-	}
 	for _, d := range todo {
 		if _, known := r.index[d]; !known {
 			return fmt.Errorf("bgp: warm: unknown destination AS %d", d)
 		}
 	}
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	if workers <= 1 {
-		for _, d := range todo {
-			if _, err := r.treeFor(d); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		wg    sync.WaitGroup
-		next  atomic.Int64
-		first atomic.Pointer[error]
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(len(todo)) {
-					return
-				}
-				if _, err := r.treeFor(todo[i]); err != nil {
-					first.CompareAndSwap(nil, &err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if errp := first.Load(); errp != nil {
-		return *errp
-	}
-	return nil
+	return par.For(len(todo), workers, func(_, i int) error {
+		_, err := r.treeFor(todo[i])
+		return err
+	})
 }
 
 // computeScratch holds the per-computation working set. compute runs

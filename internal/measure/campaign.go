@@ -37,13 +37,12 @@ import (
 	"math/bits"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"shortcuts/internal/atlas"
 	"shortcuts/internal/geo"
 	"shortcuts/internal/latency"
+	"shortcuts/internal/par"
 	"shortcuts/internal/relays"
 	"shortcuts/internal/rng"
 	"shortcuts/internal/scenario"
@@ -204,7 +203,7 @@ type roundScratch struct {
 	relayType   []relays.Type // per relay position: population
 	typeBits    []uint64      // per relay type, a relay-position bitset (nrW words each)
 	livePos     []int32       // relay positions not churned out this round
-	plan        pairPlan      // the round's pair universe (closed-form or sampled)
+	pairs       []pairIdx32   // the round's pairs: every pair, or the stratified sample
 	fwd, rev    []float32     // per pair: direct medians, both directions
 	workers     []scratch     // per-worker pricing and stitching scratch
 
@@ -229,14 +228,13 @@ type roundScratch struct {
 	legJobs    []int64   // flat active*nr+pos of legs to measure, ascending
 
 	// Stratified pair-sampling scratch (buildPairPlan).
-	sPairs     []pairIdx32 // the sampled plan, stratum-major
-	cityCount  []int32     // per city: endpoints this round
-	cityStart  []int32     // per city: extent starts into byCity
-	cityFill   []int32     // counting-sort cursor
-	byCity     []int32     // endpoint positions grouped by city, ascending
-	cityList   []int32     // occupied cities, ascending
-	cityWeight []float64   // per city: summed eyeball population weight
-	strataT    []int64     // one stratum's sampled ordinals, sort buffer
+	cityCount  []int32   // per city: endpoints this round
+	cityStart  []int32   // per city: extent starts into byCity
+	cityFill   []int32   // counting-sort cursor
+	byCity     []int32   // endpoint positions grouped by city, ascending
+	cityList   []int32   // occupied cities, ascending
+	cityWeight []float64 // per city: summed eyeball population weight
+	strataT    []int64   // one stratum's sampled ordinals, sort buffer
 	sampleSeen map[sampleKey]bool
 }
 
@@ -417,20 +415,23 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	}
 
 	// Step 2: direct paths, both directions, and step 3's feasibility
-	// half. The pair universe is never materialized: the exhaustive plan
-	// addresses the triangular space in closed form (pairAt inverts
-	// ordinal -> (i, j)); a PairBudget below the universe size switches
-	// to the stratified sample, whose index list is the only pair list
-	// the round ever builds. fwd/rev are zeroed because
+	// half. The round's pairs are every pair in the canonical
+	// `for i { for j := i+1 }` order, or, under a PairBudget below that
+	// count, the stratified sample. fwd/rev are zeroed because
 	// unresponsive pairs must read as "no valid median" (0), not as last
 	// round's value.
-	plan := &scr.plan
-	plan.ne = ne
-	plan.idx = nil
 	if c.cfg.PairBudget > 0 && c.cfg.PairBudget < pairCount(ne) {
-		plan.idx = c.buildPairPlan(scr, round)
+		c.buildPairPlan(scr, round)
+	} else {
+		scr.pairs = scr.pairs[:0]
+		for i := range int32(ne) {
+			for j := i + 1; j < int32(ne); j++ {
+				scr.pairs = append(scr.pairs, pairIdx32{i, j})
+			}
+		}
 	}
-	np := plan.count()
+	pairs := scr.pairs
+	np := len(pairs)
 	info.PairsAttempted = np
 
 	scr.fwd = grown(scr.fwd, np)
@@ -445,11 +446,10 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	// pair, so a sampled round's fresh endpoint pairs mostly land on
 	// entries earlier rounds admitted. The worker that prices a pair also
 	// writes the pair's feasibility row.
-	var pings atomic.Int64
 	err := c.parallel(scr, np, func(s *scratch, k int) error {
 		row := feas[k*nrW : (k+1)*nrW]
 		clear(row)
-		i, j := plan.at(k)
+		i, j := pairs[k].i, pairs[k].j
 		if !windowUp[i] || !windowUp[j] {
 			s.pings += int64(2 * c.cfg.PingsPerPair) // pings sent, unanswered
 			return nil
@@ -467,39 +467,32 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 		}
 		return nil
 	})
-	c.flushPings(scr, &pings)
+	pings := c.flushPings(scr)
 	if err != nil {
 		return info, err
 	}
 
-	// The active endpoint set: every endpoint some plan pair touches, in
-	// ascending position order. Exhaustive plans activate everything (the
-	// identity mapping, so leg indices match the historical dense layout
-	// order); sampled plans compact to the touched subset, which is what
+	// The active endpoint set: every endpoint some pair touches, in
+	// ascending position order. An exhaustive round with two or more
+	// endpoints touches every endpoint, so the map is the identity;
+	// a sampled round compacts to the touched subset, which is what
 	// keeps the leg bitset's row count at O(sampled endpoints).
 	scr.activeOf = grown(scr.activeOf, ne)
 	activeOf := scr.activeOf
+	for i := range activeOf {
+		activeOf[i] = -1
+	}
+	for _, p := range pairs {
+		activeOf[p.i] = 0
+		activeOf[p.j] = 0
+	}
 	scr.activeList = scr.activeList[:0]
-	if plan.idx == nil {
-		for i := 0; i < ne; i++ {
-			activeOf[i] = int32(i)
+	for i := range activeOf {
+		if activeOf[i] == 0 {
+			activeOf[i] = int32(len(scr.activeList))
 			scr.activeList = append(scr.activeList, int32(i))
-		}
-	} else {
-		for i := range activeOf {
+		} else {
 			activeOf[i] = -1
-		}
-		for _, p := range plan.idx {
-			activeOf[p.i] = 0
-			activeOf[p.j] = 0
-		}
-		for i := 0; i < ne; i++ {
-			if activeOf[i] == 0 {
-				activeOf[i] = int32(len(scr.activeList))
-				scr.activeList = append(scr.activeList, int32(i))
-			} else {
-				activeOf[i] = -1
-			}
 		}
 	}
 	activeList := scr.activeList
@@ -511,10 +504,10 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	scr.legBits = grown(scr.legBits, nA*nrW)
 	legBits := scr.legBits
 	clear(legBits)
-	for it := newPairIter(plan); it.next(); {
-		row := feas[it.k*nrW : (it.k+1)*nrW]
-		ra := legBits[int(activeOf[it.i])*nrW:][:nrW]
-		rb := legBits[int(activeOf[it.j])*nrW:][:nrW]
+	for k, p := range pairs {
+		row := feas[k*nrW : (k+1)*nrW]
+		ra := legBits[int(activeOf[p.i])*nrW:][:nrW]
+		rb := legBits[int(activeOf[p.j])*nrW:][:nrW]
 		for w, f := range row {
 			f &= relayUp[w]
 			ra[w] |= f
@@ -564,7 +557,7 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 		}
 		return c.medians(c.view, s, s.pairs, round, hourFrac, legVals[lo:hi])
 	})
-	c.flushPings(scr, &pings)
+	pings += c.flushPings(scr)
 	if err != nil {
 		return info, err
 	}
@@ -572,10 +565,10 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	// Credits: all pings of this round land on its calendar day, charged
 	// before stitching, so an exhausted budget emits nothing of the round.
 	day := int(start.Sub(c.cfg.Start).Hours() / 24)
-	if err := c.ledger.Spend(day, pings.Load()*atlas.PingCost); err != nil {
+	if err := c.ledger.Spend(day, pings*atlas.PingCost); err != nil {
 		return info, err
 	}
-	info.PingsSent = pings.Load()
+	info.PingsSent = pings
 
 	// Step 4 (stitching): every usable pair is stitched off the leg
 	// medians on the worker pool, each worker appending improving entries
@@ -587,8 +580,8 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	}
 	err = c.parallel(scr, np, func(s *scratch, k int) error {
 		if fwd[k] != 0 {
-			i, j := plan.at(k)
-			c.stitchPair(s, &stitched[k], feas[k*nrW:(k+1)*nrW], int(activeOf[i]), int(activeOf[j]), fwd[k])
+			p := pairs[k]
+			c.stitchPair(s, &stitched[k], feas[k*nrW:(k+1)*nrW], int(activeOf[p.i]), int(activeOf[p.j]), fwd[k])
 		}
 		return nil
 	})
@@ -599,13 +592,12 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	// Emission: one serial loop in pair order. Every observation field is
 	// an atlas column read, its city's continent, or a stitch record field.
 	cities := c.w.Topo.Cities
-	for it := newPairIter(plan); it.next(); {
-		k := it.k
+	for k, p := range pairs {
 		if fwd[k] == 0 {
 			continue
 		}
 		st := &stitched[k]
-		ra, rb := eps[it.i], eps[it.j]
+		ra, rb := eps[p.i], eps[p.j]
 		o := Observation{
 			Round:    round,
 			SrcProbe: fleet.ID(ra), DstProbe: fleet.ID(rb),
@@ -780,15 +772,17 @@ type scratch struct {
 	pings   int64                  // pings sent by this worker since the last flush
 }
 
-// flushPings folds every worker's locally accumulated ping count into
-// the round total. The hot loops count into their scratch — one plain
-// add per train instead of one atomic RMW — and the round body flushes
-// after each parallel section.
-func (c *campaign) flushPings(scr *roundScratch, pings *atomic.Int64) {
+// flushPings returns the ping count every worker accumulated since the
+// last flush and zeroes it. The hot loops count into their scratch —
+// one plain add per train instead of one atomic RMW — and the round
+// body flushes between passes, when no worker runs.
+func (c *campaign) flushPings(scr *roundScratch) int64 {
+	var sum int64
 	for i := range scr.workers {
-		pings.Add(scr.workers[i].pings)
+		sum += scr.workers[i].pings
 		scr.workers[i].pings = 0
 	}
+	return sum
 }
 
 // medians prices the round's ping train for every pair: it resolves
@@ -851,17 +845,11 @@ func Median(vals []float64) float64 {
 	return (vals[mid-1] + vals[mid]) / 2
 }
 
-// parallel runs fn over [0, n) with the campaign's per-round worker
-// count, each worker carrying its own scratch (retained across rounds
-// in the round arena), propagating the first error.
+// parallel runs fn over [0, n) on par.For with the campaign's per-round
+// worker count, each worker carrying its own scratch (retained across
+// rounds in the round arena), and returns the first error.
 func (c *campaign) parallel(scr *roundScratch, n int, fn func(s *scratch, i int) error) error {
-	workers := c.workers
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(min(c.workers, n), 1)
 	if cap(scr.workers) < workers {
 		scr.workers = make([]scratch, workers)
 	}
@@ -869,45 +857,5 @@ func (c *campaign) parallel(scr *roundScratch, n int, fn func(s *scratch, i int)
 	for w := range scr.workers {
 		scr.workers[w].id = int32(w)
 	}
-	if workers <= 1 {
-		s := &scr.workers[0]
-		for i := 0; i < n; i++ {
-			if err := fn(s, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg    sync.WaitGroup
-		next  atomic.Int64
-		errMu sync.Mutex
-		first error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if first == nil {
-			first = err
-			next.Store(int64(n)) // stop dispatching
-		}
-		errMu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(s *scratch) {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				if err := fn(s, int(i)); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}(&scr.workers[w])
-	}
-	wg.Wait()
-	return first
+	return par.For(n, workers, func(w, i int) error { return fn(&scr.workers[w], i) })
 }

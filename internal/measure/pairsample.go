@@ -20,7 +20,7 @@ import "slices"
 // stratum ordinal plus within-stratum pair ordinal.
 type sampleKey struct{ s, t int64 }
 
-// buildPairPlan fills scr.sPairs with the round's stratified pair
+// buildPairPlan fills scr.pairs with the round's stratified pair
 // sample over the round's drafted endpoints (scr.eps, scr.epWeight) and
 // returns it. Callers invoke it only when 0 < budget <
 // pairCount(len(scr.eps)). The prologue runs single-threaded, reusing
@@ -98,7 +98,8 @@ func (c *campaign) buildPairPlan(scr *roundScratch, round int) []pairIdx32 {
 		}
 	}
 	if totalW <= 0 {
-		return scr.sPairs[:0] // no mass anywhere: degenerate, empty plan
+		scr.pairs = scr.pairs[:0] // no mass anywhere: degenerate, empty plan
+		return scr.pairs
 	}
 
 	// Pass 2: quotas with carried rounding error (so the realized total
@@ -112,7 +113,7 @@ func (c *campaign) buildPairPlan(scr *roundScratch, round int) []pairIdx32 {
 		clear(scr.sampleSeen)
 	}
 	base := c.pairBase.Derive("round", uint64(round))
-	sPairs := scr.sPairs[:0]
+	pairs := scr.pairs[:0]
 	carry := 0.0
 	for x, a := range cityList {
 		for _, b := range cityList[x:] {
@@ -163,12 +164,12 @@ func (c *campaign) buildPairPlan(scr *roundScratch, round int) []pairIdx32 {
 						i, j = j, i
 					}
 				}
-				sPairs = append(sPairs, pairIdx32{i, j})
+				pairs = append(pairs, pairIdx32{i, j})
 			}
 		}
 	}
-	scr.sPairs = sPairs
-	return sPairs
+	scr.pairs = pairs
+	return pairs
 }
 
 // stratumQuota reproduces the quota rule in isolation for tests: the

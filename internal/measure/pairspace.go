@@ -2,16 +2,6 @@ package measure
 
 import "math"
 
-// The pair universe of a round — every unordered endpoint pair (i, j),
-// i < j — used to be materialized as a []pairIdx slice, which is
-// n*(n-1)/2 entries: fine at the paper's ~160 endpoints, impossible at
-// the ROADMAP's million-endpoint scale (~500 billion slots). The round
-// loop now addresses the universe arithmetically: a pairPlan knows the
-// universe size in closed form and maps a pair's ordinal k to its (i, j)
-// coordinates by inverting the triangular enumeration, so exhaustive
-// rounds never build a pair slice at all, and sampled rounds build only
-// the budget-sized index list.
-
 // pairIdx32 addresses one endpoint pair by its positions in the round's
 // endpoint sample.
 type pairIdx32 struct{ i, j int32 }
@@ -40,66 +30,4 @@ func pairAt(ne, k int) (int, int) {
 		i--
 	}
 	return i, k - rowStart(i) + i + 1
-}
-
-// pairPlan is the round's pair universe: exhaustive (idx nil — the
-// closed-form triangular space over ne endpoints) or sampled (idx holds
-// the budgeted pair list, already deterministic and deduplicated).
-type pairPlan struct {
-	ne  int
-	idx []pairIdx32
-}
-
-// count returns the number of pairs the plan addresses.
-func (p *pairPlan) count() int {
-	if p.idx != nil {
-		return len(p.idx)
-	}
-	return pairCount(p.ne)
-}
-
-// at maps ordinal k to the pair's endpoint positions.
-func (p *pairPlan) at(k int) (int, int) {
-	if p.idx != nil {
-		return int(p.idx[k].i), int(p.idx[k].j)
-	}
-	return pairAt(p.ne, k)
-}
-
-// pairIter walks a plan's pairs in ordinal order without per-pair
-// inversion math: exhaustive plans advance (i, j) incrementally, sampled
-// plans read the index list. The value-type iterator lives on the
-// caller's stack — iteration allocates nothing.
-type pairIter struct {
-	plan *pairPlan
-	n    int // cached count
-	k    int
-	i, j int
-}
-
-func newPairIter(p *pairPlan) pairIter {
-	return pairIter{plan: p, n: p.count(), k: -1}
-}
-
-// next advances to the next pair; it returns false when the plan is
-// exhausted. After a true return, k(), i and j identify the pair.
-func (it *pairIter) next() bool {
-	it.k++
-	if it.k >= it.n {
-		return false
-	}
-	if it.plan.idx != nil {
-		it.i, it.j = int(it.plan.idx[it.k].i), int(it.plan.idx[it.k].j)
-		return true
-	}
-	if it.k == 0 {
-		it.i, it.j = 0, 1
-		return true
-	}
-	it.j++
-	if it.j >= it.plan.ne {
-		it.i++
-		it.j = it.i + 1
-	}
-	return true
 }

@@ -23,30 +23,3 @@ func TestPairAtMatchesDoubleLoop(t *testing.T) {
 		}
 	}
 }
-
-// TestPairIterMatchesAt proves the incremental iterator visits the same
-// sequence as ordinal indexing, for exhaustive and sampled plans.
-func TestPairIterMatchesAt(t *testing.T) {
-	plans := []pairPlan{
-		{ne: 9},
-		{ne: 2},
-		{ne: 100, idx: []pairIdx32{{0, 3}, {1, 2}, {5, 99}}},
-		{ne: 4, idx: []pairIdx32{}},
-	}
-	for pi := range plans {
-		p := &plans[pi]
-		n := 0
-		for it := newPairIter(p); it.next(); n++ {
-			if it.k != n {
-				t.Fatalf("plan %d: iterator k=%d at step %d", pi, it.k, n)
-			}
-			wi, wj := p.at(n)
-			if it.i != wi || it.j != wj {
-				t.Fatalf("plan %d k=%d: iter=(%d,%d) at=(%d,%d)", pi, n, it.i, it.j, wi, wj)
-			}
-		}
-		if n != p.count() {
-			t.Fatalf("plan %d: iterated %d pairs, count says %d", pi, n, p.count())
-		}
-	}
-}

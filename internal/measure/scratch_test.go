@@ -62,14 +62,13 @@ func poisonScratch(c *campaign, ne, nr int) {
 		scr.windowUp[i] = true
 	}
 	np := ne * (ne - 1) / 2
-	scr.plan = pairPlan{ne: ne, idx: make([]pairIdx32, np)}
-	scr.sPairs = scr.plan.idx
+	scr.pairs = make([]pairIdx32, np)
 	scr.fwd = make([]float32, np)
 	scr.rev = make([]float32, np)
 	scr.feas = make([]uint64, np*nrW)
 	scr.stitched = make([]pairStitch, np)
 	for i := 0; i < np; i++ {
-		scr.plan.idx[i] = pairIdx32{int32(i % ne), int32((i + 1) % ne)}
+		scr.pairs[i] = pairIdx32{int32(i % ne), int32((i + 1) % ne)}
 		scr.fwd[i] = 123.25
 		scr.rev[i] = 321.75
 		scr.stitched[i] = pairStitch{

@@ -17,6 +17,7 @@ package relays
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -59,9 +60,9 @@ func (t Type) String() string {
 	}
 }
 
-// Relay is one candidate relay.
+// Relay is one candidate relay; its index is its position in
+// Catalog.Relays.
 type Relay struct {
-	Index    int // stable position in the catalog
 	Type     Type
 	ID       string
 	Endpoint latency.Endpoint
@@ -136,10 +137,10 @@ func BuildCatalog(g *rng.Rand, d Deps) (*Catalog, error) {
 }
 
 func (c *Catalog) add(r Relay) int {
-	r.Index = len(c.Relays)
+	i := len(c.Relays)
 	c.Relays = append(c.Relays, r)
-	c.byType[r.Type] = append(c.byType[r.Type], r.Index)
-	return r.Index
+	c.byType[r.Type] = append(c.byType[r.Type], i)
+	return i
 }
 
 // buildCOR applies the paper's Section-2.2 filters, in order, to the
@@ -241,7 +242,7 @@ func (c *Catalog) buildPLR(d Deps) {
 
 func (c *Catalog) buildRAR(d Deps) {
 	// Size the catalog up front: at the scale tiers this loop appends
-	// ~a million ~136-byte Relay values, and letting append regrow the
+	// ~a million 112-byte Relay values, and letting append regrow the
 	// slice dominates the whole world build in memclr/memmove. One
 	// counting pass costs microseconds and makes every append O(1).
 	fleet := d.Atlas
@@ -256,9 +257,9 @@ func (c *Catalog) buildRAR(d Deps) {
 			other++
 		}
 	}
-	c.Relays = grow(c.Relays, eye+other)
-	c.byType[RAREye] = grow(c.byType[RAREye], eye)
-	c.byType[RAROther] = grow(c.byType[RAROther], other)
+	c.Relays = slices.Grow(c.Relays, eye+other)
+	c.byType[RAREye] = slices.Grow(c.byType[RAREye], eye)
+	c.byType[RAROther] = slices.Grow(c.byType[RAROther], other)
 	for row := range int32(fleet.Len()) {
 		if !fleet.Eligible(row) {
 			continue
@@ -291,15 +292,4 @@ func (c *Catalog) buildRAR(d Deps) {
 			c.otherByCC[p.CC] = append(c.otherByCC[p.CC], idx)
 		}
 	}
-}
-
-// grow returns s with capacity for at least n more elements beyond its
-// current length, preserving contents.
-func grow[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	out := make([]T, len(s), len(s)+n)
-	copy(out, s)
-	return out
 }

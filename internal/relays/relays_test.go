@@ -106,12 +106,26 @@ func TestPLRRelaysAreCampusNodes(t *testing.T) {
 	}
 }
 
+// TestCatalogIndicesStable: a relay's index is its catalog position.
+// Every OfType list is ascending and holds only relays of its type, the
+// four lists together cover the catalog, and relay IDs are unique.
 func TestCatalogIndicesStable(t *testing.T) {
 	w := testWorld(t)
-	for i, r := range w.Catalog.Relays {
-		if r.Index != i {
-			t.Fatalf("relay %d has Index %d", i, r.Index)
+	listed := 0
+	for typ := relays.Type(0); typ < relays.NumTypes; typ++ {
+		idxs := w.Catalog.OfType(typ)
+		for k, i := range idxs {
+			if k > 0 && i <= idxs[k-1] {
+				t.Fatalf("%v list not ascending at %d: %d after %d", typ, k, i, idxs[k-1])
+			}
+			if got := w.Catalog.Relays[i].Type; got != typ {
+				t.Fatalf("%v list holds relay %d of type %v", typ, i, got)
+			}
 		}
+		listed += len(idxs)
+	}
+	if listed != len(w.Catalog.Relays) {
+		t.Fatalf("type lists hold %d indices, catalog has %d relays", listed, len(w.Catalog.Relays))
 	}
 	seen := make(map[string]bool)
 	for _, r := range w.Catalog.Relays {

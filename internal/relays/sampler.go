@@ -1,7 +1,8 @@
 package relays
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"shortcuts/internal/atlas"
 	"shortcuts/internal/planetlab"
@@ -44,19 +45,14 @@ type Sampler struct {
 // NewSampler creates a sampler bound to the liveness sources.
 func NewSampler(c *Catalog, a *atlas.Platform, p *planetlab.Registry, sp SampleParams) *Sampler {
 	s := &Sampler{catalog: c, atlas: a, planetlab: p, params: sp}
-	s.corFacs = sortedIntKeys(c.corByFacility)
-	s.plrSites = sortedStrKeys(c.plrBySite)
-	s.eyeCCs = sortedStrKeys2(c.eyeByCountry)
+	s.corFacs = slices.Sorted(maps.Keys(c.corByFacility))
+	s.plrSites = slices.Sorted(maps.Keys(c.plrBySite))
+	s.eyeCCs = slices.Sorted(maps.Keys(c.eyeByCountry))
 	s.eyeASNs = make(map[string][]topology.ASN, len(c.eyeByCountry))
 	for cc, perAS := range c.eyeByCountry {
-		asns := make([]topology.ASN, 0, len(perAS))
-		for asn := range perAS {
-			asns = append(asns, asn)
-		}
-		sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-		s.eyeASNs[cc] = asns
+		s.eyeASNs[cc] = slices.Sorted(maps.Keys(perAS))
 	}
-	s.otherCCs = sortedStrKeys(c.otherByCC)
+	s.otherCCs = slices.Sorted(maps.Keys(c.otherByCC))
 	return s
 }
 
@@ -171,31 +167,4 @@ func (s *Sampler) pickLiveProbe(g *rng.Rand, perm []int, idxs []int, round int, 
 		}
 	}
 	return 0, false, perm
-}
-
-func sortedIntKeys(m map[int][]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedStrKeys(m map[string][]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedStrKeys2(m map[string]map[topology.ASN][]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

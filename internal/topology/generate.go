@@ -2,6 +2,8 @@ package topology
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"shortcuts/internal/datasets/apnic"
@@ -166,7 +168,7 @@ func (b *builder) makeTransits() {
 			gws := gatewayCities[cont]
 			for _, k := range g.SampleInts(len(gws), g.IntBetween(1, 2)) {
 				gw := b.cityIdx(gws[k])
-				if !contains(pops, gw) {
+				if !slices.Contains(pops, gw) {
 					pops = append(pops, gw)
 				}
 			}
@@ -226,7 +228,7 @@ func (b *builder) makeResearch() {
 		// Always present at the continent's research exchange cities.
 		for _, name := range researchExchangeCities {
 			ci := b.cityIdx(name)
-			if b.t.Cities[ci].Continent == cont && !contains(pops, ci) {
+			if b.t.Cities[ci].Continent == cont && !slices.Contains(pops, ci) {
 				pops = append(pops, ci)
 			}
 		}
@@ -246,7 +248,7 @@ func (b *builder) makeResearch() {
 	}
 	// National research networks and their campuses.
 	nrenNext, campusNext := nrenASNBase, campusASNBase
-	for _, cc := range sortedKeys(b.citiesByCC) {
+	for _, cc := range slices.Sorted(maps.Keys(b.citiesByCC)) {
 		if !g.Bool(b.p.NRENProbability) {
 			continue
 		}
@@ -279,7 +281,7 @@ func (b *builder) makeResearch() {
 
 func (b *builder) makeEyeballs() {
 	g := b.g.Split("eyeball")
-	for _, cc := range sortedKeys(b.citiesByCC) {
+	for _, cc := range slices.Sorted(maps.Keys(b.citiesByCC)) {
 		cities := b.citiesByCC[cc]
 		cont := b.t.Cities[cities[0]].Continent
 		n := 0
@@ -691,15 +693,6 @@ func (b *builder) linkEnterprises() {
 
 // --- helpers ----------------------------------------------------------
 
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 func moveToFront(s []int, v int) []int {
 	for i, x := range s {
 		if x == v {
@@ -718,20 +711,4 @@ func allZero(w []float64) bool {
 		}
 	}
 	return true
-}
-
-func sortedKeys(m map[string][]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

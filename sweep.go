@@ -3,7 +3,8 @@ package shortcuts
 import (
 	"fmt"
 	"runtime"
-	"sync"
+
+	"shortcuts/internal/par"
 )
 
 // Sweep fans a multi-campaign workload — one campaign per seed — over
@@ -53,33 +54,6 @@ type Sweep struct {
 	SinkFor func(seed int64) Sink
 }
 
-// forEach runs fn over [0, n) on a pool of the given width (width 1
-// runs inline, preserving the classic sequential order).
-func forEach(n, width int, fn func(i int)) {
-	if width <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < width; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
-
 // SweepResult is one campaign's outcome.
 type SweepResult struct {
 	Seed  int64
@@ -118,23 +92,20 @@ func (s Sweep) Run() ([]SweepResult, error) {
 	// fully built worlds.
 	worlds := make([]*World, len(seeds))
 	if s.World == nil {
-		buildPool := workers
-		if buildPool > len(seeds) {
-			buildPool = len(seeds)
-		}
-		buildBudget := runtime.GOMAXPROCS(0) / buildPool
-		if buildBudget < 1 {
-			buildBudget = 1
-		}
-		forEach(len(seeds), buildPool, func(i int) {
+		buildBudget := max(runtime.GOMAXPROCS(0)/workers, 1)
+		// Failures are recorded per result and every seed runs, so the
+		// pool's own error is always nil; the same holds for the
+		// campaigns below.
+		_ = par.For(len(seeds), workers, func(_, i int) error {
 			wcfg := s.Config
 			wcfg.Seed = seeds[i]
 			built, err := buildWorldWith(wcfg, buildBudget)
 			if err != nil {
 				results[i].Err = fmt.Errorf("shortcuts: sweep seed %d: %w", seeds[i], err)
-				return
+				return nil
 			}
 			worlds[i] = built
+			return nil
 		})
 	}
 
@@ -146,11 +117,11 @@ func (s Sweep) Run() ([]SweepResult, error) {
 		ccfgBase.Concurrency = max(runtime.GOMAXPROCS(0)/workers, 1)
 	}
 
-	run := func(i int) {
+	_ = par.For(len(seeds), workers, func(_, i int) error {
 		seed := seeds[i]
 		results[i].Seed = seed
 		if results[i].Err != nil {
-			return // world build already failed
+			return nil // world build already failed
 		}
 		world := s.World
 		if world == nil {
@@ -162,7 +133,7 @@ func (s Sweep) Run() ([]SweepResult, error) {
 		c, err := NewCampaignWith(world, ccfg)
 		if err != nil {
 			results[i].Err = fmt.Errorf("shortcuts: sweep seed %d: %w", seed, err)
-			return
+			return nil
 		}
 		var sink Sink
 		if s.SinkFor != nil {
@@ -171,12 +142,11 @@ func (s Sweep) Run() ([]SweepResult, error) {
 		stats, err := c.RunStream(sink)
 		if err != nil {
 			results[i].Err = fmt.Errorf("shortcuts: sweep seed %d: %w", seed, err)
-			return
+			return nil
 		}
 		results[i].Stats = stats
-	}
-
-	forEach(len(seeds), workers, run)
+		return nil
+	})
 
 	for i := range results {
 		if results[i].Err != nil {
