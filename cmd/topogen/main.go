@@ -56,8 +56,8 @@ func main() {
 		f.ActiveFacilityPresence, f.Geolocated)
 	fmt.Printf("  COR facilities: %d (paper 58)   cities: %d (paper 36)\n", f.Facilities, f.Cities)
 	fmt.Printf("relay catalog: COR=%d PLR=%d RAR_eye=%d RAR_other=%d\n",
-		len(w.Catalog.OfType(relays.COR)), len(w.Catalog.OfType(relays.PLR)),
-		len(w.Catalog.OfType(relays.RAREye)), len(w.Catalog.OfType(relays.RAROther)))
+		w.Catalog.Count(relays.COR), w.Catalog.Count(relays.PLR),
+		w.Catalog.Count(relays.RAREye), w.Catalog.Count(relays.RAROther))
 
 	g := rng.New(*seed)
 	set := w.Sampler.SampleRound(g, 0, nil)

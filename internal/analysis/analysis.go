@@ -108,7 +108,7 @@ func RankRelays(res *measure.Results, t relays.Type) []RelayRank {
 	cat := res.World.Catalog
 	for i := range res.Observations {
 		for _, e := range res.Observations[i].Improving {
-			if cat.Relays[e.Relay].Type == t {
+			if cat.Type(int(e.Relay)) == t {
 				counts[int(e.Relay)]++
 			}
 		}
@@ -148,7 +148,7 @@ func TopRelayCurve(res *measure.Results, t relays.Type, maxN int) []TopRelayPoin
 	for i := range res.Observations {
 		best := -1
 		for _, e := range res.Observations[i].Improving {
-			if res.World.Catalog.Relays[e.Relay].Type != t {
+			if res.World.Catalog.Type(int(e.Relay)) != t {
 				continue
 			}
 			if r, ok := rankOf[e.Relay]; ok && (best == -1 || r < best) {
@@ -188,7 +188,7 @@ func RelaysForCoverage(res *measure.Results, t relays.Type, fracOfMax float64) (
 	if t == relays.COR {
 		seen := make(map[string]bool)
 		for _, rr := range RankRelays(res, t)[:n] {
-			name := res.World.Catalog.Relays[rr.Relay].FacilityName
+			name := res.World.Catalog.Relay(rr.Relay).FacilityName
 			if !seen[name] {
 				seen[name] = true
 				facilities = append(facilities, name)
@@ -226,7 +226,7 @@ func ThresholdCurves(res *measure.Results, t relays.Type, topN int, thresholds [
 		o := &res.Observations[i]
 		bestAll, bestTop := 0.0, 0.0
 		for _, e := range o.Improving {
-			if cat.Relays[e.Relay].Type != t {
+			if cat.Type(int(e.Relay)) != t {
 				continue
 			}
 			imp := float64(o.DirectMs - e.RelayedMs)

@@ -106,7 +106,7 @@ func TestRankRelaysSorted(t *testing.T) {
 			}
 		}
 		for _, rr := range ranking {
-			if res.World.Catalog.Relays[rr.Relay].Type != ty {
+			if res.World.Catalog.Type(rr.Relay) != ty {
 				t.Fatalf("ranking for %v contains foreign relay", ty)
 			}
 			if rr.Count <= 0 {
@@ -290,7 +290,7 @@ func TestLandingPointBuckets(t *testing.T) {
 	seen := make(map[int32]bool)
 	for i := range res.Observations {
 		for _, e := range res.Observations[i].Improving {
-			if res.World.Catalog.Relays[e.Relay].Type == relays.COR {
+			if res.World.Catalog.Type(int(e.Relay)) == relays.COR {
 				seen[e.Relay] = true
 			}
 		}

@@ -37,7 +37,7 @@ func TopFacilities(res *measure.Results, topRelays int) []FacilityRow {
 	// Facilities of the top relays.
 	facOf := make(map[int]bool) // PDB IDs
 	for _, rr := range ranking[:topRelays] {
-		facOf[cat.Relays[rr.Relay].FacilityPDB] = true
+		facOf[cat.Relay(rr.Relay).FacilityPDB] = true
 	}
 
 	// Count, per facility, the COR-improved cases it participated in.
@@ -48,14 +48,13 @@ func TopFacilities(res *measure.Results, topRelays int) []FacilityRow {
 		seen := make(map[int]bool)
 		corImproved := false
 		for _, e := range o.Improving {
-			r := &cat.Relays[e.Relay]
-			if r.Type != relays.COR {
+			if cat.Type(int(e.Relay)) != relays.COR {
 				continue
 			}
 			corImproved = true
-			if facOf[r.FacilityPDB] && !seen[r.FacilityPDB] {
-				seen[r.FacilityPDB] = true
-				byFacility[r.FacilityPDB]++
+			if pdb := cat.Relay(int(e.Relay)).FacilityPDB; facOf[pdb] && !seen[pdb] {
+				seen[pdb] = true
+				byFacility[pdb]++
 			}
 		}
 		if corImproved {
@@ -112,9 +111,8 @@ func FacilityFeatureAttribution(res *measure.Results) []FacilityFeature {
 	counts := make(map[int]float64)
 	for i := range res.Observations {
 		for _, e := range res.Observations[i].Improving {
-			r := &cat.Relays[e.Relay]
-			if r.Type == relays.COR {
-				counts[r.FacilityPDB]++
+			if cat.Type(int(e.Relay)) == relays.COR {
+				counts[cat.Relay(int(e.Relay)).FacilityPDB]++
 			}
 		}
 	}

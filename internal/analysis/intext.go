@@ -37,7 +37,7 @@ func CountryChange(res *measure.Results, t relays.Type) CountryChangeStats {
 		if ri < 0 {
 			continue
 		}
-		relayCC := cat.Relays[ri].CC
+		relayCC := cat.Relay(int(ri)).CC
 		diff := relayCC != o.SrcCC && relayCC != o.DstCC
 		improved := o.ImprovementMs(t) > 0
 		if diff {
@@ -204,7 +204,7 @@ func RelayRedundancyMedian(res *measure.Results, t relays.Type) float64 {
 	for i := range res.Observations {
 		n := 0
 		for _, e := range res.Observations[i].Improving {
-			if cat.Relays[e.Relay].Type == t {
+			if cat.Type(int(e.Relay)) == t {
 				n++
 			}
 		}
@@ -249,12 +249,11 @@ func RAROtherBreakdown(res *measure.Results) map[string]int {
 	seen := make(map[int32]bool)
 	for i := range res.Observations {
 		for _, e := range res.Observations[i].Improving {
-			r := &cat.Relays[e.Relay]
-			if r.Type != relays.RAROther || seen[e.Relay] {
+			if cat.Type(int(e.Relay)) != relays.RAROther || seen[e.Relay] {
 				continue
 			}
 			seen[e.Relay] = true
-			out[topo.AS(r.Endpoint.AS).Type.String()]++
+			out[topo.AS(cat.Relay(int(e.Relay)).Endpoint.AS).Type.String()]++
 		}
 	}
 	return out

@@ -52,13 +52,13 @@ func LandingPointProximity(res *measure.Results, boundsKm []float64) []LandingBu
 	events := make(map[int32]int)
 	for i := range res.Observations {
 		for _, e := range res.Observations[i].Improving {
-			if cat.Relays[e.Relay].Type == relays.COR {
+			if cat.Type(int(e.Relay)) == relays.COR {
 				events[e.Relay]++
 			}
 		}
 	}
 	for relay, n := range events {
-		d := nearest(cat.Relays[relay].City)
+		d := nearest(cat.City(int(relay)))
 		placed := false
 		for i, b := range bounds {
 			if d <= b {

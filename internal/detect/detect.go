@@ -219,8 +219,7 @@ type Detector struct {
 	opts Options
 	w    *sim.World
 
-	relayCity []int32 // catalog index -> home city
-	relayFac  []int32 // catalog index -> facility table index, -1 none
+	relayFac  []int32 // COR catalog index -> facility table index
 	facCity   []int32 // facility table index -> city
 	cityCont  []int32 // city -> continent table index
 	contNames []string
@@ -278,29 +277,20 @@ func New(w *sim.World, opts Options) *Detector {
 	d.contDev = make([]int32, len(d.contNames))
 	d.contPresent = make([]int32, len(d.contNames))
 
+	// Every COR relay sits at a registry facility, and COR relays take
+	// the catalog's first indices; no other relay has a facility.
 	facs := w.Registry.Facilities()
 	d.facCity = make([]int32, len(facs))
-	facByPDB := make(map[int]int32, len(facs))
+	d.relayFac = make([]int32, w.Catalog.Count(relays.COR))
 	for i, f := range facs {
 		d.facCity[i] = int32(f.City)
-		facByPDB[f.PDBID] = int32(i)
+		for _, ri := range w.Catalog.AtFacility(f.PDBID) {
+			d.relayFac[ri] = int32(i)
+		}
 	}
 	d.facWinBase = make([]float64, len(facs))
 	d.facWinRound = make([]int32, len(facs))
-
-	d.relayCity = make([]int32, len(w.Catalog.Relays))
-	d.relayFac = make([]int32, len(w.Catalog.Relays))
-	d.lastWin = make([]int32, len(w.Catalog.Relays))
-	for i := range w.Catalog.Relays {
-		r := &w.Catalog.Relays[i]
-		d.relayCity[i] = int32(r.City)
-		d.relayFac[i] = -1
-		if r.Type == relays.COR {
-			if fi, ok := facByPDB[r.FacilityPDB]; ok {
-				d.relayFac[i] = fi
-			}
-		}
-	}
+	d.lastWin = make([]int32, w.Catalog.Len())
 	return d
 }
 
@@ -343,10 +333,10 @@ func (d *Detector) Emit(o measure.Observation) {
 		}
 		if d.lastWin[ri] != int32(o.Round)+1 {
 			d.lastWin[ri] = int32(o.Round) + 1
-			d.cityDivRound[d.relayCity[ri]]++
+			d.cityDivRound[d.w.Catalog.City(int(ri))]++
 		}
-		if fi := d.relayFac[ri]; fi >= 0 {
-			d.facWinRound[fi]++
+		if int(ri) < len(d.relayFac) {
+			d.facWinRound[d.relayFac[ri]]++
 		}
 		if gain := o.DirectMs - o.BestMs[t]; gain > 0 {
 			d.noteCandidate(st, ri, gain, int32(o.Round))
@@ -385,7 +375,7 @@ func deliveredGain(imp []measure.ImproveEntry, relay int32, directMs float32) fl
 // candidate set: per distinct relay city the best known option, rolling
 // its gain, evicting the weakest city when the set is full.
 func (d *Detector) noteCandidate(st *corridorState, relay int32, gain float32, round int32) {
-	city := d.relayCity[relay]
+	city := int32(d.w.Catalog.City(int(relay)))
 	weakest, weakGain := -1, float32(0)
 	for i := range st.cand {
 		c := &st.cand[i]
@@ -819,7 +809,7 @@ func (d *Detector) refreshHealing(round int) int {
 		return 0
 	}
 	if d.healMask == nil {
-		d.healMask = make([]bool, len(d.relayCity))
+		d.healMask = make([]bool, d.w.Catalog.Len())
 	}
 	next := round + 1
 	probe := make([]bool, 0) // lazily sized only if some city probes
@@ -833,7 +823,8 @@ func (d *Detector) refreshHealing(round int) int {
 		}
 	}
 	n := 0
-	for i, c := range d.relayCity {
+	for i := range d.healMask {
+		c := d.w.Catalog.City(i)
 		x := d.cullSet[c] && !(len(probe) > 0 && probe[c])
 		d.healMask[i] = x
 		if x {

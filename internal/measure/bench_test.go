@@ -46,7 +46,7 @@ func benchFilterSetup(b *testing.B) *benchFilterInput {
 	in := &benchFilterInput{c: c}
 	for t := range relaySet.ByType {
 		for _, ri := range relaySet.ByType[t] {
-			in.relayCity = append(in.relayCity, int32(c.w.Catalog.Relays[ri].City))
+			in.relayCity = append(in.relayCity, int32(c.w.Catalog.City(ri)))
 		}
 	}
 	for i := 0; i < len(endpoints); i++ {

@@ -196,16 +196,17 @@ type roundScratch struct {
 	asPerm      []int     // drafting: per-country AS-group permutation
 	probePerm   []int     // drafting: per-group row permutation
 	roundRelays []int
-	hourFrac    []float64     // per ping slot: UTC hour fraction of the round's schedule
-	windowUp    []bool        // per endpoint: answers through the window
-	relayUp     []uint64      // relay-position bitset: alive through the window
-	relayCity   []int32       // per relay position: home city
-	relayType   []relays.Type // per relay position: population
-	typeBits    []uint64      // per relay type, a relay-position bitset (nrW words each)
-	livePos     []int32       // relay positions not churned out this round
-	pairs       []pairIdx32   // the round's pairs: every pair, or the stratified sample
-	fwd, rev    []float32     // per pair: direct medians, both directions
-	workers     []scratch     // per-worker pricing and stitching scratch
+	hourFrac    []float64          // per ping slot: UTC hour fraction of the round's schedule
+	windowUp    []bool             // per endpoint: answers through the window
+	relayUp     []uint64           // relay-position bitset: alive through the window
+	relayCity   []int32            // per relay position: home city
+	relayType   []relays.Type      // per relay position: population
+	relayEP     []latency.Endpoint // per relay position: attachment point
+	typeBits    []uint64           // per relay type, a relay-position bitset (nrW words each)
+	livePos     []int32            // relay positions not churned out this round
+	pairs       []pairIdx32        // the round's pairs: every pair, or the stratified sample
+	fwd, rev    []float32          // per pair: direct medians, both directions
+	workers     []scratch          // per-worker pricing and stitching scratch
 
 	// feas is the per-pair feasibility bitset over relay positions, nrW
 	// words per pair: a bit is set when the relay is live and passes the
@@ -376,10 +377,11 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	clear(relayUp)
 	scr.relayCity = grown(scr.relayCity, nr)
 	scr.relayType = grown(scr.relayType, nr)
+	scr.relayEP = grown(scr.relayEP, nr)
 	scr.typeBits = grown(scr.typeBits, relays.NumTypes*nrW)
 	clear(scr.typeBits)
 	for pos, ri := range roundRelays {
-		r := &c.w.Catalog.Relays[ri]
+		r := c.w.Catalog.Relay(ri)
 		// RAR relays are probes with the same outage process; COR router
 		// interfaces and PLR nodes were liveness-checked at sampling.
 		if r.ProbeID == 0 || c.windowUpAt(r.ProbeID, round) {
@@ -387,6 +389,7 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 		}
 		scr.relayCity[pos] = int32(r.City)
 		scr.relayType[pos] = r.Type
+		scr.relayEP[pos] = r.Endpoint
 		scr.typeBits[int(r.Type)*nrW+pos>>6] |= 1 << (uint(pos) & 63)
 	}
 
@@ -539,6 +542,7 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	legJobs := scr.legJobs
 	scr.legVals = grown(scr.legVals, len(legJobs))
 	legVals := scr.legVals
+	relayEP := scr.relayEP
 	// Legs are priced in chunks: each worker gathers legChunk endpoint-
 	// relay pairs, so one memory-parallel ResolveBatch overlaps the
 	// chunk's cache misses instead of serializing them train by train.
@@ -552,8 +556,7 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 		s.pairs = s.pairs[:0]
 		for _, idx := range legJobs[lo:hi] {
 			e := int(activeList[int(idx/int64(nr))])
-			relay := &c.w.Catalog.Relays[roundRelays[int(idx%int64(nr))]]
-			s.pairs = append(s.pairs, latency.EndpointPair{A: fleet.Endpoint(eps[e]), B: relay.Endpoint})
+			s.pairs = append(s.pairs, latency.EndpointPair{A: fleet.Endpoint(eps[e]), B: relayEP[int(idx%int64(nr))]})
 		}
 		return c.medians(c.view, s, s.pairs, round, hourFrac, legVals[lo:hi])
 	})

@@ -65,7 +65,7 @@ func TestObservationInvariants(t *testing.T) {
 		}
 		for ty := 0; ty < relays.NumTypes; ty++ {
 			if o.BestRelay[ty] >= 0 {
-				r := w.Catalog.Relays[o.BestRelay[ty]]
+				r := w.Catalog.Relay(int(o.BestRelay[ty]))
 				if int(r.Type) != ty {
 					t.Fatalf("observation %d best relay of type %d is actually %v", i, ty, r.Type)
 				}
@@ -93,7 +93,7 @@ func TestImprovingConsistentWithBest(t *testing.T) {
 		var minByType [relays.NumTypes]float32
 		var has [relays.NumTypes]bool
 		for _, e := range o.Improving {
-			ty := w.Catalog.Relays[e.Relay].Type
+			ty := w.Catalog.Type(int(e.Relay))
 			if !has[ty] || e.RelayedMs < minByType[ty] {
 				minByType[ty] = e.RelayedMs
 				has[ty] = true

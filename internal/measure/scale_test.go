@@ -132,9 +132,9 @@ func TestShardedFleetGoldenDigests(t *testing.T) {
 		fleet.word(uint64(pr.StableDays))
 		fleet.word(uint64(pr.Access))
 	}
-	for i := range w.Catalog.Relays {
-		r := &w.Catalog.Relays[i]
-		fleet.h.Write([]byte(r.ID))
+	for i := range w.Catalog.Len() {
+		r := w.Catalog.Relay(i)
+		fleet.h.Write([]byte(r.ID()))
 		fleet.word(uint64(r.Endpoint.AS))
 		fleet.word(uint64(r.Endpoint.City))
 		fleet.word(uint64(r.Endpoint.Access))

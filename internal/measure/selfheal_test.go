@@ -47,7 +47,7 @@ func TestSelfHealExclusionMasksRelays(t *testing.T) {
 	// Mask every relay that ever won a best slot in the baseline: the
 	// strongest possible intervention short of masking the whole
 	// catalog.
-	mask := make([]bool, len(w.Catalog.Relays))
+	mask := make([]bool, w.Catalog.Len())
 	masked := 0
 	for i := range base.Observations {
 		for tt := 0; tt < relays.NumTypes; tt++ {

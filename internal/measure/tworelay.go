@@ -63,7 +63,7 @@ func TwoRelayExperiment(w *sim.World, cfg Config, round, maxPairs, maxRelays int
 	for ei, row := range endpoints {
 		s.pairs = s.pairs[:0]
 		for _, ri := range corIdxs {
-			s.pairs = append(s.pairs, latency.EndpointPair{A: w.Atlas.Endpoint(row), B: w.Catalog.Relays[ri].Endpoint})
+			s.pairs = append(s.pairs, latency.EndpointPair{A: w.Atlas.Endpoint(row), B: w.Catalog.Relay(ri).Endpoint})
 		}
 		legs[ei] = make([]float32, len(corIdxs))
 		if err := c.medians(view, &s, s.pairs, round, hourFrac, legs[ei]); err != nil {
@@ -78,7 +78,7 @@ func TwoRelayExperiment(w *sim.World, cfg Config, round, maxPairs, maxRelays int
 	for a, ra := range corIdxs {
 		s.pairs = s.pairs[:0]
 		for _, rb := range corIdxs[a+1:] {
-			s.pairs = append(s.pairs, latency.EndpointPair{A: w.Catalog.Relays[ra].Endpoint, B: w.Catalog.Relays[rb].Endpoint})
+			s.pairs = append(s.pairs, latency.EndpointPair{A: w.Catalog.Relay(ra).Endpoint, B: w.Catalog.Relay(rb).Endpoint})
 		}
 		if err := c.medians(view, &s, s.pairs, round, hourFrac, mid[a][a+1:]); err != nil {
 			return TwoRelayResult{}, err

@@ -9,6 +9,7 @@ package planetlab
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"shortcuts/internal/latency"
@@ -42,11 +43,6 @@ type Registry struct {
 	sites []*Site
 	nodes []*Node
 	avail *rng.Rand
-
-	// nodeLabel holds each node's precomputed availability-stream label
-	// (node IDs are dense from 1), so the per-(node, round) Usable coin
-	// doesn't rebuild the identical string every round.
-	nodeLabel []string
 
 	// FlakyProb is the per-round probability a node is unusable.
 	FlakyProb float64
@@ -105,10 +101,6 @@ func Generate(g *rng.Rand, topo *topology.Topology, p Params) *Registry {
 			id++
 		}
 	}
-	r.nodeLabel = make([]string, id)
-	for _, n := range r.nodes {
-		r.nodeLabel[n.ID] = fmt.Sprintf("node-%d", n.ID)
-	}
 	return r
 }
 
@@ -130,16 +122,13 @@ func (r *Registry) NodesAt(site *Site) []*Node {
 }
 
 // Usable reports whether the node is accessible and pingable for the
-// given round; a pure function of (registry seed, node, round).
+// given round; a pure function of (registry seed, node, round). The
+// coin's stream label, "node-" and the ID in decimal, is formatted into
+// a stack buffer, so a coin allocates nothing.
 func (r *Registry) Usable(id int, round int) bool {
-	label := ""
-	if id >= 0 && id < len(r.nodeLabel) {
-		label = r.nodeLabel[id]
-	}
-	if label == "" {
-		label = fmt.Sprintf("node-%d", id)
-	}
-	return !r.avail.BoolSplitN(label, round, r.FlakyProb)
+	var buf [32]byte
+	label := strconv.AppendInt(append(buf[:0], "node-"...), int64(id), 10)
+	return !r.avail.BoolSplitN(string(label), round, r.FlakyProb)
 }
 
 // Countries returns the sorted country codes hosting accessible sites.

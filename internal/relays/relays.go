@@ -11,14 +11,21 @@
 //   - RAR_other: RIPE Atlas probes in all remaining networks.
 //
 // A Catalog holds every candidate relay with a stable index (analysis
-// ranks relays by index); a Sampler draws the per-round subsets with the
-// paper's per-facility / per-site / per-country quotas.
+// ranks relays by index). The index layout is fixed: COR relays take
+// indices [0, nCOR), PLR relays [nCOR, base), and RAR relay base+k is
+// the k-th eligible atlas row in ascending row order, where base is the
+// COR-plus-PLR count. COR and PLR relays are stored as Relay values; a
+// RAR relay is stored as its atlas row plus one eyeball bit, and
+// Catalog.Relay assembles it from the fleet's columns on demand. A
+// Sampler draws the per-round subsets with the paper's per-facility /
+// per-site / per-country quotas.
 package relays
 
 import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"shortcuts/internal/atlas"
@@ -60,11 +67,10 @@ func (t Type) String() string {
 	}
 }
 
-// Relay is one candidate relay; its index is its position in
-// Catalog.Relays.
+// Relay is one candidate relay. The catalog stores COR and PLR relays
+// as Relay values and assembles a RAR relay on demand (Catalog.Relay).
 type Relay struct {
 	Type     Type
-	ID       string
 	Endpoint latency.Endpoint
 	CC       string
 	City     int
@@ -74,22 +80,147 @@ type Relay struct {
 	// Liveness handles: ProbeID for RAR types, NodeID for PLR.
 	ProbeID atlas.ProbeID
 	NodeID  int
+	// id is a COR or PLR relay's ID; ID renders a RAR relay's.
+	id string
 }
 
-// Catalog is the full candidate relay inventory.
+// ID returns the relay's identifier: "cor-<IP>", "plr-<hostname>",
+// "rar-eye-<probe ID>" or "rar-other-<probe ID>".
+func (r Relay) ID() string {
+	if r.Type < RAREye {
+		return r.id
+	}
+	var buf [32]byte
+	return string(r.appendRARID(buf[:0]))
+}
+
+// appendRARID appends a RAR relay's ID to b.
+func (r Relay) appendRARID(b []byte) []byte {
+	prefix := "rar-other-"
+	if r.Type == RAREye {
+		prefix = "rar-eye-"
+	}
+	return strconv.AppendInt(append(b, prefix...), int64(r.ProbeID), 10)
+}
+
+// Catalog is the full candidate relay inventory, in the index layout
+// the package comment states.
 type Catalog struct {
-	Relays []Relay
-	byType [NumTypes][]int
 	Funnel FunnelStats
 
-	corByFacility map[int][]int // facility PDB -> catalog indices
-	plrBySite     map[string][]int
-	eyeByCountry  map[string]map[topology.ASN][]int
-	otherByCC     map[string][]int
+	relays []Relay // COR relays, then PLR relays
+	count  [NumTypes]int
+	fleet  *atlas.Platform
+	// rows holds RAR relay base+k's atlas row at k, ascending; bit k of
+	// eye is set when that relay is RAR_eye.
+	rows []int32
+	eye  []uint64
+
+	corByFacility map[int][]int      // facility PDB -> catalog indices
+	plrBySite     map[string][]int   // site name -> catalog indices
+	otherByCC     map[string][]int32 // country -> RAR_other atlas rows, ascending
 }
 
-// OfType returns the catalog indices of all relays of a type.
-func (c *Catalog) OfType(t Type) []int { return c.byType[t] }
+// Len returns the catalog size: indices run from 0 to Len()-1.
+func (c *Catalog) Len() int { return len(c.relays) + len(c.rows) }
+
+// Count returns how many relays of type t the catalog holds.
+func (c *Catalog) Count(t Type) int {
+	if t < 0 || t >= NumTypes {
+		return 0
+	}
+	return c.count[t]
+}
+
+// Type returns relay i's population.
+func (c *Catalog) Type(i int) Type {
+	switch k := i - len(c.relays); {
+	case i < c.count[COR]:
+		return COR
+	case k < 0:
+		return PLR
+	case c.eye[k>>6]&(1<<(uint(k)&63)) != 0:
+		return RAREye
+	}
+	return RAROther
+}
+
+// City returns relay i's home-city index into the topology.
+func (c *Catalog) City(i int) int {
+	if i < len(c.relays) {
+		return c.relays[i].City
+	}
+	return c.fleet.City(c.rows[i-len(c.relays)])
+}
+
+// Relay returns relay i: a copy of a stored COR or PLR relay, or a RAR
+// relay assembled from its atlas row.
+func (c *Catalog) Relay(i int) Relay {
+	if i < len(c.relays) {
+		return c.relays[i]
+	}
+	row := c.rows[i-len(c.relays)]
+	return Relay{
+		Type:     c.Type(i),
+		Endpoint: c.fleet.Endpoint(row),
+		CC:       c.fleet.CC(row),
+		City:     c.fleet.City(row),
+		ProbeID:  c.fleet.ID(row),
+	}
+}
+
+// Span returns the index range [lo, hi) that holds type t's relays:
+// COR and PLR relays fill theirs, and the two RAR types share
+// [base, Len()). An unknown type's span is empty.
+func (c *Catalog) Span(t Type) (lo, hi int) {
+	switch t {
+	case COR:
+		return 0, c.count[COR]
+	case PLR:
+		return c.count[COR], len(c.relays)
+	case RAREye, RAROther:
+		return len(c.relays), c.Len()
+	}
+	return 0, 0
+}
+
+// Lookup returns the index of the relay whose ID is id. A RAR ID names
+// a relay only as ID renders it: under its own type, with no sign and no
+// leading zero. COR IPs may repeat: the first relay with the ID wins, as
+// a catalog scan would find it.
+func (c *Catalog) Lookup(id string) (int, bool) {
+	for i := range c.relays {
+		if c.relays[i].id == id {
+			return i, true
+		}
+	}
+	// Parse the probe ID by hand: a strconv error would allocate.
+	_, num, _ := strings.Cut(strings.TrimPrefix(id, "rar-"), "-")
+	n := 0
+	for _, d := range []byte(num) {
+		if d < '0' || d > '9' || n > 1<<31 {
+			return 0, false
+		}
+		n = 10*n + int(d-'0')
+	}
+	k, found := slices.BinarySearch(c.rows, c.fleet.Row(atlas.ProbeID(n)))
+	var buf [32]byte
+	if !found || string(c.Relay(len(c.relays)+k).appendRARID(buf[:0])) != id {
+		return 0, false
+	}
+	return len(c.relays) + k, true
+}
+
+// AtFacility returns the indices of the COR relays at facility pdb, in
+// ascending order. Callers must not mutate the slice.
+func (c *Catalog) AtFacility(pdb int) []int { return c.corByFacility[pdb] }
+
+// rarIndex returns the catalog index of the RAR relay on an eligible
+// atlas row.
+func (c *Catalog) rarIndex(row int32) int {
+	k, _ := slices.BinarySearch(c.rows, row)
+	return len(c.relays) + k
+}
 
 // FunnelStats records the COR pipeline counts, the paper's
 // 2675 -> 1008 -> 764 -> 725 -> 725 -> 356 funnel plus the facility and
@@ -123,10 +254,10 @@ type Deps struct {
 func BuildCatalog(g *rng.Rand, d Deps) (*Catalog, error) {
 	g = g.Split("relays")
 	c := &Catalog{
+		fleet:         d.Atlas,
 		corByFacility: make(map[int][]int),
 		plrBySite:     make(map[string][]int),
-		eyeByCountry:  make(map[string]map[topology.ASN][]int),
-		otherByCC:     make(map[string][]int),
+		otherByCC:     make(map[string][]int32),
 	}
 	if err := c.buildCOR(g.Split("cor"), d); err != nil {
 		return nil, err
@@ -134,13 +265,6 @@ func BuildCatalog(g *rng.Rand, d Deps) (*Catalog, error) {
 	c.buildPLR(d)
 	c.buildRAR(d)
 	return c, nil
-}
-
-func (c *Catalog) add(r Relay) int {
-	i := len(c.Relays)
-	c.Relays = append(c.Relays, r)
-	c.byType[r.Type] = append(c.byType[r.Type], i)
-	return i
 }
 
 // buildCOR applies the paper's Section-2.2 filters, in order, to the
@@ -207,20 +331,21 @@ func (c *Catalog) buildCOR(g *rng.Rand, d Deps) error {
 		if !pass {
 			continue
 		}
-		idx := c.add(Relay{
+		c.corByFacility[fac.PDBID] = append(c.corByFacility[fac.PDBID], len(c.relays))
+		c.relays = append(c.relays, Relay{
 			Type:         COR,
-			ID:           fmt.Sprintf("cor-%s", rec.IP),
+			id:           fmt.Sprintf("cor-%s", rec.IP),
 			Endpoint:     target,
 			CC:           d.Topo.Cities[fac.City].CC,
 			City:         fac.City,
 			FacilityPDB:  fac.PDBID,
 			FacilityName: fac.Name,
 		})
-		c.corByFacility[fac.PDBID] = append(c.corByFacility[fac.PDBID], idx)
 		facilities[fac.PDBID] = true
 		cities[fac.City] = true
 	}
-	c.Funnel.Geolocated = len(c.byType[COR])
+	c.count[COR] = len(c.relays)
+	c.Funnel.Geolocated = c.count[COR]
 	c.Funnel.Facilities = len(facilities)
 	c.Funnel.Cities = len(cities)
 	return nil
@@ -228,68 +353,44 @@ func (c *Catalog) buildCOR(g *rng.Rand, d Deps) error {
 
 func (c *Catalog) buildPLR(d Deps) {
 	for _, n := range d.PlanetLab.Nodes() {
-		idx := c.add(Relay{
+		c.plrBySite[n.Site.Name] = append(c.plrBySite[n.Site.Name], len(c.relays))
+		c.relays = append(c.relays, Relay{
 			Type:     PLR,
-			ID:       fmt.Sprintf("plr-%s", n.Hostname),
+			id:       fmt.Sprintf("plr-%s", n.Hostname),
 			Endpoint: n.Endpoint(),
 			CC:       n.Site.CC,
 			City:     n.Site.City,
 			NodeID:   n.ID,
 		})
-		c.plrBySite[n.Site.Name] = append(c.plrBySite[n.Site.Name], idx)
 	}
+	c.count[PLR] = len(c.relays) - c.count[COR]
 }
 
+// buildRAR lists every eligible atlas row, ascending, as a RAR relay,
+// setting its eyeball bit when its (AS, country) is a verified eyeball
+// tuple; RAR_other rows are also grouped by country for the sampler.
 func (c *Catalog) buildRAR(d Deps) {
-	// Size the catalog up front: at the scale tiers this loop appends
-	// ~a million 112-byte Relay values, and letting append regrow the
-	// slice dominates the whole world build in memclr/memmove. One
-	// counting pass costs microseconds and makes every append O(1).
 	fleet := d.Atlas
-	eye, other := 0, 0
+	n := 0
 	for row := range int32(fleet.Len()) {
-		if !fleet.Eligible(row) {
-			continue
-		}
-		if d.IsEyeball(fleet.AS(row), fleet.CC(row)) {
-			eye++
-		} else {
-			other++
+		if fleet.Eligible(row) {
+			n++
 		}
 	}
-	c.Relays = slices.Grow(c.Relays, eye+other)
-	c.byType[RAREye] = slices.Grow(c.byType[RAREye], eye)
-	c.byType[RAROther] = slices.Grow(c.byType[RAROther], other)
+	c.rows = make([]int32, 0, n)
+	c.eye = make([]uint64, (n+63)/64)
 	for row := range int32(fleet.Len()) {
 		if !fleet.Eligible(row) {
 			continue
 		}
-		p := fleet.Probe(row)
-		if d.IsEyeball(p.AS, p.CC) {
-			idx := c.add(Relay{
-				Type:     RAREye,
-				ID:       "rar-eye-" + strconv.Itoa(int(p.ID)),
-				Endpoint: p.Endpoint(),
-				CC:       p.CC,
-				City:     p.City,
-				ProbeID:  p.ID,
-			})
-			perAS := c.eyeByCountry[p.CC]
-			if perAS == nil {
-				perAS = make(map[topology.ASN][]int)
-				c.eyeByCountry[p.CC] = perAS
-			}
-			perAS[p.AS] = append(perAS[p.AS], idx)
+		k := len(c.rows)
+		c.rows = append(c.rows, row)
+		if cc := fleet.CC(row); d.IsEyeball(fleet.AS(row), cc) {
+			c.eye[k>>6] |= 1 << (uint(k) & 63)
+			c.count[RAREye]++
 		} else {
-			idx := c.add(Relay{
-				Type:     RAROther,
-				ID:       "rar-other-" + strconv.Itoa(int(p.ID)),
-				Endpoint: p.Endpoint(),
-				CC:       p.CC,
-				City:     p.City,
-				ProbeID:  p.ID,
-			})
-			c.otherByCC[p.CC] = append(c.otherByCC[p.CC], idx)
+			c.count[RAROther]++
+			c.otherByCC[cc] = append(c.otherByCC[cc], row)
 		}
 	}
 }

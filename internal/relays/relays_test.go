@@ -10,6 +10,7 @@ import (
 	"shortcuts/internal/rng"
 	"shortcuts/internal/sim"
 	"shortcuts/internal/topology"
+	"shortcuts/internal/worlddata"
 )
 
 var cachedWorld *sim.World
@@ -59,80 +60,94 @@ func TestFunnelMatchesPaperShape(t *testing.T) {
 
 func TestCORRelaysAreAtFacilities(t *testing.T) {
 	w := testWorld(t)
-	for _, idx := range w.Catalog.OfType(relays.COR) {
-		r := w.Catalog.Relays[idx]
+	for _, idx := range ofType(w.Catalog, relays.COR) {
+		r := w.Catalog.Relay(idx)
 		fac, ok := w.Registry.Facility(r.FacilityPDB)
 		if !ok {
-			t.Fatalf("COR %s references unknown facility %d", r.ID, r.FacilityPDB)
+			t.Fatalf("COR %s references unknown facility %d", r.ID(), r.FacilityPDB)
 		}
 		if fac.City != r.City {
-			t.Errorf("COR %s city %d != facility city %d", r.ID, r.City, fac.City)
+			t.Errorf("COR %s city %d != facility city %d", r.ID(), r.City, fac.City)
 		}
 		if !fac.HasMember(r.Endpoint.AS) {
-			t.Errorf("COR %s AS %d not a member of %s", r.ID, r.Endpoint.AS, fac.Name)
+			t.Errorf("COR %s AS %d not a member of %s", r.ID(), r.Endpoint.AS, fac.Name)
 		}
 		if r.Endpoint.Access > time.Millisecond {
-			t.Errorf("COR %s access %v too large for a colo interface", r.ID, r.Endpoint.Access)
+			t.Errorf("COR %s access %v too large for a colo interface", r.ID(), r.Endpoint.Access)
 		}
 	}
 }
 
 func TestRelayTypesPartitionProbes(t *testing.T) {
 	w := testWorld(t)
-	for _, idx := range w.Catalog.OfType(relays.RAREye) {
-		r := w.Catalog.Relays[idx]
+	for _, idx := range ofType(w.Catalog, relays.RAREye) {
+		r := w.Catalog.Relay(idx)
 		if !w.Selector.IsEyeball(r.Endpoint.AS, r.CC) {
-			t.Errorf("RAR_eye relay %s not in a verified eyeball tuple", r.ID)
+			t.Errorf("RAR_eye relay %s not in a verified eyeball tuple", r.ID())
 		}
 	}
-	for _, idx := range w.Catalog.OfType(relays.RAROther) {
-		r := w.Catalog.Relays[idx]
+	for _, idx := range ofType(w.Catalog, relays.RAROther) {
+		r := w.Catalog.Relay(idx)
 		if w.Selector.IsEyeball(r.Endpoint.AS, r.CC) {
-			t.Errorf("RAR_other relay %s is in a verified eyeball tuple", r.ID)
+			t.Errorf("RAR_other relay %s is in a verified eyeball tuple", r.ID())
 		}
 	}
 }
 
 func TestPLRRelaysAreCampusNodes(t *testing.T) {
 	w := testWorld(t)
-	for _, idx := range w.Catalog.OfType(relays.PLR) {
-		r := w.Catalog.Relays[idx]
+	for _, idx := range ofType(w.Catalog, relays.PLR) {
+		r := w.Catalog.Relay(idx)
 		if w.Topo.AS(r.Endpoint.AS).Type != topology.Campus {
-			t.Errorf("PLR %s hosted by %v", r.ID, w.Topo.AS(r.Endpoint.AS).Type)
+			t.Errorf("PLR %s hosted by %v", r.ID(), w.Topo.AS(r.Endpoint.AS).Type)
 		}
-		if !strings.HasPrefix(r.ID, "plr-") {
-			t.Errorf("PLR id %q", r.ID)
+		if !strings.HasPrefix(r.ID(), "plr-") {
+			t.Errorf("PLR id %q", r.ID())
 		}
 	}
 }
 
+// ofType lists the indices of type t's relays, ascending.
+func ofType(c *relays.Catalog, t relays.Type) []int {
+	var idxs []int
+	lo, hi := c.Span(t)
+	for i := lo; i < hi; i++ {
+		if c.Type(i) == t {
+			idxs = append(idxs, i)
+		}
+	}
+	return idxs
+}
+
 // TestCatalogIndicesStable: a relay's index is its catalog position.
-// Every OfType list is ascending and holds only relays of its type, the
-// four lists together cover the catalog, and relay IDs are unique.
+// Each type's span lists only relays of that type, as many as Count
+// reports, the four lists together cover the catalog, and relay IDs are
+// unique.
 func TestCatalogIndicesStable(t *testing.T) {
 	w := testWorld(t)
 	listed := 0
 	for typ := relays.Type(0); typ < relays.NumTypes; typ++ {
-		idxs := w.Catalog.OfType(typ)
-		for k, i := range idxs {
-			if k > 0 && i <= idxs[k-1] {
-				t.Fatalf("%v list not ascending at %d: %d after %d", typ, k, i, idxs[k-1])
-			}
-			if got := w.Catalog.Relays[i].Type; got != typ {
+		idxs := ofType(w.Catalog, typ)
+		for _, i := range idxs {
+			if got := w.Catalog.Relay(i).Type; got != typ {
 				t.Fatalf("%v list holds relay %d of type %v", typ, i, got)
 			}
 		}
+		if len(idxs) != w.Catalog.Count(typ) {
+			t.Fatalf("%v list holds %d relays, Count says %d", typ, len(idxs), w.Catalog.Count(typ))
+		}
 		listed += len(idxs)
 	}
-	if listed != len(w.Catalog.Relays) {
-		t.Fatalf("type lists hold %d indices, catalog has %d relays", listed, len(w.Catalog.Relays))
+	if listed != w.Catalog.Len() {
+		t.Fatalf("type lists hold %d indices, catalog has %d relays", listed, w.Catalog.Len())
 	}
 	seen := make(map[string]bool)
-	for _, r := range w.Catalog.Relays {
-		if seen[r.ID] {
-			t.Fatalf("duplicate relay ID %s", r.ID)
+	for i := range w.Catalog.Len() {
+		id := w.Catalog.Relay(i).ID()
+		if seen[id] {
+			t.Fatalf("duplicate relay ID %s", id)
 		}
-		seen[r.ID] = true
+		seen[id] = true
 	}
 }
 
@@ -160,7 +175,7 @@ func TestSampleRoundOneEyePerCountry(t *testing.T) {
 	set := w.Sampler.SampleRound(rng.New(5), 2, nil)
 	seen := make(map[string]bool)
 	for _, idx := range set.ByType[relays.RAREye] {
-		cc := w.Catalog.Relays[idx].CC
+		cc := w.Catalog.Relay(idx).CC
 		if seen[cc] {
 			t.Fatalf("two RAR_eye relays in %s", cc)
 		}
@@ -168,7 +183,7 @@ func TestSampleRoundOneEyePerCountry(t *testing.T) {
 	}
 	seen = make(map[string]bool)
 	for _, idx := range set.ByType[relays.RAROther] {
-		cc := w.Catalog.Relays[idx].CC
+		cc := w.Catalog.Relay(idx).CC
 		if seen[cc] {
 			t.Fatalf("two RAR_other relays in %s", cc)
 		}
@@ -181,7 +196,7 @@ func TestSampleRoundCORCoversFacilities(t *testing.T) {
 	set := w.Sampler.SampleRound(rng.New(5), 1, nil)
 	perFacility := make(map[int]int)
 	for _, idx := range set.ByType[relays.COR] {
-		perFacility[w.Catalog.Relays[idx].FacilityPDB]++
+		perFacility[w.Catalog.Relay(idx).FacilityPDB]++
 	}
 	if len(perFacility) != w.Catalog.Funnel.Facilities {
 		t.Errorf("sample covers %d facilities, catalog has %d", len(perFacility), w.Catalog.Funnel.Facilities)
@@ -203,8 +218,8 @@ func TestSampleRoundExcludesEndpointProbes(t *testing.T) {
 	set := w.Sampler.SampleRound(rng.New(7), 0, exclude)
 	for _, ty := range []relays.Type{relays.RAREye, relays.RAROther} {
 		for _, idx := range set.ByType[ty] {
-			if exclude[w.Catalog.Relays[idx].ProbeID] {
-				t.Fatalf("relay %s uses an endpoint probe", w.Catalog.Relays[idx].ID)
+			if r := w.Catalog.Relay(idx); exclude[r.ProbeID] {
+				t.Fatalf("relay %s uses an endpoint probe", r.ID())
 			}
 		}
 	}
@@ -251,5 +266,128 @@ func TestTypeStrings(t *testing.T) {
 		if ty.String() != s {
 			t.Errorf("%d.String() = %q, want %q", ty, ty.String(), s)
 		}
+	}
+}
+
+var cachedScaleWorld *sim.World
+
+// testScaleWorld is the sharded 100k-endpoint tier, built once.
+func testScaleWorld(t *testing.T) *sim.World {
+	t.Helper()
+	if cachedScaleWorld != nil {
+		return cachedScaleWorld
+	}
+	w, err := sim.Build(sim.ScaleWorldParams(1, 100_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cachedScaleWorld = w
+	return w
+}
+
+// TestRARRelaysAreAtlasRows pins the catalog's RAR layout on both fleet
+// generators: RAR relay base+k is the k-th eligible atlas row, read from
+// the fleet's columns, typed by the eyeball predicate, and found again
+// by its ID.
+func TestRARRelaysAreAtlasRows(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		world func(*testing.T) *sim.World
+	}{
+		{"sequential", testWorld},
+		{"sharded", testScaleWorld},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := tc.world(t)
+			cat, fleet := w.Catalog, w.Atlas
+			base := cat.Count(relays.COR) + cat.Count(relays.PLR)
+			eligible := 0
+			for row := range int32(fleet.Len()) {
+				if fleet.Eligible(row) {
+					eligible++
+				}
+			}
+			if n := cat.Len() - base; n != eligible || n != cat.Count(relays.RAREye)+cat.Count(relays.RAROther) {
+				t.Fatalf("%d RAR relays, %d eligible rows, type counts %d+%d", n, eligible,
+					cat.Count(relays.RAREye), cat.Count(relays.RAROther))
+			}
+			prev := int32(-1)
+			for i := base; i < cat.Len(); i++ {
+				r := cat.Relay(i)
+				row := fleet.Row(r.ProbeID)
+				if row <= prev || !fleet.Eligible(row) {
+					t.Fatalf("relay %d: row %d after %d, eligible %v", i, row, prev, row >= 0 && fleet.Eligible(row))
+				}
+				prev = row
+				if r.Endpoint != fleet.Endpoint(row) || r.CC != fleet.CC(row) || r.City != fleet.City(row) ||
+					r.ProbeID != fleet.ID(row) || cat.City(i) != r.City {
+					t.Fatalf("relay %d = %+v, row %d is %+v", i, r, row, fleet.Probe(row))
+				}
+				want := relays.RAROther
+				if w.Selector.IsEyeball(fleet.AS(row), fleet.CC(row)) {
+					want = relays.RAREye
+				}
+				if r.Type != want || cat.Type(i) != want {
+					t.Fatalf("relay %d is %v (Type %v), want %v", i, r.Type, cat.Type(i), want)
+				}
+				if j, ok := cat.Lookup(r.ID()); !ok || j != i {
+					t.Fatalf("Lookup(%q) = %d, %v, want %d", r.ID(), j, ok, i)
+				}
+			}
+		})
+	}
+}
+
+// TestBuildCatalogAllocs gates the catalog's storage: at the 100k tier
+// a build allocates per COR and PLR relay and per country, never per RAR
+// relay (the tier has ~110k).
+func TestBuildCatalogAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc budget is pinned in the plain test run")
+	}
+	w := testScaleWorld(t)
+	d := relays.Deps{
+		Topo:      w.Topo,
+		Registry:  w.Registry,
+		FacMap:    w.FacMap,
+		Prefixes:  w.Prefixes,
+		Periscope: w.Periscope,
+		Atlas:     w.Atlas,
+		PlanetLab: w.PlanetLab,
+		IsEyeball: w.Selector.IsEyeball,
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := relays.BuildCatalog(rng.New(w.Params.Seed), d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	budget := 4 * (w.Catalog.Count(relays.COR) + w.Catalog.Count(relays.PLR) + len(worlddata.CountryCodes()))
+	if allocs > float64(budget) {
+		t.Errorf("BuildCatalog makes %.0f allocations at the 100k tier, want <= %d (4 per COR relay, PLR relay and country)", allocs, budget)
+	}
+}
+
+// TestCatalogAccessorsAllocateNothing: reading a relay, its type and
+// city, and looking up an ID, found or malformed, allocate nothing.
+func TestCatalogAccessorsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc budget is pinned in the plain test run")
+	}
+	cat := testWorld(t).Catalog
+	last := cat.Len() - 1
+	id := cat.Relay(last).ID()
+	allocs := testing.AllocsPerRun(100, func() {
+		if i, ok := cat.Lookup(id); !ok || i != last {
+			t.Fatalf("Lookup(%q) = %d, %v", id, i, ok)
+		}
+		if _, ok := cat.Lookup("rar-eye-12345678901234567890"); ok {
+			t.Fatal("a 20-digit probe ID was found")
+		}
+		_ = cat.Relay(last)
+		_ = cat.Type(last)
+		_ = cat.City(last)
+	})
+	if allocs != 0 {
+		t.Errorf("catalog accessors make %.1f allocations, want 0", allocs)
 	}
 }

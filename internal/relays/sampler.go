@@ -5,9 +5,9 @@ import (
 	"slices"
 
 	"shortcuts/internal/atlas"
+	"shortcuts/internal/eyeball"
 	"shortcuts/internal/planetlab"
 	"shortcuts/internal/rng"
-	"shortcuts/internal/topology"
 )
 
 // SampleParams are the per-round sampling quotas of Sections 2.2-2.3.
@@ -27,31 +27,24 @@ func DefaultSampleParams() SampleParams {
 // Sampler draws per-round relay subsets from a catalog.
 type Sampler struct {
 	catalog   *Catalog
-	atlas     *atlas.Platform
+	selector  *eyeball.Selector
 	planetlab *planetlab.Registry
 	params    SampleParams
 
 	// Iteration orders over the catalog's grouping maps are fixed for
 	// the catalog's lifetime, so they are sorted once here instead of
-	// once per round. The orders (and the per-country AS lists) are
-	// exactly what the per-round sorts produced, so no draw moves.
+	// once per round.
 	corFacs  []int
 	plrSites []string
-	eyeCCs   []string
-	eyeASNs  map[string][]topology.ASN
 	otherCCs []string
 }
 
-// NewSampler creates a sampler bound to the liveness sources.
-func NewSampler(c *Catalog, a *atlas.Platform, p *planetlab.Registry, sp SampleParams) *Sampler {
-	s := &Sampler{catalog: c, atlas: a, planetlab: p, params: sp}
+// NewSampler creates a sampler bound to the liveness sources. sel must
+// be the selector whose IsEyeball split the catalog's RAR relays.
+func NewSampler(c *Catalog, sel *eyeball.Selector, p *planetlab.Registry, sp SampleParams) *Sampler {
+	s := &Sampler{catalog: c, selector: sel, planetlab: p, params: sp}
 	s.corFacs = slices.Sorted(maps.Keys(c.corByFacility))
 	s.plrSites = slices.Sorted(maps.Keys(c.plrBySite))
-	s.eyeCCs = slices.Sorted(maps.Keys(c.eyeByCountry))
-	s.eyeASNs = make(map[string][]topology.ASN, len(c.eyeByCountry))
-	for cc, perAS := range c.eyeByCountry {
-		s.eyeASNs[cc] = slices.Sorted(maps.Keys(perAS))
-	}
 	s.otherCCs = slices.Sorted(maps.Keys(c.otherByCC))
 	return s
 }
@@ -82,10 +75,10 @@ func (s *Sampler) SampleRound(g *rng.Rand, round int, excludeProbes map[atlas.Pr
 		idxs := s.catalog.corByFacility[pdb]
 		want := g.IntBetween(s.params.CORPerFacilityMin, s.params.CORPerFacilityMax)
 		if len(idxs) > 0 && want > 0 {
-			// Degenerate quotas draw no permutation, exactly like the
-			// SampleInts guard this replaces.
+			// Degenerate quotas draw no permutation; a quota above the
+			// set takes all of it.
 			perm = g.PermInto(perm, len(idxs))
-			for _, k := range sampleCut(perm, len(idxs), want) {
+			for _, k := range perm[:min(want, len(perm))] {
 				rs.ByType[COR] = append(rs.ByType[COR], idxs[k])
 			}
 		}
@@ -96,7 +89,7 @@ func (s *Sampler) SampleRound(g *rng.Rand, round int, excludeProbes map[atlas.Pr
 	for _, site := range s.plrSites {
 		usable = usable[:0]
 		for _, idx := range s.catalog.plrBySite[site] {
-			if s.planetlab.Usable(s.catalog.Relays[idx].NodeID, round) {
+			if s.planetlab.Usable(s.catalog.relays[idx].NodeID, round) {
 				usable = append(usable, idx)
 			}
 		}
@@ -106,24 +99,28 @@ func (s *Sampler) SampleRound(g *rng.Rand, round int, excludeProbes map[atlas.Pr
 		want := g.IntBetween(s.params.PLRPerSiteMin, s.params.PLRPerSiteMax)
 		if want > 0 {
 			perm = g.PermInto(perm, len(usable))
-			for _, k := range sampleCut(perm, len(usable), want) {
+			for _, k := range perm[:min(want, len(perm))] {
 				rs.ByType[PLR] = append(rs.ByType[PLR], usable[k])
 			}
 		}
 	}
 
-	// RAR_eye: country -> AS -> probe.
-	for _, cc := range s.eyeCCs {
-		perAS := s.catalog.eyeByCountry[cc]
-		asns := s.eyeASNs[cc]
+	// RAR_eye: country -> AS -> probe. The selector's countries, their
+	// sorted ASes and each (AS, country)'s ascending eligible rows are
+	// exactly the groups the catalog's RAR_eye relays fall into: an
+	// eligible probe is RAR_eye iff its tuple is verified, and the
+	// selector keeps the verified tuples with eligible probes.
+	fleet := s.catalog.fleet
+	for _, cc := range s.selector.Countries() {
+		asns := s.selector.ASNsIn(cc)
 		// Try ASes in random order until one yields a live, non-endpoint
 		// probe.
 		perm = g.PermInto(perm, len(asns))
 		for _, ai := range perm {
-			idx, ok, buf := s.pickLiveProbe(g, pickPerm, perAS[asns[ai]], round, excludeProbes)
+			row, ok, buf := s.pickLiveProbe(g, pickPerm, fleet.EligibleIn(asns[ai], cc), round, excludeProbes)
 			pickPerm = buf
 			if ok {
-				rs.ByType[RAREye] = append(rs.ByType[RAREye], idx)
+				rs.ByType[RAREye] = append(rs.ByType[RAREye], s.catalog.rarIndex(row))
 				break
 			}
 		}
@@ -131,39 +128,28 @@ func (s *Sampler) SampleRound(g *rng.Rand, round int, excludeProbes map[atlas.Pr
 
 	// RAR_other: one probe per country.
 	for _, cc := range s.otherCCs {
-		idx, ok, buf := s.pickLiveProbe(g, pickPerm, s.catalog.otherByCC[cc], round, excludeProbes)
+		row, ok, buf := s.pickLiveProbe(g, pickPerm, s.catalog.otherByCC[cc], round, excludeProbes)
 		pickPerm = buf
 		if ok {
-			rs.ByType[RAROther] = append(rs.ByType[RAROther], idx)
+			rs.ByType[RAROther] = append(rs.ByType[RAROther], s.catalog.rarIndex(row))
 		}
 	}
 	return rs
 }
 
-// sampleCut reproduces SampleInts over an already-drawn permutation:
-// the first want elements (all of them when want exceeds the set).
-func sampleCut(perm []int, n, want int) []int {
-	if n <= 0 || want <= 0 {
-		return nil
-	}
-	if want > n {
-		want = n
-	}
-	return perm[:want]
-}
-
-// pickLiveProbe walks idxs in a random order drawn into perm and returns
-// the first live, non-excluded probe, plus the (possibly regrown)
-// buffer for reuse.
-func (s *Sampler) pickLiveProbe(g *rng.Rand, perm []int, idxs []int, round int, exclude map[atlas.ProbeID]bool) (int, bool, []int) {
-	perm = g.PermInto(perm, len(idxs))
+// pickLiveProbe walks atlas rows in a random order drawn into perm and
+// returns the first live, non-excluded probe's row, plus the (possibly
+// regrown) buffer for reuse.
+func (s *Sampler) pickLiveProbe(g *rng.Rand, perm []int, rows []int32, round int, exclude map[atlas.ProbeID]bool) (int32, bool, []int) {
+	fleet := s.catalog.fleet
+	perm = g.PermInto(perm, len(rows))
 	for _, k := range perm {
-		r := s.catalog.Relays[idxs[k]]
-		if exclude[r.ProbeID] {
+		id := fleet.ID(rows[k])
+		if exclude[id] {
 			continue
 		}
-		if s.atlas.Responsive(r.ProbeID, round) {
-			return idxs[k], true, perm
+		if fleet.Responsive(id, round) {
+			return rows[k], true, perm
 		}
 	}
 	return 0, false, perm

@@ -313,9 +313,9 @@ func (ev RelayChurn) apply(c *compileCtx) error {
 		return false
 	}
 	g := c.eventStream("relay-churn")
-	nr := len(c.w.Catalog.Relays)
+	nr := c.w.Catalog.Len()
 	for idx := 0; idx < nr; idx++ {
-		if !match(c.w.Catalog.Relays[idx].Type) {
+		if !match(c.w.Catalog.Type(idx)) {
 			continue
 		}
 		gr := g.Derive("relay", uint64(idx))

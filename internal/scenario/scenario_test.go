@@ -211,7 +211,7 @@ func TestChurnDeterministicAndBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nr := len(w.Catalog.Relays)
+	nr := w.Catalog.Len()
 	churnedEver := make(map[int]bool)
 	for r := 0; r < rounds; r++ {
 		s1, s2 := c1.Snapshot(r), c2.Snapshot(r)
@@ -254,11 +254,11 @@ func TestChurnTypeFilter(t *testing.T) {
 	churnedCOR, churnedOther := 0, 0
 	for r := 0; r < 4; r++ {
 		s := c.Snapshot(r)
-		for i := range w.Catalog.Relays {
+		for i := range w.Catalog.Len() {
 			if !s.RelayOut(i) {
 				continue
 			}
-			if w.Catalog.Relays[i].Type == relays.COR {
+			if w.Catalog.Type(i) == relays.COR {
 				churnedCOR++
 			} else {
 				churnedOther++
@@ -306,7 +306,7 @@ func TestScenarioNameKeysChurn(t *testing.T) {
 	}
 	same := true
 	for r := 0; r < 6 && same; r++ {
-		for i := range w.Catalog.Relays {
+		for i := range w.Catalog.Len() {
 			if a.Snapshot(r).RelayOut(i) != b.Snapshot(r).RelayOut(i) {
 				same = false
 				break

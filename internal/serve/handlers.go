@@ -184,6 +184,9 @@ func (p *pager) take() bool {
 	return in
 }
 
+// filled reports whether the window holds its limit of matches.
+func (p *pager) filled() bool { return p.limit != 0 && p.count-p.offset >= p.limit }
+
 func handleHealthz(w http.ResponseWriter, _ *http.Request, _ *servingState) {
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
@@ -303,7 +306,7 @@ func (st *servingState) facilityInfo(f *topology.Facility) FacilityInfo {
 		IXPs:       ixps,
 		Cloud:      f.Cloud,
 		PDBTop10:   f.PDBTop10,
-		CORRelays:  st.corBy[f.PDBID],
+		CORRelays:  len(st.world.Catalog.AtFacility(f.PDBID)),
 	}
 }
 
@@ -386,28 +389,40 @@ func handleRelays(w http.ResponseWriter, r *http.Request, st *servingState) {
 	if q.answered(w) {
 		return
 	}
+	// A type filter walks only its type's span. Without a cc or facility
+	// filter every relay of the type matches, so the count is the
+	// catalog's and the walk ends with the page.
+	cat := st.world.Catalog
+	lo, hi, total := 0, cat.Len(), cat.Len()
+	if label != "" {
+		lo, hi = cat.Span(typ)
+		total = cat.Count(typ)
+	}
+	counted := cc == "" && facility == 0
 	out := []RelayInfo{}
-	for i := range st.world.Catalog.Relays {
-		rel := &st.world.Catalog.Relays[i]
-		if label != "" && rel.Type != typ {
+	for i := lo; i < hi && !(counted && pg.filled()); i++ {
+		if label != "" && cat.Type(i) != typ {
 			continue
 		}
-		if cc != "" && rel.CC != cc {
-			continue
-		}
-		if facility != 0 && int64(rel.FacilityPDB) != facility {
-			continue
+		if !counted {
+			rel := cat.Relay(i)
+			if cc != "" && rel.CC != cc || facility != 0 && int64(rel.FacilityPDB) != facility {
+				continue
+			}
 		}
 		if pg.take() {
 			out = append(out, RelayInfo{Index: i, RelayRef: st.relayRef(i)})
 		}
+	}
+	if counted {
+		pg.count = int64(total)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"count": pg.count, "relays": out})
 }
 
 func handleRelayShow(w http.ResponseWriter, r *http.Request, st *servingState) {
 	id := r.PathValue("id")
-	i, ok := st.relayIdx[id]
+	i, ok := st.world.Catalog.Lookup(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, "no relay with id %q", id)
 		return

@@ -130,12 +130,10 @@ type servingState struct {
 	selfHeal     bool
 	relaysHealed int // total relay-round exclusions the healer applied
 
-	plans    []Plan                   // sorted by corridor (Src, Dst)
-	planIdx  map[measure.Corridor]int // corridor -> index into plans
-	resolve  map[string]string        // lowercased city name / country code -> CC
-	facPDB   map[int]int              // facility PDB id -> index into world.Registry.Facilities()
-	corBy    map[int]int              // facility PDB id -> COR relay count
-	relayIdx map[string]int           // relay ID -> index into world.Catalog.Relays
+	plans   []Plan                   // sorted by corridor (Src, Dst)
+	planIdx map[measure.Corridor]int // corridor -> index into plans
+	resolve map[string]string        // lowercased city name / country code -> CC
+	facPDB  map[int]int              // facility PDB id -> index into world.Registry.Facilities()
 
 	builtAt     time.Time
 	buildDur    time.Duration
@@ -345,9 +343,9 @@ func (st *servingState) buildPlans(cat *measure.ResultCatalog) {
 
 // relayRef renders catalog relay i.
 func (st *servingState) relayRef(i int) RelayRef {
-	r := &st.world.Catalog.Relays[i]
+	r := st.world.Catalog.Relay(i)
 	return RelayRef{
-		ID:          r.ID,
+		ID:          r.ID(),
 		Type:        r.Type.String(),
 		CC:          r.CC,
 		City:        st.world.Topo.Cities[r.City].Name,
@@ -357,8 +355,7 @@ func (st *servingState) relayRef(i int) RelayRef {
 }
 
 // buildLookups precomputes the request-path tables: location resolution
-// (city name or country code -> CC), the facility indexes and the relay
-// ID index.
+// (city name or country code -> CC) and the facility index.
 func (st *servingState) buildLookups() {
 	st.resolve = make(map[string]string, 2*len(st.world.Topo.Cities))
 	for i := range st.world.Topo.Cities {
@@ -373,18 +370,5 @@ func (st *servingState) buildLookups() {
 	st.facPDB = make(map[int]int, len(facs))
 	for i, f := range facs {
 		st.facPDB[f.PDBID] = i
-	}
-	st.corBy = make(map[int]int)
-	st.relayIdx = make(map[string]int, len(st.world.Catalog.Relays))
-	for i := range st.world.Catalog.Relays {
-		r := &st.world.Catalog.Relays[i]
-		// COR IDs name drawn IPs, which may repeat: the first relay
-		// keeps the ID, as a catalog scan would find it.
-		if _, dup := st.relayIdx[r.ID]; !dup {
-			st.relayIdx[r.ID] = i
-		}
-		if r.Type == relays.COR {
-			st.corBy[r.FacilityPDB]++
-		}
 	}
 }

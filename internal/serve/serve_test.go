@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"shortcuts/internal/measure"
+	"shortcuts/internal/relays"
 )
 
 // Small-world servers build in well under a second, but the tests still
@@ -245,6 +246,67 @@ func TestRelaysEndpoints(t *testing.T) {
 	for _, r := range atFac.Relays {
 		if r.FacilityPDB != cor.Relays[0].FacilityPDB {
 			t.Fatalf("facility filter leaked %+v", r)
+		}
+	}
+}
+
+// relayShowMisses are IDs the relay show route answers 404 for on the
+// seed-1 small world. RAR_other relay rar-other-1002 is shown under the
+// wrong type, with a leading zero, with a sign and with a trailing
+// space; probe 1000 is ineligible; probe 2644 is one past the fleet; a
+// number may be neither empty nor longer than any probe ID.
+// FuzzServeQuery's corpus under testdata/fuzz seeds the same IDs.
+var relayShowMisses = []string{
+	"rar-eye-1002",
+	"rar-other-01002",
+	"rar-other-+1002",
+	"rar-other-1002 ",
+	"rar-eye-1000",
+	"rar-other-1000",
+	"rar-eye-2644",
+	"rar-other-2644",
+	"rar-eye-",
+	"rar-other-",
+	"rar-other-12345678901234567890",
+}
+
+// TestRelayShowByID shows one relay of each type by the ID its type's
+// list gives it, and answers 404 for every near miss of an ID.
+func TestRelayShowByID(t *testing.T) {
+	s, _ := testServers(t)
+	h := s.Handler()
+	for ty := relays.Type(0); ty < relays.NumTypes; ty++ {
+		code, body := get(t, h, "/v1/relays?limit=1&type="+ty.String())
+		var list struct {
+			Relays []RelayInfo `json:"relays"`
+		}
+		decode(t, body, &list)
+		if code != http.StatusOK || len(list.Relays) != 1 {
+			t.Fatalf("%v list = %d: %s", ty, code, body)
+		}
+		code, body = get(t, h, "/v1/relays/"+url.PathEscape(list.Relays[0].ID))
+		var shown RelayInfo
+		decode(t, body, &shown)
+		if code != http.StatusOK || shown != list.Relays[0] {
+			t.Fatalf("show %q = %d %+v, listed %+v", list.Relays[0].ID, code, shown, list.Relays[0])
+		}
+	}
+
+	// The misses' premises: each is one step from a relay that exists.
+	st := s.st()
+	fleet := st.world.Atlas
+	if i, ok := st.world.Catalog.Lookup("rar-other-1002"); !ok || st.world.Catalog.Type(i) != relays.RAROther {
+		t.Fatal("rar-other-1002 is no RAR_other relay")
+	}
+	if fleet.Row(1000) < 0 || fleet.Eligible(fleet.Row(1000)) {
+		t.Fatal("probe 1000 is not an ineligible probe of the fleet")
+	}
+	if fleet.Row(2643) < 0 || fleet.Row(2644) >= 0 {
+		t.Fatal("probe 2644 is not the first ID past the fleet")
+	}
+	for _, id := range relayShowMisses {
+		if code, body := get(t, h, "/v1/relays/"+url.PathEscape(id)); code != http.StatusNotFound {
+			t.Errorf("show %q = %d %s, want 404", id, code, body)
 		}
 	}
 }

@@ -39,8 +39,13 @@ func TestShardedBuildWorkerInvariance(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("atlas columns differ between worker counts")
 	}
-	if !reflect.DeepEqual(seq.Catalog.Relays, par.Catalog.Relays) {
-		t.Fatal("relay catalogs differ between worker counts")
+	if seq.Catalog.Len() != par.Catalog.Len() {
+		t.Fatalf("relay counts differ: %d vs %d", seq.Catalog.Len(), par.Catalog.Len())
+	}
+	for i := range seq.Catalog.Len() {
+		if rs, rp := seq.Catalog.Relay(i), par.Catalog.Relay(i); rs != rp {
+			t.Fatalf("relay %d differs between worker counts:\nseq %+v\npar %+v", i, rs, rp)
+		}
 	}
 }
 

@@ -260,7 +260,7 @@ func worldStages(workers int) []buildStage {
 			return nil
 		}},
 		{name: "sampler", deps: []string{"relays"}, run: func(w *World, p WorldParams, g *rng.Rand) error {
-			w.Sampler = relays.NewSampler(w.Catalog, w.Atlas, w.PlanetLab, p.Sampling)
+			w.Sampler = relays.NewSampler(w.Catalog, w.Selector, w.PlanetLab, p.Sampling)
 			return nil
 		}},
 	}
@@ -367,8 +367,8 @@ func (w *World) CampaignDestinations() []topology.ASN {
 	for _, a := range w.Selector.ASes() {
 		add(a)
 	}
-	for i := range w.Catalog.Relays {
-		add(w.Catalog.Relays[i].Endpoint.AS)
+	for i := range w.Catalog.Len() {
+		add(w.Catalog.Relay(i).Endpoint.AS)
 	}
 	return dsts
 }

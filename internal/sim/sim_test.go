@@ -17,16 +17,16 @@ func TestBuildDefaultWorld(t *testing.T) {
 	if w.Topo == nil || w.Router == nil || w.Engine == nil || w.Catalog == nil {
 		t.Fatal("world has nil components")
 	}
-	if len(w.Catalog.OfType(relays.COR)) == 0 {
+	if w.Catalog.Count(relays.COR) == 0 {
 		t.Fatal("no COR relays survived the pipeline")
 	}
-	if len(w.Catalog.OfType(relays.PLR)) == 0 {
+	if w.Catalog.Count(relays.PLR) == 0 {
 		t.Fatal("no PLR relays")
 	}
-	if len(w.Catalog.OfType(relays.RAREye)) == 0 {
+	if w.Catalog.Count(relays.RAREye) == 0 {
 		t.Fatal("no RAR_eye relays")
 	}
-	if len(w.Catalog.OfType(relays.RAROther)) == 0 {
+	if w.Catalog.Count(relays.RAROther) == 0 {
 		t.Fatal("no RAR_other relays")
 	}
 	if len(w.Selector.Countries()) < 50 {
@@ -39,7 +39,7 @@ func TestBuildSmallWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w.Catalog.Relays) == 0 {
+	if w.Catalog.Len() == 0 {
 		t.Fatal("empty catalog")
 	}
 }
@@ -53,12 +53,12 @@ func TestWorldDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Catalog.Relays) != len(b.Catalog.Relays) {
-		t.Fatalf("catalog sizes differ: %d vs %d", len(a.Catalog.Relays), len(b.Catalog.Relays))
+	if a.Catalog.Len() != b.Catalog.Len() {
+		t.Fatalf("catalog sizes differ: %d vs %d", a.Catalog.Len(), b.Catalog.Len())
 	}
-	for i := range a.Catalog.Relays {
-		if a.Catalog.Relays[i].ID != b.Catalog.Relays[i].ID {
-			t.Fatalf("relay %d differs: %s vs %s", i, a.Catalog.Relays[i].ID, b.Catalog.Relays[i].ID)
+	for i := range a.Catalog.Len() {
+		if ida, idb := a.Catalog.Relay(i).ID(), b.Catalog.Relay(i).ID(); ida != idb {
+			t.Fatalf("relay %d differs: %s vs %s", i, ida, idb)
 		}
 	}
 	if a.Catalog.Funnel != b.Catalog.Funnel {
@@ -78,9 +78,9 @@ func worldFingerprint(t *testing.T, w *World) string {
 		w.Atlas.Len(), len(w.PlanetLab.Nodes()), len(w.Periscope.LGs()),
 		w.Prefixes.Size(), len(w.FacMap.Records))
 	fmt.Fprintf(&sb, "funnel=%+v|countries=%v|", w.Catalog.Funnel, w.Selector.Countries())
-	for i := range w.Catalog.Relays {
-		r := &w.Catalog.Relays[i]
-		fmt.Fprintf(&sb, "%s/%d/%d/%d;", r.ID, r.Endpoint.AS, r.City, r.Endpoint.Access)
+	for i := range w.Catalog.Len() {
+		r := w.Catalog.Relay(i)
+		fmt.Fprintf(&sb, "%s/%d/%d/%d;", r.ID(), r.Endpoint.AS, r.City, r.Endpoint.Access)
 	}
 	return sb.String()
 }

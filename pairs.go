@@ -45,15 +45,17 @@ func (r *Results) ObservationsBetween(ccA, ccB string) []PairObservation {
 			if bestType == -1 || float64(o.BestMs[t]) < po.BestRelayedMs {
 				po.BestRelayedMs = float64(o.BestMs[t])
 				bestType = t
-				relay := &cat.Relays[o.BestRelay[t]]
-				po.RelayID = relay.ID
-				po.RelayType = RelayType(t)
-				po.RelayCC = relay.CC
-				po.FacilityName = relay.FacilityName
 			}
 		}
-		if bestType >= 0 && po.BestRelayedMs < po.DirectMs {
-			po.ImprovementMs = po.DirectMs - po.BestRelayedMs
+		if bestType >= 0 {
+			relay := cat.Relay(int(o.BestRelay[bestType]))
+			po.RelayID = relay.ID()
+			po.RelayType = RelayType(bestType)
+			po.RelayCC = relay.CC
+			po.FacilityName = relay.FacilityName
+			if po.BestRelayedMs < po.DirectMs {
+				po.ImprovementMs = po.DirectMs - po.BestRelayedMs
+			}
 		}
 		out = append(out, po)
 	}

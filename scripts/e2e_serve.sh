@@ -108,6 +108,17 @@ echo "e2e-serve: /v1/facilities ok"
 get "/v1/relays?limit=5" 'j["count"] > 0 and len(j["relays"]) == 5' >/dev/null
 echo "e2e-serve: /v1/relays ok"
 
+# Relay show: the first relay of each type, shown by its listed ID,
+# answers with the same index, ID and type.
+for TYPE in COR PLR RAR_eye RAR_other; do
+  LISTED="$(get "/v1/relays?type=$TYPE&limit=1" 'len(j["relays"]) == 1 and j["relays"][0]["type"] == "'"$TYPE"'"')"
+  ID="$(python3 -c 'import json,sys; print(json.load(sys.stdin)["relays"][0]["id"])' <<<"$LISTED")"
+  INDEX="$(python3 -c 'import json,sys; print(json.load(sys.stdin)["relays"][0]["index"])' <<<"$LISTED")"
+  get "/v1/relays/$ID" \
+    'j["index"] == '"$INDEX"' and j["id"] == "'"$ID"'" and j["type"] == "'"$TYPE"'"' >/dev/null
+  echo "e2e-serve: /v1/relays/$ID ok ($TYPE, index $INDEX)"
+done
+
 # Pick a measured corridor from the plan listing, then query it.
 PLANS="$(get "/v1/plans?limit=1" 'j["count"] > 0 and j["seed"] == 1')"
 SRC="$(python3 -c 'import json,sys; print(json.load(sys.stdin)["plans"][0]["src"])' <<<"$PLANS")"
