@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// EndpointPair is one (source, destination) pair handed to ResolveBatch.
-type EndpointPair struct {
-	A, B Endpoint
+// LinePair is one (source, destination) pair handed to ResolveBatch.
+type LinePair struct {
+	A, B Line
 }
 
 // PairHandle is a resolved pair, ready for train pricing without any
@@ -35,7 +35,7 @@ const resolveBatchChunk = 16
 // likewise, so the per-pair memory stall approaches latency/chunk
 // instead of 2×latency. Attachment pairs that miss the cache fall back
 // to the ordinary locked admission path, one at a time.
-func (v View) ResolveBatch(pairs []EndpointPair, out []PairHandle) error {
+func (v View) ResolveBatch(pairs []LinePair, out []PairHandle) error {
 	e := v.e
 	for base := 0; base < len(pairs); base += resolveBatchChunk {
 		n := len(pairs) - base
@@ -43,7 +43,7 @@ func (v View) ResolveBatch(pairs []EndpointPair, out []PairHandle) error {
 			n = resolveBatchChunk
 		}
 		var (
-			keys [resolveBatchChunk]pairKey
+			keys [resolveBatchChunk]netKey
 			hs   [resolveBatchChunk]uint64
 			tabs [resolveBatchChunk]*pairTable
 			idxs [resolveBatchChunk]int64
@@ -54,9 +54,8 @@ func (v View) ResolveBatch(pairs []EndpointPair, out []PairHandle) error {
 		// is what lets the misses overlap.
 		for j := 0; j < n; j++ {
 			p := &pairs[base+j]
-			key := canonicalKey(p.A, p.B)
-			keys[j] = key
-			h := tableHash(key.net())
+			keys[j] = netKeyOf(ordered(&p.A, &p.B))
+			h := tableHash(keys[j])
 			hs[j] = h
 			idxs[j] = -1
 			t := e.shards[e.shardOf(h)].tab.Load()
@@ -85,7 +84,7 @@ func (v View) ResolveBatch(pairs []EndpointPair, out []PairHandle) error {
 			if i < 0 {
 				continue
 			}
-			if nk := keys[j].net(); !keyEq(&tabs[j].kv[i].key, &nk) {
+			if !keyEq(&tabs[j].kv[i].key, &keys[j]) {
 				idxs[j] = -1
 			}
 		}
@@ -97,13 +96,14 @@ func (v View) ResolveBatch(pairs []EndpointPair, out []PairHandle) error {
 				ns = &tabs[j].kv[i].st
 			} else {
 				var err error
-				ns, err = e.netStateByHash(hs[j], keys[j].net())
+				ns, err = e.netStateByHash(hs[j], keys[j])
 				if err != nil {
 					return err
 				}
 			}
 			p := &pairs[base+j]
-			out[base+j] = PairHandle{st: e.compose(ns, keys[j], p.A), eff: v.effect(p.A, p.B)}
+			lo, hi := ordered(&p.A, &p.B)
+			out[base+j] = PairHandle{st: e.compose(ns, lo, hi, lo == &p.A), eff: v.effect(&p.A, &p.B)}
 		}
 	}
 	return nil
@@ -117,15 +117,18 @@ type PingSample struct {
 }
 
 // PingTrainSchedHandle prices one train for a resolved pair: len(out)
-// pings, slot s at round `round` and UTC hour fraction hourFrac[s] (a
-// schedule from SlotHourFracs; len(hourFrac) must cover len(out)). Each
-// slot's draws derive from (pair, round, slot) alone. Pair resolution
-// was paid by ResolveBatch, so nothing here touches the cache or the
+// pings, slot s at round `round` under the diurnal load of slot s of
+// sched (which must have at least len(out) slots and come from an
+// engine over the same topology). Each slot's draws derive from (pair,
+// round, slot) alone. Pair resolution was paid by ResolveBatch and the
+// load by Engine.Schedule, so nothing here touches the cache or the
 // heap. The pair resolved in the other direction prices a slightly
 // different train (path asymmetry) over the same cached state.
-func (v View) PingTrainSchedHandle(h *PairHandle, round int, hourFrac []float64, out []PingSample) {
+func (v View) PingTrainSchedHandle(h *PairHandle, round int, sched *Schedule, out []PingSample) {
+	p := int(h.st.cityPair) * sched.n
+	load := sched.load[p : p+sched.n : p+sched.n][:len(out)]
 	for slot := range out {
-		rtt, ok := v.e.pingSlot(&h.st, round, slot, hourFrac[slot], h.eff)
+		rtt, ok := v.e.pingSlot(&h.st, round, slot, load[slot], h.eff)
 		out[slot] = PingSample{RTT: rtt, OK: ok}
 	}
 }

@@ -42,12 +42,12 @@ func benchEngine(b *testing.B) (*Engine, Endpoint, Endpoint) {
 func BenchmarkPingHotPath(b *testing.B) {
 	e, x, y := benchEngine(b)
 	v := e.View(nil)
-	hourFrac := SlotHourFracs(benchTime, 0, 1, nil)
+	sched := e.Schedule(benchTime, 0, 1)
 	out := make([]PingSample, 1)
-	pingTrain(b, v, x, y, 0, hourFrac, out)
+	pingTrain(b, v, x, y, 0, sched, out)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pingTrain(b, v, x, y, i, hourFrac, out)
+		pingTrain(b, v, x, y, i, sched, out)
 	}
 }

@@ -3,14 +3,15 @@ package latency
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"shortcuts/internal/topology"
 )
 
 // synthKey builds a distinct canonical netKey from an integer.
 func synthKey(i int) netKey {
-	a := attachment{AS: topology.ASN(100 + i), City: i % 37}
-	b := attachment{AS: topology.ASN(100000 + i), City: i % 53}
+	a := attachment{AS: uint32(100 + i), City: int32(i % 37)}
+	b := attachment{AS: uint32(100000 + i), City: int32(i % 53)}
 	return netKey{lo: a, hi: b}
 }
 
@@ -26,7 +27,7 @@ func TestPairTableGrowth(t *testing.T) {
 		if got := shard.lookup(h, key); got != nil {
 			t.Fatalf("key %d present before insert", i)
 		}
-		st := shard.insertLocked(h, key, netState{wide: float64(i), midLon: float64(i % 360)})
+		st := shard.insertLocked(h, key, netState{wide: float64(i), cityPair: int32(i % 360)})
 		if st == nil || st.wide != float64(i) {
 			t.Fatalf("insert %d returned wrong state: %+v", i, st)
 		}
@@ -44,7 +45,7 @@ func TestPairTableGrowth(t *testing.T) {
 		if st == nil {
 			t.Fatalf("key %d lost after growth", i)
 		}
-		if st.wide != float64(i) || st.midLon != float64(i%360) {
+		if st.wide != float64(i) || st.cityPair != int32(i%360) {
 			t.Fatalf("key %d resolves to wrong state %+v", i, st)
 		}
 	}
@@ -68,6 +69,15 @@ func TestPairTablePointerStability(t *testing.T) {
 		if st.wide != float64(1000+i) {
 			t.Fatalf("early pointer %d mutated: %v", i, st.wide)
 		}
+	}
+}
+
+// TestPairKVSize pins the wide lane's entry at 48 bytes: a 16-byte
+// attachment pair and a 32-byte state. A wider field here multiplies
+// over every cached attachment pair.
+func TestPairKVSize(t *testing.T) {
+	if got := unsafe.Sizeof(pairKV{}); got != 48 {
+		t.Fatalf("pairKV is %d bytes, want 48", got)
 	}
 }
 

@@ -19,22 +19,29 @@
 // and diurnal load) derives from the pair's two (AS, city) attachment
 // points; only the access delay belongs to the endpoint itself. The
 // path-state cache is therefore keyed by the attachment pair, and holds
-// the congestion-scaled wide-area RTT, both asymmetry factors and the
-// diurnal traits. Each resolve adds the two endpoints' access terms on
-// the stack, so every host behind the same attachments shares one entry.
+// the congestion-scaled wide-area RTT, the asymmetry draw, the diurnal
+// amplitude and the ordered city pair. Each resolve adds the two
+// endpoints' access terms on the stack, so every host behind the same
+// attachments shares one entry.
 //
-// Every ping is priced one way: View.ResolveBatch resolves a batch of
-// endpoint pairs into PairHandles, and View.PingTrainSchedHandle prices
-// one handle's train on a slot schedule from SlotHourFracs. That path is
-// allocation-free: per-ping draws come from value-type rng.Streams (a
-// Derive is a hash, not a generator allocation), pair identities are
-// hashed with an inlined FNV-1a over fixed-size buffers, and a handle
-// carries its composed pathState by value, so pricing any endpoint pair
-// over a cached attachment pair touches no heap at all.
+// Every ping is priced one way: Engine.Line binds an endpoint to its
+// line, View.ResolveBatch resolves a batch of line pairs into
+// PairHandles, and View.PingTrainSchedHandle prices one handle's train
+// on a Schedule from Engine.Schedule. The two pure functions a train
+// would otherwise recompute are memoized where their inputs stop
+// changing: a Line carries its line-scaled access delay, drawn once per
+// binding, and a Schedule carries the diurnal load of every ordered city
+// pair at every slot, so a ping's only transcendental work is its own
+// jitter draw. Resolving and pricing are allocation-free: per-ping draws
+// come from value-type rng.Streams (a Derive is a hash, not a generator
+// allocation), pair identities are hashed with an inlined FNV-1a over
+// fixed-size buffers, and a handle carries its composed pathState by
+// value, so pricing any line pair over a cached attachment pair touches
+// no heap at all.
 package latency
 
 import (
-	"math"
+	"sync"
 	"time"
 
 	"shortcuts/internal/bgp"
@@ -54,6 +61,7 @@ import (
 type Engine struct {
 	router *bgp.Router
 	p      Params
+	nc     int // city count: ordered city pair (lo, hi) is lo*nc + hi
 
 	// base is the value-type stream every per-path, per-endpoint and
 	// per-ping draw derives from. It is never advanced, only Derived, so
@@ -70,21 +78,11 @@ type Engine struct {
 	pingPre     rng.Prefix
 	pathPre     rng.Prefix
 	endpointPre rng.Prefix
-}
 
-// pairKey is the canonical (unordered) identity of an endpoint pair.
-// The ping draws, the direction of the asymmetry factor and the access
-// factors key on it; the path-state cache keys on its attachment pair.
-type pairKey struct {
-	lo, hi EndpointKey
-}
-
-func canonicalKey(a, b Endpoint) pairKey {
-	ka, kb := a.Key(), b.Key()
-	if less(kb, ka) {
-		ka, kb = kb, ka
-	}
-	return pairKey{lo: ka, hi: kb}
+	// midLon is the path-midpoint longitude of every ordered city pair,
+	// built on the first Schedule so that world build never pays for it.
+	midOnce sync.Once
+	midLon  []float64
 }
 
 func less(a, b EndpointKey) bool {
@@ -98,10 +96,10 @@ func less(a, b EndpointKey) bool {
 }
 
 // attachment is the (AS, city) point an endpoint attaches at: its
-// identity without the access delay.
+// identity without the access delay. ASNs fit the 4-byte ASN space.
 type attachment struct {
-	AS   topology.ASN
-	City int
+	AS   uint32
+	City int32
 }
 
 // netKey is the canonical identity of an attachment pair, the key of
@@ -110,15 +108,12 @@ type netKey struct {
 	lo, hi attachment
 }
 
-// net returns the attachment pair of an endpoint pair. less orders by
-// (AS, city) before access, so the result is canonical too: access only
-// breaks ties between two endpoints on one attachment, where lo and hi
-// are the same point either way.
-func (k pairKey) net() netKey {
-	return netKey{
-		lo: attachment{AS: k.lo.AS, City: k.lo.City},
-		hi: attachment{AS: k.hi.AS, City: k.hi.City},
-	}
+// netKeyOf returns the attachment pair of a canonically ordered line
+// pair. less orders by (AS, city) before access, so the result is
+// canonical too: access only breaks ties between two endpoints on one
+// attachment, where lo and hi are the same point either way.
+func netKeyOf(lo, hi *Line) netKey {
+	return netKey{lo: lo.key.attachment(), hi: hi.key.attachment()}
 }
 
 // netState is the cached state of one attachment pair: everything about
@@ -127,10 +122,9 @@ func (k pairKey) net() netKey {
 // its routing trees, which makes re-expansion cheap).
 type netState struct {
 	wide       float64 // congestion-scaled wide-area RTT, in float ns
-	fwdAsym    float64 // multiplier in the canonical lo->hi direction
-	revAsym    float64 // multiplier in the hi->lo direction
+	asym       float64 // asymmetry draw: 1+asym prices lo->hi, 1-asym hi->lo
 	diurnalAmp float64
-	midLon     float64 // longitude of the path midpoint, for local time
+	cityPair   int32 // ordered city pair lo.City*nc + hi.City: the Schedule row
 }
 
 // pathState is the resolved state of one endpoint pair in one
@@ -142,8 +136,8 @@ type pathState struct {
 	static     float64 // wide-area RTT plus line-scaled access, in float ns
 	asym       float64 // asymmetry factor of the priced direction
 	diurnalAmp float64
-	midLon     float64
-	hp         uint64 // hashPair: the key of the per-ping draw streams
+	cityPair   int32
+	hp         uint64 // the pair's FNV fold: the key of the per-ping draw streams
 }
 
 // DefaultCacheShards is the path-state shard count used when
@@ -164,6 +158,7 @@ func New(router *bgp.Router, p Params, root *rng.Rand) *Engine {
 	return &Engine{
 		router:      router,
 		p:           p,
+		nc:          len(router.Topology().Cities),
 		base:        base,
 		shards:      make([]cacheShard, n),
 		mask:        uint64(n - 1),
@@ -236,10 +231,10 @@ func (e *Engine) netStateByHash(h uint64, key netKey) (*netState, error) {
 func (e *Engine) computeNetState(key netKey) (netState, error) {
 	lo, hi := key.lo, key.hi
 	var fwd, rev bgp.PopPath
-	if err := e.router.ExpandInto(&fwd, lo.AS, lo.City, hi.AS, hi.City); err != nil {
+	if err := e.router.ExpandInto(&fwd, topology.ASN(lo.AS), int(lo.City), topology.ASN(hi.AS), int(hi.City)); err != nil {
 		return netState{}, err
 	}
-	if err := e.router.ExpandInto(&rev, hi.AS, hi.City, lo.AS, lo.City); err != nil {
+	if err := e.router.ExpandInto(&rev, topology.ASN(hi.AS), int(hi.City), topology.ASN(lo.AS), int(lo.City)); err != nil {
 		return netState{}, err
 	}
 
@@ -256,58 +251,34 @@ func (e *Engine) computeNetState(key netKey) (netState, error) {
 	if g.Bool(e.p.BadPathProb) {
 		congestion *= g.Uniform(e.p.BadPathMin, e.p.BadPathMax)
 	}
-	topo := e.router.Topology()
-	mid := geo.Midpoint(topo.CityLoc(lo.City), topo.CityLoc(hi.City))
-
 	asym := g.Normal(0, e.p.AsymmetrySigma)
 	return netState{
 		wide:       float64(wide) * congestion,
-		fwdAsym:    1 + asym,
-		revAsym:    1 - asym,
+		asym:       asym,
 		diurnalAmp: g.Uniform(0, e.p.DiurnalAmpMax),
-		midLon:     mid.Lon,
+		cityPair:   lo.City*int32(e.nc) + hi.City,
 	}, nil
 }
 
-// compose resolves the endpoint pair key, priced from a, over its
-// attachment pair's cached state. Access delay is scaled by each
-// endpoint's own line-quality factor and charged out and back; the sum
-// adds to the rounded wide-area product exactly as one
-// wide*congestion + access expression evaluates. The direction keys on
-// the full endpoint identity, so two endpoints on one attachment still
-// pick opposite factors.
-func (e *Engine) compose(ns *netState, key pairKey, a Endpoint) pathState {
-	access := 2 * (scaleDuration(key.lo.Access, e.accessFactor(key.lo)) +
-		scaleDuration(key.hi.Access, e.accessFactor(key.hi)))
-	asym := ns.fwdAsym
-	if a.Key() != key.lo {
-		asym = ns.revAsym
+// compose resolves a canonically ordered line pair over its attachment
+// pair's cached state, priced lo->hi when fwd and hi->lo otherwise. The
+// lines' access delays, already scaled by each line's quality factor,
+// are charged out and back; the sum adds to the rounded wide-area
+// product exactly as one wide*congestion + access expression evaluates.
+// The direction keys on the full endpoint identity, so two endpoints on
+// one attachment still pick opposite factors.
+func (e *Engine) compose(ns *netState, lo, hi *Line, fwd bool) pathState {
+	asym := 1 + ns.asym
+	if !fwd {
+		asym = 1 - ns.asym
 	}
 	return pathState{
-		static:     ns.wide + float64(access),
+		static:     ns.wide + float64(2*(lo.access+hi.access)),
 		asym:       asym,
 		diurnalAmp: ns.diurnalAmp,
-		midLon:     ns.midLon,
-		hp:         hashPair(key),
+		cityPair:   ns.cityPair,
+		hp:         hashEndpointKey(lo.h, hi.key),
 	}
-}
-
-func scaleDuration(d time.Duration, f float64) time.Duration {
-	return time.Duration(float64(d) * f)
-}
-
-// accessFactor is the static line-quality multiplier of one endpoint's
-// access delay. It is a pure function of the endpoint's full identity, so
-// a congested DSL line is consistently congested across every path it
-// terminates or relays.
-func (e *Engine) accessFactor(k EndpointKey) float64 {
-	g := e.endpointPre.At(hashEndpointKey(rng.FNVOffset64, k))
-	return g.LogNormal(0, e.p.AccessCongestionSigma)
-}
-
-func hashPair(key pairKey) uint64 {
-	h := hashEndpointKey(rng.FNVOffset64, key.lo)
-	return hashEndpointKey(h, key.hi)
 }
 
 // hashNetPath hashes an attachment pair, so path traits are shared by
@@ -326,9 +297,11 @@ func hashAttachment(h uint64, a attachment) uint64 {
 }
 
 // hashEndpointKey folds an endpoint identity into a running FNV-1a
-// hash: its attachment point, then 8 bytes of the access delay.
+// hash: its attachment point, then 8 bytes of the access delay. Folded
+// from FNVOffset64 it keys the endpoint's line-quality draw; folding the
+// hi endpoint onto the lo endpoint's fold keys the pair's ping draws.
 func hashEndpointKey(h uint64, k EndpointKey) uint64 {
-	h = hashAttachment(h, attachment{AS: k.AS, City: k.City})
+	h = hashAttachment(h, k.attachment())
 	return rng.FNVUint64(h, uint64(k.Access))
 }
 
@@ -337,55 +310,23 @@ func hashEndpointKey(h uint64, k EndpointKey) uint64 {
 // plus the line-scaled access delays. This is what the medians of
 // repeated pings converge to at off-peak hours.
 func (e *Engine) BaseRTT(a, b Endpoint) (time.Duration, error) {
-	st, err := e.resolvePair(a, b)
+	st, err := e.resolvePair(e.Line(a), e.Line(b))
 	if err != nil {
 		return 0, err
 	}
 	return time.Duration(st.static), nil
 }
 
-// hourFracOf is the UTC hour-of-day fraction of t — the pair-invariant
-// part of the diurnal phase. Every pair of a round pings at the same
-// slot times, so SlotHourFracs decomposes each slot once per round
-// instead of once per ping.
-func hourFracOf(t time.Time) float64 {
-	u := t.UTC()
-	return float64(u.Hour()) + float64(u.Minute())/60
-}
-
-// diurnalFactorHour returns the load factor at UTC hour fraction
-// hourFrac for a path whose midpoint is at longitude midLon: a sinusoid
-// peaking at 21:00 local. The association (hourFrac first, then
-// + midLon/15) is the one the golden digests were recorded with.
-func diurnalFactorHour(hourFrac, amp, midLon float64) float64 {
-	if amp == 0 {
-		return 1
-	}
-	localHour := hourFrac + midLon/15
-	phase := (localHour - 21) / 24 * 2 * math.Pi
-	return 1 + amp*(0.5+0.5*math.Cos(phase))
-}
-
-// SlotHourFracs appends the hour fraction (hourFracOf) of each of n ping
-// slots — t0, t0+interval, ... — to buf and returns it: the slot
-// schedule PingTrainSchedHandle prices on. Campaigns price every train
-// of a round on one schedule, so the wall-time decomposition runs once
-// per round, not once per ping.
-func SlotHourFracs(t0 time.Time, interval time.Duration, n int, buf []float64) []float64 {
-	for slot := 0; slot < n; slot++ {
-		buf = append(buf, hourFracOf(t0.Add(time.Duration(slot)*interval)))
-	}
-	return buf
-}
-
 // pingSlot prices one ping slot against resolved path state, for
-// PingTrainSchedHandle. eff is the scenario overlay effect for the pair
+// PingTrainSchedHandle; load is the slot's diurnal load on the path's
+// city pair (Schedule). eff is the scenario overlay effect for the pair
 // (NeutralEffect when no scenario is active). A neutral effect is
 // draw-for-draw and bit-for-bit identical to the pre-overlay pricing:
 // Down skips draws only when set, ExtraLoss consumes a draw only when
 // positive, and multiplying by an RTTFactor of exactly 1.0 is exact in
-// IEEE 754.
-func (e *Engine) pingSlot(st *pathState, round, slot int, hourFrac float64, eff Effect) (time.Duration, bool) {
+// IEEE 754. A path with no diurnal amplitude skips its factor of 1 for
+// the same reason.
+func (e *Engine) pingSlot(st *pathState, round, slot int, load float64, eff Effect) (time.Duration, bool) {
 	if eff.Down {
 		return 0, false
 	}
@@ -399,7 +340,9 @@ func (e *Engine) pingSlot(st *pathState, round, slot int, hourFrac float64, eff 
 		return 0, false
 	}
 	rtt := st.static
-	rtt *= diurnalFactorHour(hourFrac, st.diurnalAmp, st.midLon)
+	if st.diurnalAmp != 0 {
+		rtt *= 1 + st.diurnalAmp*load
+	}
 	rtt *= st.asym
 	rtt *= g.LogNormal(0, e.p.JitterSigma)
 	if g.Bool(e.p.SpikeProb) {
@@ -412,26 +355,18 @@ func (e *Engine) pingSlot(st *pathState, round, slot int, hourFrac float64, eff 
 	return time.Duration(rtt * eff.RTTFactor), true
 }
 
-// resolvePair resolves one endpoint pair, priced from a to b, for
-// BaseRTT: the attachment pair's cached state composed with the pair's
-// access term, the a->b direction factor and the pair hash (the
-// per-ping RNG stream key). ResolveBatch composes through the same
-// compose, so the two resolutions cannot diverge.
-func (e *Engine) resolvePair(a, b Endpoint) (pathState, error) {
-	key := canonicalKey(a, b)
-	ns, err := e.netStateOf(key.net())
+// resolvePair resolves one line pair, priced from a to b, for BaseRTT:
+// the attachment pair's cached state composed with the pair's access
+// term, the a->b direction factor and the pair hash (the per-ping RNG
+// stream key). ResolveBatch composes through the same compose, so the
+// two resolutions cannot diverge.
+func (e *Engine) resolvePair(a, b Line) (pathState, error) {
+	lo, hi := ordered(&a, &b)
+	ns, err := e.netStateOf(netKeyOf(lo, hi))
 	if err != nil {
 		return pathState{}, err
 	}
-	return e.compose(ns, key, a), nil
-}
-
-// Trace returns the forward PoP-level path from a to b (the city polyline
-// traffic follows), for traceroute-style analyses. Traces are recomputed
-// on demand rather than cached; the router's memoised trees keep this
-// cheap.
-func (e *Engine) Trace(a, b Endpoint) (*bgp.PopPath, error) {
-	return e.router.Expand(a.AS, a.City, b.AS, b.City)
+	return e.compose(ns, lo, hi, lo == &a), nil
 }
 
 // CachedPairs reports how many attachment pairs have cached path state,

@@ -1,6 +1,7 @@
 package latency
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -43,16 +44,17 @@ func testEndpoints(t *testing.T) (Endpoint, Endpoint) {
 }
 
 // pingTrain prices one train from a to b through the one pricing
-// primitive: a single-pair ResolveBatch, then PingTrainSchedHandle on
-// the slot schedule hourFrac. It skips t.Helper, whose caller lookup
-// would dominate the benchmarks that time this helper.
-func pingTrain(t testing.TB, v View, a, b Endpoint, round int, hourFrac []float64, out []PingSample) {
-	pairs := [1]EndpointPair{{A: a, B: b}}
+// path: both endpoints bound to their lines, a single-pair
+// ResolveBatch, then PingTrainSchedHandle on sched. It skips t.Helper,
+// whose caller lookup would dominate the benchmarks that time this
+// helper.
+func pingTrain(t testing.TB, v View, a, b Endpoint, round int, sched *Schedule, out []PingSample) {
+	pairs := [1]LinePair{{A: v.e.Line(a), B: v.e.Line(b)}}
 	var h [1]PairHandle
 	if err := v.ResolveBatch(pairs[:], h[:]); err != nil {
 		t.Fatal(err)
 	}
-	v.PingTrainSchedHandle(&h[0], round, hourFrac, out)
+	v.PingTrainSchedHandle(&h[0], round, sched, out)
 }
 
 func TestBaseRTTPositiveAndStable(t *testing.T) {
@@ -173,10 +175,10 @@ func TestAccessDelayCharged(t *testing.T) {
 func TestPingDeterministicPerSlot(t *testing.T) {
 	e := testEngine(t)
 	a, b := testEndpoints(t)
-	hourFrac := SlotHourFracs(time.Date(2017, 4, 20, 12, 0, 0, 0, time.UTC), 0, 4, nil)
+	sched := e.Schedule(time.Date(2017, 4, 20, 12, 0, 0, 0, time.UTC), 0, 4)
 	t1, t2 := make([]PingSample, 4), make([]PingSample, 4)
-	pingTrain(t, e.View(nil), a, b, 3, hourFrac, t1)
-	pingTrain(t, e.View(nil), a, b, 3, hourFrac, t2)
+	pingTrain(t, e.View(nil), a, b, 3, sched, t1)
+	pingTrain(t, e.View(nil), a, b, 3, sched, t2)
 	if t1[2] != t2[2] {
 		t.Fatalf("same-slot pings differ: %+v vs %+v", t1[2], t2[2])
 	}
@@ -191,14 +193,14 @@ func TestPingDirectionNearlySymmetric(t *testing.T) {
 	e := testEngine(t)
 	topo := e.router.Topology()
 	eyes := topo.ASesOfType(topology.Eyeball)
-	at := time.Date(2017, 4, 20, 6, 0, 0, 0, time.UTC)
+	sched := e.Schedule(time.Date(2017, 4, 20, 6, 0, 0, 0, time.UTC), 0, 6)
 	within5 := 0
 	total := 0
 	for i := 0; i < len(eyes)-1; i += 4 {
 		a := Endpoint{AS: eyes[i].ASN, City: eyes[i].HomeCity(), Access: 5 * time.Millisecond}
 		b := Endpoint{AS: eyes[i+1].ASN, City: eyes[i+1].HomeCity(), Access: 5 * time.Millisecond}
-		fwd := medianPing(t, e, a, b, at)
-		rev := medianPing(t, e, b, a, at)
+		fwd := medianPing(t, e, a, b, sched)
+		rev := medianPing(t, e, b, a, sched)
 		if fwd == 0 || rev == 0 {
 			continue
 		}
@@ -220,10 +222,10 @@ func TestPingDirectionNearlySymmetric(t *testing.T) {
 	}
 }
 
-func medianPing(t *testing.T, e *Engine, a, b Endpoint, at time.Time) time.Duration {
+func medianPing(t *testing.T, e *Engine, a, b Endpoint, sched *Schedule) time.Duration {
 	t.Helper()
 	train := make([]PingSample, 6)
-	pingTrain(t, e.View(nil), a, b, 0, SlotHourFracs(at, 0, len(train), nil), train)
+	pingTrain(t, e.View(nil), a, b, 0, sched, train)
 	var vals []time.Duration
 	for _, p := range train {
 		if p.OK {
@@ -244,14 +246,18 @@ func medianPing(t *testing.T, e *Engine, a, b Endpoint, at time.Time) time.Durat
 func TestLossRateApproximate(t *testing.T) {
 	e := testEngine(t)
 	a, b := testEndpoints(t)
-	at := time.Date(2017, 4, 25, 9, 0, 0, 0, time.UTC)
+	// 4000 pings as 40 trains of 100: a schedule tables every city
+	// pair, so one 4000-slot train would cost hundreds of megabytes.
+	sched := e.Schedule(time.Date(2017, 4, 25, 9, 0, 0, 0, time.UTC), 0, 100)
 	lost := 0
 	n := 4000
-	train := make([]PingSample, n)
-	pingTrain(t, e.View(nil), a, b, 99, SlotHourFracs(at, 0, n, nil), train)
-	for _, p := range train {
-		if !p.OK {
-			lost++
+	train := make([]PingSample, 100)
+	for round := 99; round < 99+n/len(train); round++ {
+		pingTrain(t, e.View(nil), a, b, round, sched, train)
+		for _, p := range train {
+			if !p.OK {
+				lost++
+			}
 		}
 	}
 	rate := float64(lost) / float64(n)
@@ -260,36 +266,34 @@ func TestLossRateApproximate(t *testing.T) {
 	}
 }
 
+// TestDiurnalFactorShape pins the load a Schedule tables: 1 at 21:00
+// local time at the path midpoint and 0 at 09:00, to within the minute
+// the slot's hour fraction resolves; and a path with no diurnal
+// amplitude is priced as if its factor were exactly 1.
 func TestDiurnalFactorShape(t *testing.T) {
-	peak := diurnalFactorHour(21, 0.05, 0)
-	trough := diurnalFactorHour(9, 0.05, 0)
-	if peak <= trough {
-		t.Fatalf("peak %v <= trough %v", peak, trough)
-	}
-	if peak > 1.051 || trough < 0.999 {
-		t.Fatalf("diurnal out of band: peak %v trough %v", peak, trough)
-	}
-	if got := diurnalFactorHour(hourFracOf(time.Now()), 0, 0); got != 1 {
-		t.Fatalf("zero-amplitude factor = %v, want 1", got)
-	}
-}
-
-func TestTraceDirectional(t *testing.T) {
 	e := testEngine(t)
-	a, b := testEndpoints(t)
-	fwd, err := e.Trace(a, b)
-	if err != nil {
-		t.Fatal(err)
+	const city = 5
+	p := city*e.nc + city
+	midLon := geo.Midpoint(cachedTopo.CityLoc(city), cachedTopo.CityLoc(city)).Lon
+	loadAt := func(localHour float64) float64 {
+		utc := math.Mod(localHour-midLon/15+48, 24)
+		at := time.Date(2017, 4, 20, 0, 0, 0, 0, time.UTC).Add(time.Duration(math.Round(utc*60)) * time.Minute)
+		return e.Schedule(at, 0, 1).load[p]
 	}
-	rev, err := e.Trace(b, a)
-	if err != nil {
-		t.Fatal(err)
+	if peak, trough := loadAt(21), loadAt(9); peak < 0.9999 || peak > 1 || trough > 1e-4 || trough < 0 {
+		t.Fatalf("diurnal load out of band: peak %v trough %v, want 1 and 0", peak, trough)
 	}
-	if fwd.Cities[0] != a.City || fwd.Cities[len(fwd.Cities)-1] != b.City {
-		t.Fatalf("forward trace endpoints wrong: %v", fwd.Cities)
-	}
-	if rev.Cities[0] != b.City || rev.Cities[len(rev.Cities)-1] != a.City {
-		t.Fatalf("reverse trace endpoints wrong: %v", rev.Cities)
+	// An amplitude-0 ping at full load equals a ping whose factor is
+	// 1 + amp*0: exactly 1.
+	flat := pathState{static: 5e7, asym: 1, hp: 77}
+	loaded := flat
+	loaded.diurnalAmp = 0.05
+	for slot := 0; slot < 32; slot++ {
+		got, ok1 := e.pingSlot(&flat, 3, slot, 1, NeutralEffect())
+		want, ok2 := e.pingSlot(&loaded, 3, slot, 0, NeutralEffect())
+		if got != want || ok1 != ok2 {
+			t.Fatalf("slot %d: zero-amplitude ping %v, unit-factor ping %v", slot, got, want)
+		}
 	}
 }
 
@@ -340,10 +344,10 @@ func TestEngineDeterministicAcrossInstances(t *testing.T) {
 	}
 	e1, a1, b1 := build()
 	e2, a2, b2 := build()
-	hourFrac := SlotHourFracs(time.Date(2017, 5, 1, 15, 0, 0, 0, time.UTC), 0, 20, nil)
+	at := time.Date(2017, 5, 1, 15, 0, 0, 0, time.UTC)
 	t1, t2 := make([]PingSample, 20), make([]PingSample, 20)
-	pingTrain(t, e1.View(nil), a1, b1, 1, hourFrac, t1)
-	pingTrain(t, e2.View(nil), a2, b2, 1, hourFrac, t2)
+	pingTrain(t, e1.View(nil), a1, b1, 1, e1.Schedule(at, 0, 20), t1)
+	pingTrain(t, e2.View(nil), a2, b2, 1, e2.Schedule(at, 0, 20), t2)
 	for s := range t1 {
 		if t1[s] != t2[s] {
 			t.Fatalf("engines diverge at slot %d: %+v vs %+v", s, t1[s], t2[s])
@@ -362,7 +366,6 @@ func TestShardCountDoesNotAffectPings(t *testing.T) {
 	}
 	router := bgp.New(topo)
 	eyes := topo.ASesOfType(topology.Eyeball)
-	hourFrac := SlotHourFracs(time.Date(2017, 4, 22, 18, 0, 0, 0, time.UTC), 0, 3, nil)
 	ref, got := make([]PingSample, 3), make([]PingSample, 3)
 
 	var engines []*Engine
@@ -374,12 +377,13 @@ func TestShardCountDoesNotAffectPings(t *testing.T) {
 	if got := engines[0].NumShards(); got != 1 {
 		t.Fatalf("NumShards = %d, want 1", got)
 	}
+	sched := engines[0].Schedule(time.Date(2017, 4, 22, 18, 0, 0, 0, time.UTC), 0, 3)
 	for i := 0; i < len(eyes)-1; i += 3 {
 		a := Endpoint{AS: eyes[i].ASN, City: eyes[i].HomeCity(), Access: 4 * time.Millisecond}
 		b := Endpoint{AS: eyes[i+1].ASN, City: eyes[i+1].HomeCity(), Access: 6 * time.Millisecond}
-		pingTrain(t, engines[0].View(nil), a, b, 2, hourFrac, ref)
+		pingTrain(t, engines[0].View(nil), a, b, 2, sched, ref)
 		for _, e := range engines[1:] {
-			pingTrain(t, e.View(nil), a, b, 2, hourFrac, got)
+			pingTrain(t, e.View(nil), a, b, 2, sched, got)
 			for slot := range ref {
 				if got[slot] != ref[slot] {
 					t.Fatalf("shards=%d diverges at slot %d: %+v vs %+v", e.NumShards(), slot, got[slot], ref[slot])

@@ -50,9 +50,9 @@ func (e *Engine) View(ov Overlay) View { return View{e: e, ov: ov} }
 // for the neutral view. ResolveBatch resolves it once per pair: events
 // are round-granular, and a train spans one round's window, so an
 // active overlay adds two array loads per train, not per slot.
-func (v View) effect(a, b Endpoint) Effect {
+func (v View) effect(a, b *Line) Effect {
 	if v.ov == nil {
 		return NeutralEffect()
 	}
-	return v.ov.PairEffect(a.City, b.City)
+	return v.ov.PairEffect(a.key.City, b.key.City)
 }

@@ -50,12 +50,12 @@ func overlayEndpoints(t *testing.T) (*Engine, Endpoint, Endpoint, int) {
 func TestViewNeutralTablesMatchEngine(t *testing.T) {
 	e, a, b, nc := overlayEndpoints(t)
 	v := e.View(neutralTables(nc))
-	hourFrac := SlotHourFracs(time.Date(2017, 4, 21, 6, 0, 0, 0, time.UTC), 5*time.Minute, 6, nil)
+	sched := e.Schedule(time.Date(2017, 4, 21, 6, 0, 0, 0, time.UTC), 5*time.Minute, 6)
 	train1 := make([]PingSample, 6)
 	train2 := make([]PingSample, 6)
 	for round := 0; round < 8; round++ {
-		pingTrain(t, e.View(nil), a, b, round, hourFrac, train1)
-		pingTrain(t, v, a, b, round, hourFrac, train2)
+		pingTrain(t, e.View(nil), a, b, round, sched, train1)
+		pingTrain(t, v, a, b, round, sched, train2)
 		for s := range train1 {
 			if train1[s] != train2[s] {
 				t.Fatalf("round %d slot %d: neutral overlay diverged: %+v vs %+v",
@@ -72,11 +72,11 @@ func TestViewFactorScalesRTT(t *testing.T) {
 	ov := neutralTables(nc)
 	ov.factor[a.City] = 2
 	v := e.View(ov)
-	hourFrac := SlotHourFracs(time.Date(2017, 4, 21, 18, 0, 0, 0, time.UTC), 5*time.Minute, 6, nil)
+	sched := e.Schedule(time.Date(2017, 4, 21, 18, 0, 0, 0, time.UTC), 5*time.Minute, 6)
 	base := make([]PingSample, 6)
 	pert := make([]PingSample, 6)
-	pingTrain(t, e.View(nil), a, b, 1, hourFrac, base)
-	pingTrain(t, v, a, b, 1, hourFrac, pert)
+	pingTrain(t, e.View(nil), a, b, 1, sched, base)
+	pingTrain(t, v, a, b, 1, sched, pert)
 	for s := range base {
 		if base[s].OK != pert[s].OK {
 			t.Fatalf("slot %d: loss outcome changed under pure factor overlay", s)
@@ -101,9 +101,9 @@ func TestViewDownMasksPings(t *testing.T) {
 	ov := neutralTables(nc)
 	ov.down[b.City] = true
 	v := e.View(ov)
-	hourFrac := SlotHourFracs(time.Date(2017, 4, 22, 0, 0, 0, 0, time.UTC), 5*time.Minute, 6, nil)
+	sched := e.Schedule(time.Date(2017, 4, 22, 0, 0, 0, 0, time.UTC), 5*time.Minute, 6)
 	out := make([]PingSample, 6)
-	pingTrain(t, v, a, b, 0, hourFrac, out)
+	pingTrain(t, v, a, b, 0, sched, out)
 	for s, p := range out {
 		if p.OK || p.RTT != 0 {
 			t.Fatalf("slot %d: ping succeeded through a downed city: %+v", s, p)
@@ -118,16 +118,16 @@ func TestViewExtraLossRate(t *testing.T) {
 	ov := neutralTables(nc)
 	ov.loss[a.City] = 0.5
 	v := e.View(ov)
-	hourFrac := SlotHourFracs(time.Date(2017, 4, 22, 12, 0, 0, 0, time.UTC), 0, 1, nil)
+	sched := e.Schedule(time.Date(2017, 4, 22, 12, 0, 0, 0, time.UTC), 0, 1)
 	const rounds = 400
 	lostBase, lostOv := 0, 0
 	var ping [1]PingSample
 	for round := 0; round < rounds; round++ {
-		pingTrain(t, e.View(nil), a, b, round, hourFrac, ping[:])
+		pingTrain(t, e.View(nil), a, b, round, sched, ping[:])
 		if !ping[0].OK {
 			lostBase++
 		}
-		pingTrain(t, v, a, b, round, hourFrac, ping[:])
+		pingTrain(t, v, a, b, round, sched, ping[:])
 		if !ping[0].OK {
 			lostOv++
 		}
@@ -147,8 +147,8 @@ func TestViewPingZeroAllocs(t *testing.T) {
 	ov := neutralTables(nc)
 	ov.factor[a.City] = 1.3
 	ov.loss[b.City] = 0.05
-	hourFrac := SlotHourFracs(time.Date(2017, 4, 23, 12, 0, 0, 0, time.UTC), 0, 1, nil)
-	requireZeroAllocPricing(t, e.View(ov), a, b, hourFrac)
+	sched := e.Schedule(time.Date(2017, 4, 23, 12, 0, 0, 0, time.UTC), 0, 1)
+	requireZeroAllocPricing(t, e.View(ov), a, b, sched)
 }
 
 // TestViewPingTrainZeroAllocs pins a full six-ping train under an
@@ -158,6 +158,6 @@ func TestViewPingTrainZeroAllocs(t *testing.T) {
 	ov := neutralTables(nc)
 	ov.factor[a.City] = 1.3
 	ov.loss[b.City] = 0.05
-	hourFrac := SlotHourFracs(time.Date(2017, 4, 23, 18, 0, 0, 0, time.UTC), 5*time.Minute, 6, nil)
-	requireZeroAllocPricing(t, e.View(ov), a, b, hourFrac)
+	sched := e.Schedule(time.Date(2017, 4, 23, 18, 0, 0, 0, time.UTC), 5*time.Minute, 6)
+	requireZeroAllocPricing(t, e.View(ov), a, b, sched)
 }

@@ -27,9 +27,11 @@
 //
 // Every median is taken by one helper, medians: direct pairs (both
 // directions as one batch), endpoint-relay legs (legChunk per batch)
-// and the two-relay experiment's legs all resolve a batch of pairs with
-// latency's ResolveBatch and price each train off its handle, on the
-// round's slot schedule.
+// and the two-relay experiment's legs all resolve a batch of line pairs
+// with latency's ResolveBatch and price each train off its handle, on
+// the round's slot schedule. A round binds each active endpoint and
+// each sampled relay to its line once, and a campaign tables the
+// diurnal load once per UTC time of day its rounds start at.
 package measure
 
 import (
@@ -117,15 +119,16 @@ func newCampaign(w *sim.World, cfg Config) (*campaign, error) {
 	}
 	g := rng.New(campaignSeed(cfg, w)).Split("campaign")
 	return &campaign{
-		w:        w,
-		cfg:      cfg,
-		g:        g,
-		pairBase: g.Stream("pairs"),
-		ledger:   atlas.NewLedger(cfg.DailyCreditLimit),
-		nc:       len(w.Topo.Cities),
-		prop:     prop,
-		scenario: compiled,
-		workers:  workers,
+		w:         w,
+		cfg:       cfg,
+		g:         g,
+		pairBase:  g.Stream("pairs"),
+		ledger:    atlas.NewLedger(cfg.DailyCreditLimit),
+		nc:        len(w.Topo.Cities),
+		prop:      prop,
+		scenario:  compiled,
+		workers:   workers,
+		schedules: make(map[time.Duration]*latency.Schedule),
 	}, nil
 }
 
@@ -177,6 +180,12 @@ type campaign struct {
 	// spawns, and only read by workers.
 	view latency.View
 
+	// schedules holds the slot schedules of the campaign's rounds, keyed
+	// by the round start's UTC time of day: the ping interval and count
+	// are fixed per campaign, so the key determines the schedule, and
+	// 12-hour rounds need two.
+	schedules map[time.Duration]*latency.Schedule
+
 	// scr holds every per-round buffer, reused across rounds (only the
 	// worker pool inside a round is parallel).
 	scr roundScratch
@@ -196,17 +205,16 @@ type roundScratch struct {
 	asPerm      []int     // drafting: per-country AS-group permutation
 	probePerm   []int     // drafting: per-group row permutation
 	roundRelays []int
-	hourFrac    []float64          // per ping slot: UTC hour fraction of the round's schedule
-	windowUp    []bool             // per endpoint: answers through the window
-	relayUp     []uint64           // relay-position bitset: alive through the window
-	relayCity   []int32            // per relay position: home city
-	relayType   []relays.Type      // per relay position: population
-	relayEP     []latency.Endpoint // per relay position: attachment point
-	typeBits    []uint64           // per relay type, a relay-position bitset (nrW words each)
-	livePos     []int32            // relay positions not churned out this round
-	pairs       []pairIdx32        // the round's pairs: every pair, or the stratified sample
-	fwd, rev    []float32          // per pair: direct medians, both directions
-	workers     []scratch          // per-worker pricing and stitching scratch
+	windowUp    []bool         // per endpoint: answers through the window
+	relayUp     []uint64       // relay-position bitset: alive through the window
+	relayCity   []int32        // per relay position: home city
+	relayType   []relays.Type  // per relay position: population
+	relayLine   []latency.Line // per relay position: bound to its line
+	typeBits    []uint64       // per relay type, a relay-position bitset (nrW words each)
+	livePos     []int32        // relay positions not churned out this round
+	pairs       []pairIdx32    // the round's pairs: every pair, or the stratified sample
+	fwd, rev    []float32      // per pair: direct medians, both directions
+	workers     []scratch      // per-worker pricing and stitching scratch
 
 	// feas is the per-pair feasibility bitset over relay positions, nrW
 	// words per pair: a bit is set when the relay is live and passes the
@@ -221,12 +229,13 @@ type roundScratch struct {
 	// plus a prefix-popcount rank so measured medians pack into a
 	// compact array: memory scales with legs actually measured, not with
 	// the dense ne x nr grid (ruinous at sampled million-endpoint scale).
-	activeOf   []int32   // per endpoint: dense active index, -1 if inactive
-	activeList []int32   // active endpoint positions, ascending
-	legBits    []uint64  // (active x relay) demand bitset, nrW words per row
-	legCum     []int32   // per word: set bits before it (rank directory)
-	legVals    []float32 // compact leg medians, one per set bit, bit order
-	legJobs    []int64   // flat active*nr+pos of legs to measure, ascending
+	activeOf   []int32        // per endpoint: dense active index, -1 if inactive
+	activeList []int32        // active endpoint positions, ascending
+	lines      []latency.Line // per active endpoint: bound to its line
+	legBits    []uint64       // (active x relay) demand bitset, nrW words per row
+	legCum     []int32        // per word: set bits before it (rank directory)
+	legVals    []float32      // compact leg medians, one per set bit, bit order
+	legJobs    []int64        // flat active*nr+pos of legs to measure, ascending
 
 	// Stratified pair-sampling scratch (buildPairPlan).
 	cityCount  []int32   // per city: endpoints this round
@@ -313,11 +322,9 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	info := RoundInfo{Round: round, Start: start}
 	scr := &c.scr
 
-	// Every train of the round pings on the same slot schedule; the
-	// wall-time decomposition the diurnal factor needs is hoisted here —
-	// once per round instead of once per ping.
-	scr.hourFrac = latency.SlotHourFracs(start, c.cfg.PingInterval, c.cfg.PingsPerPair, scr.hourFrac[:0])
-	hourFrac := scr.hourFrac
+	// Every train of the round pings on the same slot schedule, tabled
+	// once per UTC time of day a round starts at.
+	sched := c.schedule(start)
 
 	// Bind this round's scenario snapshot to the engine view. The
 	// branch avoids wrapping a typed-nil *Snapshot in the Overlay
@@ -377,7 +384,7 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	clear(relayUp)
 	scr.relayCity = grown(scr.relayCity, nr)
 	scr.relayType = grown(scr.relayType, nr)
-	scr.relayEP = grown(scr.relayEP, nr)
+	scr.relayLine = grown(scr.relayLine, nr)
 	scr.typeBits = grown(scr.typeBits, relays.NumTypes*nrW)
 	clear(scr.typeBits)
 	for pos, ri := range roundRelays {
@@ -389,7 +396,7 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 		}
 		scr.relayCity[pos] = int32(r.City)
 		scr.relayType[pos] = r.Type
-		scr.relayEP[pos] = r.Endpoint
+		scr.relayLine[pos] = c.w.Engine.Line(r.Endpoint)
 		scr.typeBits[int(r.Type)*nrW+pos>>6] |= 1 << (uint(pos) & 63)
 	}
 
@@ -437,44 +444,6 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	np := len(pairs)
 	info.PairsAttempted = np
 
-	scr.fwd = grown(scr.fwd, np)
-	scr.rev = grown(scr.rev, np)
-	fwd, rev := scr.fwd, scr.rev
-	clear(fwd)
-	clear(rev)
-	scr.feas = grown(scr.feas, np*nrW)
-	feas := scr.feas
-	// Each direct pair prices as one two-entry batch, a->b and b->a,
-	// through the shared path-state cache. It is keyed by attachment
-	// pair, so a sampled round's fresh endpoint pairs mostly land on
-	// entries earlier rounds admitted. The worker that prices a pair also
-	// writes the pair's feasibility row.
-	err := c.parallel(scr, np, func(s *scratch, k int) error {
-		row := feas[k*nrW : (k+1)*nrW]
-		clear(row)
-		i, j := pairs[k].i, pairs[k].j
-		if !windowUp[i] || !windowUp[j] {
-			s.pings += int64(2 * c.cfg.PingsPerPair) // pings sent, unanswered
-			return nil
-		}
-		a, b := fleet.Endpoint(eps[i]), fleet.Endpoint(eps[j])
-		s.pairs = append(s.pairs[:0], latency.EndpointPair{A: a, B: b}, latency.EndpointPair{A: b, B: a})
-		var m [2]float32
-		if err := c.medians(c.view, s, s.pairs, round, hourFrac, m[:]); err != nil {
-			return err
-		}
-		fwd[k], rev[k] = m[0], m[1]
-		if m[0] != 0 { // unresponsive pair: no relay measurements either
-			directRTT := time.Duration(float64(m[0]) * float64(time.Millisecond))
-			c.markFeasible(row, fleet.City(eps[i]), fleet.City(eps[j]), directRTT)
-		}
-		return nil
-	})
-	pings := c.flushPings(scr)
-	if err != nil {
-		return info, err
-	}
-
 	// The active endpoint set: every endpoint some pair touches, in
 	// ascending position order. An exhaustive round with two or more
 	// endpoints touches every endpoint, so the map is the identity;
@@ -498,8 +467,52 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 			activeOf[i] = -1
 		}
 	}
-	activeList := scr.activeList
-	nA := len(activeList)
+	nA := len(scr.activeList)
+	// Each active endpoint is bound to its line once per round: one
+	// line-quality draw, whatever number of trains it terminates.
+	scr.lines = grown(scr.lines, nA)
+	lines := scr.lines
+	for a, i := range scr.activeList {
+		lines[a] = c.w.Engine.Line(fleet.Endpoint(eps[i]))
+	}
+
+	scr.fwd = grown(scr.fwd, np)
+	scr.rev = grown(scr.rev, np)
+	fwd, rev := scr.fwd, scr.rev
+	clear(fwd)
+	clear(rev)
+	scr.feas = grown(scr.feas, np*nrW)
+	feas := scr.feas
+	// Each direct pair prices as one two-entry batch, a->b and b->a,
+	// through the shared path-state cache. It is keyed by attachment
+	// pair, so a sampled round's fresh endpoint pairs mostly land on
+	// entries earlier rounds admitted. The worker that prices a pair also
+	// writes the pair's feasibility row.
+	err := c.parallel(scr, np, func(s *scratch, k int) error {
+		row := feas[k*nrW : (k+1)*nrW]
+		clear(row)
+		i, j := pairs[k].i, pairs[k].j
+		if !windowUp[i] || !windowUp[j] {
+			s.pings += int64(2 * c.cfg.PingsPerPair) // pings sent, unanswered
+			return nil
+		}
+		a, b := lines[activeOf[i]], lines[activeOf[j]]
+		s.pairs = append(s.pairs[:0], latency.LinePair{A: a, B: b}, latency.LinePair{A: b, B: a})
+		var m [2]float32
+		if err := c.medians(c.view, s, s.pairs, round, sched, m[:]); err != nil {
+			return err
+		}
+		fwd[k], rev[k] = m[0], m[1]
+		if m[0] != 0 { // unresponsive pair: no relay measurements either
+			directRTT := time.Duration(float64(m[0]) * float64(time.Millisecond))
+			c.markFeasible(row, fleet.City(eps[i]), fleet.City(eps[j]), directRTT)
+		}
+		return nil
+	})
+	pings := c.flushPings(scr)
+	if err != nil {
+		return info, err
+	}
 
 	// Leg demand as a bitset over (active endpoint x relay position),
 	// nrW words per active row: each pair's feasible relays that stay up
@@ -542,7 +555,7 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 	legJobs := scr.legJobs
 	scr.legVals = grown(scr.legVals, len(legJobs))
 	legVals := scr.legVals
-	relayEP := scr.relayEP
+	relayLine := scr.relayLine
 	// Legs are priced in chunks: each worker gathers legChunk endpoint-
 	// relay pairs, so one memory-parallel ResolveBatch overlaps the
 	// chunk's cache misses instead of serializing them train by train.
@@ -555,10 +568,9 @@ func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
 		}
 		s.pairs = s.pairs[:0]
 		for _, idx := range legJobs[lo:hi] {
-			e := int(activeList[int(idx/int64(nr))])
-			s.pairs = append(s.pairs, latency.EndpointPair{A: fleet.Endpoint(eps[e]), B: relayEP[int(idx%int64(nr))]})
+			s.pairs = append(s.pairs, latency.LinePair{A: lines[int(idx/int64(nr))], B: relayLine[int(idx%int64(nr))]})
 		}
-		return c.medians(c.view, s, s.pairs, round, hourFrac, legVals[lo:hi])
+		return c.medians(c.view, s, s.pairs, round, sched, legVals[lo:hi])
 	})
 	pings += c.flushPings(scr)
 	if err != nil {
@@ -769,10 +781,10 @@ type scratch struct {
 	id      int32 // this worker's index in roundScratch.workers
 	train   []latency.PingSample
 	vals    []float64
-	pairs   []latency.EndpointPair // the batch medians resolves
-	handles []latency.PairHandle   // medians' resolved batch
-	improve []ImproveEntry         // the round's improving entries of the pairs this worker stitched
-	pings   int64                  // pings sent by this worker since the last flush
+	pairs   []latency.LinePair   // the batch medians resolves
+	handles []latency.PairHandle // medians' resolved batch
+	improve []ImproveEntry       // the round's improving entries of the pairs this worker stitched
+	pings   int64                // pings sent by this worker since the last flush
 }
 
 // flushPings returns the ping count every worker accumulated since the
@@ -790,10 +802,10 @@ func (c *campaign) flushPings(scr *roundScratch) int64 {
 
 // medians prices the round's ping train for every pair: it resolves
 // pairs in one ResolveBatch, prices each handle's train on the slot
-// schedule hourFrac, and writes each train's median in milliseconds to
+// schedule sched, and writes each train's median in milliseconds to
 // out (0 when fewer than MinValidPings replies arrived). It counts
 // every ping sent in s.pings.
-func (c *campaign) medians(view latency.View, s *scratch, pairs []latency.EndpointPair, round int, hourFrac []float64, out []float32) error {
+func (c *campaign) medians(view latency.View, s *scratch, pairs []latency.LinePair, round int, sched *latency.Schedule, out []float32) error {
 	n := c.cfg.PingsPerPair
 	s.train = grown(s.train, n)
 	s.vals = grown(s.vals, n)
@@ -803,7 +815,7 @@ func (c *campaign) medians(view latency.View, s *scratch, pairs []latency.Endpoi
 		return err
 	}
 	for j := range handles {
-		view.PingTrainSchedHandle(&handles[j], round, hourFrac, train)
+		view.PingTrainSchedHandle(&handles[j], round, sched, train)
 		vals := s.vals[:0]
 		for _, p := range train {
 			if p.OK {
@@ -817,6 +829,19 @@ func (c *campaign) medians(view latency.View, s *scratch, pairs []latency.Endpoi
 	}
 	s.pings += int64(len(pairs) * n)
 	return nil
+}
+
+// schedule returns the slot schedule of a round starting at start,
+// tabling it on the first round that starts at its UTC time of day.
+func (c *campaign) schedule(start time.Time) *latency.Schedule {
+	u := start.UTC()
+	tod := u.Sub(u.Truncate(24 * time.Hour))
+	sched, ok := c.schedules[tod]
+	if !ok {
+		sched = c.w.Engine.Schedule(start, c.cfg.PingInterval, c.cfg.PingsPerPair)
+		c.schedules[tod] = sched
+	}
+	return sched
 }
 
 // legChunk is how many leg jobs a worker gathers per batch resolve —

@@ -165,8 +165,8 @@ func TestShardedFleetGoldenDigests(t *testing.T) {
 // zero allocations: once an attachment pair is cached, pricing an
 // endpoint pair never priced before on it must not touch the heap, nor
 // add a cache entry. Each run moves one endpoint's access delay by a
-// nanosecond, so every run prices a new endpoint identity through
-// ResolveBatch + PingTrainSchedHandle.
+// nanosecond, so every run binds and prices a new endpoint identity
+// through Line, ResolveBatch and PingTrainSchedHandle.
 func TestUnseenEndpointPricingAllocs(t *testing.T) {
 	w, err := sim.Build(sim.SmallWorldParams(41))
 	if err != nil {
@@ -180,9 +180,9 @@ func TestUnseenEndpointPricingAllocs(t *testing.T) {
 	// real multi-hop path.
 	a, b := w.Atlas.Endpoint(0), w.Atlas.Endpoint(n-1)
 	view := w.Engine.View(nil)
-	hourFrac := latency.SlotHourFracs(time.Unix(0, 0), time.Minute, 6, nil)
-	samples := make([]latency.PingSample, len(hourFrac))
-	pairs := []latency.EndpointPair{{A: a, B: b}}
+	sched := w.Engine.Schedule(time.Unix(0, 0), time.Minute, 6)
+	samples := make([]latency.PingSample, 6)
+	pairs := []latency.LinePair{{A: w.Engine.Line(a), B: w.Engine.Line(b)}}
 	handles := make([]latency.PairHandle, 1)
 	// Admit the attachment pair.
 	if err := view.ResolveBatch(pairs, handles); err != nil {
@@ -191,11 +191,11 @@ func TestUnseenEndpointPricingAllocs(t *testing.T) {
 	cached := w.Engine.CachedPairs()
 	allocs := testing.AllocsPerRun(200, func() {
 		a.Access++
-		pairs[0] = latency.EndpointPair{A: a, B: b}
+		pairs[0] = latency.LinePair{A: w.Engine.Line(a), B: w.Engine.Line(b)}
 		if err := view.ResolveBatch(pairs, handles); err != nil {
 			t.Fatal(err)
 		}
-		view.PingTrainSchedHandle(&handles[0], 1, hourFrac, samples)
+		view.PingTrainSchedHandle(&handles[0], 1, sched, samples)
 	})
 	if allocs != 0 {
 		t.Fatalf("unseen endpoint on a cached attachment pair allocates %v allocs/op, want 0", allocs)

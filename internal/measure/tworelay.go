@@ -45,7 +45,7 @@ func TwoRelayExperiment(w *sim.World, cfg Config, round, maxPairs, maxRelays int
 	}
 	view := w.Engine.View(nil) // static world: the extension ignores scenarios
 	start := cfg.Start.Add(time.Duration(round) * cfg.RoundInterval)
-	hourFrac := latency.SlotHourFracs(start, cfg.PingInterval, cfg.PingsPerPair, nil)
+	sched := w.Engine.Schedule(start, cfg.PingInterval, cfg.PingsPerPair)
 
 	endpoints := w.Selector.SampleEndpoints(c.g, round)
 	if len(endpoints) < 2 {
@@ -56,17 +56,26 @@ func TwoRelayExperiment(w *sim.World, cfg Config, round, maxPairs, maxRelays int
 	if len(corIdxs) > maxRelays {
 		corIdxs = corIdxs[:maxRelays]
 	}
+	// Each endpoint and relay is bound to its line once.
+	epLines := make([]latency.Line, len(endpoints))
+	for ei, row := range endpoints {
+		epLines[ei] = w.Engine.Line(w.Atlas.Endpoint(row))
+	}
+	relayLines := make([]latency.Line, len(corIdxs))
+	for k, ri := range corIdxs {
+		relayLines[k] = w.Engine.Line(w.Catalog.Relay(ri).Endpoint)
+	}
 
 	// Endpoint-relay legs: one batch per endpoint row.
 	var s scratch
 	legs := make([][]float32, len(endpoints)) // endpoint idx -> per relay
-	for ei, row := range endpoints {
+	for ei, ep := range epLines {
 		s.pairs = s.pairs[:0]
-		for _, ri := range corIdxs {
-			s.pairs = append(s.pairs, latency.EndpointPair{A: w.Atlas.Endpoint(row), B: w.Catalog.Relay(ri).Endpoint})
+		for _, r := range relayLines {
+			s.pairs = append(s.pairs, latency.LinePair{A: ep, B: r})
 		}
 		legs[ei] = make([]float32, len(corIdxs))
-		if err := c.medians(view, &s, s.pairs, round, hourFrac, legs[ei]); err != nil {
+		if err := c.medians(view, &s, s.pairs, round, sched, legs[ei]); err != nil {
 			return TwoRelayResult{}, err
 		}
 	}
@@ -75,12 +84,12 @@ func TwoRelayExperiment(w *sim.World, cfg Config, round, maxPairs, maxRelays int
 	for a := range corIdxs {
 		mid[a] = make([]float32, len(corIdxs))
 	}
-	for a, ra := range corIdxs {
+	for a, ra := range relayLines {
 		s.pairs = s.pairs[:0]
-		for _, rb := range corIdxs[a+1:] {
-			s.pairs = append(s.pairs, latency.EndpointPair{A: w.Catalog.Relay(ra).Endpoint, B: w.Catalog.Relay(rb).Endpoint})
+		for _, rb := range relayLines[a+1:] {
+			s.pairs = append(s.pairs, latency.LinePair{A: ra, B: rb})
 		}
-		if err := c.medians(view, &s, s.pairs, round, hourFrac, mid[a][a+1:]); err != nil {
+		if err := c.medians(view, &s, s.pairs, round, sched, mid[a][a+1:]); err != nil {
 			return TwoRelayResult{}, err
 		}
 		for b := a + 1; b < len(corIdxs); b++ {

@@ -353,8 +353,11 @@ func runStages(stages []buildStage, workers int, w *World, p WorldParams, g *rng
 
 // CampaignDestinations returns the deduplicated AS set a measurement
 // campaign routes toward: every verified eyeball endpoint AS and every
-// relay AS. These are exactly the destinations whose BGP trees the
-// rounds will demand.
+// relay AS, in first-seen catalog order. These are exactly the
+// destinations whose BGP trees the rounds will demand. COR and PLR
+// relays are read from the catalog; RAR relays are the eligible atlas
+// rows, which sit grouped by AS, so their ASes are read off the fleet's
+// columns where the AS changes.
 func (w *World) CampaignDestinations() []topology.ASN {
 	seen := make(map[topology.ASN]bool)
 	var dsts []topology.ASN
@@ -367,8 +370,16 @@ func (w *World) CampaignDestinations() []topology.ASN {
 	for _, a := range w.Selector.ASes() {
 		add(a)
 	}
-	for i := range w.Catalog.Len() {
+	_, stored := w.Catalog.Span(relays.PLR)
+	for i := range stored {
 		add(w.Catalog.Relay(i).Endpoint.AS)
+	}
+	prev := topology.ASN(-1)
+	for row := range int32(w.Atlas.Len()) {
+		if as := w.Atlas.AS(row); as != prev && w.Atlas.Eligible(row) {
+			add(as)
+			prev = as
+		}
 	}
 	return dsts
 }

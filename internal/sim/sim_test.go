@@ -101,22 +101,47 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestBuildWarmsCampaignDestinations(t *testing.T) {
-	w, err := BuildWith(SmallWorldParams(5), BuildOptions{Workers: 0, WarmRoutes: true})
-	if err != nil {
-		t.Fatal(err)
+// checkCampaignDestinations requires w's campaign destinations to be
+// the reference set, every selector AS and every relay's AS read
+// through Catalog.Relay, each exactly once.
+func checkCampaignDestinations(t *testing.T, w *World) []topology.ASN {
+	t.Helper()
+	want := make(map[topology.ASN]bool)
+	for _, a := range w.Selector.ASes() {
+		want[a] = true
+	}
+	for i := range w.Catalog.Len() {
+		want[w.Catalog.Relay(i).Endpoint.AS] = true
 	}
 	dsts := w.CampaignDestinations()
-	if len(dsts) == 0 {
-		t.Fatal("no campaign destinations")
-	}
 	seen := make(map[topology.ASN]bool)
 	for _, d := range dsts {
 		if seen[d] {
 			t.Fatalf("duplicate destination AS %d", d)
 		}
+		if !want[d] {
+			t.Fatalf("destination AS %d is neither a selector AS nor a relay AS", d)
+		}
 		seen[d] = true
 	}
+	if len(seen) != len(want) {
+		t.Fatalf("%d destinations, want the %d selector and relay ASes", len(seen), len(want))
+	}
+	return dsts
+}
+
+func TestBuildWarmsCampaignDestinations(t *testing.T) {
+	scale, err := BuildWith(ScaleWorldParams(3, 20_000), BuildOptions{WarmRoutes: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCampaignDestinations(t, scale)
+
+	w, err := BuildWith(SmallWorldParams(5), BuildOptions{Workers: 0, WarmRoutes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsts := checkCampaignDestinations(t, w)
 	if got := w.Router.CachedTrees(); got < len(dsts) {
 		t.Fatalf("only %d trees cached after warm build, want >= %d", got, len(dsts))
 	}
