@@ -5,19 +5,28 @@
 // Every computed path is valley-free (uphill, at most one peering edge,
 // downhill).
 //
-// The package also expands AS-level paths to PoP-level city sequences:
-// each AS boundary is crossed at one of the interconnection cities
-// recorded on the link, chosen hot-potato style (the exit nearest to where
-// the traffic currently is). Geographic path inflation — the root cause of
+// The package also walks AS-level paths at the city level: each AS
+// boundary is crossed at one of the interconnection cities recorded on
+// the link, chosen hot-potato style (the exit nearest to where the
+// traffic currently is). Geographic path inflation — the root cause of
 // the triangle-inequality violations the paper exploits — emerges from
 // exactly this combination of policy routing and early-exit behaviour.
+//
+// A Router snapshots its topology at New into dense tables indexed by
+// position: one adjacency row per AS and relationship, each entry
+// carrying the index of its link; the routing tree toward each
+// destination, published once computed; the exit memo per (link, city);
+// and the city-to-city distance matrix. Walk reads only these tables,
+// so it takes no lock and allocates nothing once its tree is built.
 package bgp
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
+	"shortcuts/internal/geo"
 	"shortcuts/internal/par"
 	"shortcuts/internal/topology"
 )
@@ -58,28 +67,55 @@ func (c RouteClass) String() string {
 // same destination share one computation (singleflight) instead of
 // racing to build identical trees.
 type Router struct {
-	topo  *topology.Topology
-	index map[topology.ASN]int32 // dense index
-	asns  []topology.ASN         // inverse of index
+	topo *topology.Topology
+	asns []topology.ASN // by dense index, the AS's position in the topology
+	nc   int            // city count
 
-	mu       sync.RWMutex
-	trees    map[topology.ASN]*tree
-	inflight map[topology.ASN]*treeCall
+	// slots is an open-addressed table from ASN to dense index, at most
+	// half full, so a route resolves its endpoints without a map lookup.
+	slots []asnSlot
+	shift uint8 // 64 - log2(len(slots)): Fibonacci hashing keeps the top bits
+
+	// adj holds every AS's neighbours as dense rows: adj[off[3*i+rel]:
+	// off[3*i+rel+1]] lists AS i's providers, peers or customers (rel),
+	// in the topology's order, each with the link joining them.
+	adj []hop
+	off []int32
+
+	// trees[i] is the routing tree toward dense index i, nil until
+	// computed; it is read without a lock, and mu guards only inflight.
+	trees    []atomic.Pointer[tree]
+	mu       sync.Mutex
+	inflight map[int32]*treeCall
 
 	scratch  sync.Pool    // *computeScratch, reused across compute calls
 	computed atomic.Int64 // trees actually computed (not served from cache)
 
-	// linkIdx/exits memoize hot-potato exit cities per (link, fromCity):
-	// the nearest-candidate scan is a pure function of the immutable
-	// topology, and path expansion at the scale tiers re-resolves the
-	// same crossings millions of times per round. Slots hold city+1 (0 =
-	// unset) and are filled lazily with atomic loads/stores — racing
-	// writers store the same deterministic value. Links added to the
-	// topology after router construction (hand-built tests) miss linkIdx
-	// and fall back to the direct scan.
-	linkIdx map[*topology.Link]int32
-	exits   []int32
+	// exits memoizes hot-potato exit cities per (link, fromCity) as
+	// city+1 (0 = unset): the nearest-candidate scan is a pure function
+	// of the snapshot, so racing fills store the same value.
+	exits []atomic.Int32
+	// km[a*nc+b] is geo.Distance from city a to city b.
+	km []float64
 }
+
+// asnSlot is one slot of Router.slots; idx holds the dense index + 1,
+// so the zero slot is empty.
+type asnSlot struct {
+	asn topology.ASN
+	idx int32
+}
+
+// hop is one edge out of an AS: the dense index of the AS at its far
+// end and the index in Topology.Links of the link joining them.
+type hop struct{ as, link int32 }
+
+// Adjacency rows, in the order New lays them out per AS.
+const (
+	providers = iota
+	peers
+	customers
+)
 
 // treeCall is one in-flight tree computation; waiters block on done and
 // then read tr.
@@ -91,28 +127,73 @@ type treeCall struct {
 // tree is the routing state of every AS toward one destination.
 type tree struct {
 	class []RouteClass
-	dist  []int32 // AS-path length of the selected route
-	next  []int32 // dense index of the next hop; -1 at the destination
+	next  []hop // the selected next hop; {-1, -1} at the destination and without a route
 }
 
-// New creates a Router for the given topology.
+// New creates a Router for the given topology. It snapshots the
+// topology's ASes, adjacency, links and cities into dense tables, so
+// the topology must be complete before New: what is added later is not
+// routed. The city-distance matrix is filled here; routing trees and
+// exit cities are computed on first use.
 func New(topo *topology.Topology) *Router {
+	n, nc := len(topo.ASes), len(topo.Cities)
+	size := 2
+	for size < 2*n {
+		size *= 2
+	}
 	r := &Router{
 		topo:     topo,
-		index:    make(map[topology.ASN]int32, len(topo.ASes)),
-		trees:    make(map[topology.ASN]*tree),
-		inflight: make(map[topology.ASN]*treeCall),
+		asns:     make([]topology.ASN, n),
+		nc:       nc,
+		slots:    make([]asnSlot, size),
+		shift:    uint8(64 - bits.TrailingZeros(uint(size))),
+		adj:      make([]hop, 0, 2*len(topo.Links)),
+		off:      make([]int32, 1, 3*n+1),
+		trees:    make([]atomic.Pointer[tree], n),
+		inflight: make(map[int32]*treeCall),
+		exits:    make([]atomic.Int32, len(topo.Links)*nc),
+		km:       make([]float64, nc*nc),
 	}
 	for i, a := range topo.ASes {
-		r.index[a.ASN] = int32(i)
-		r.asns = append(r.asns, a.ASN)
+		r.asns[i] = a.ASN
+		r.slots[r.slot(a.ASN)] = asnSlot{a.ASN, int32(i) + 1}
 	}
-	r.linkIdx = make(map[*topology.Link]int32, len(topo.Links))
+	linkOf := make(map[*topology.Link]int32, len(topo.Links))
 	for i, l := range topo.Links {
-		r.linkIdx[l] = int32(i)
+		linkOf[l] = int32(i)
 	}
-	r.exits = make([]int32, len(topo.Links)*len(topo.Cities))
+	for _, a := range r.asns {
+		for _, row := range [...][]topology.ASN{topo.Providers(a), topo.Peers(a), topo.Customers(a)} {
+			for _, b := range row {
+				r.adj = append(r.adj, hop{as: r.indexOf(b), link: linkOf[topo.LinkBetween(a, b)]})
+			}
+			r.off = append(r.off, int32(len(r.adj)))
+		}
+	}
+	for a := range nc {
+		for b := range nc {
+			r.km[a*nc+b] = geo.Distance(topo.CityLoc(a), topo.CityLoc(b))
+		}
+	}
 	return r
+}
+
+// slot returns the slot that holds asn, or the empty slot it would take.
+func (r *Router) slot(asn topology.ASN) int {
+	i := int(uint64(asn) * 0x9e3779b97f4a7c15 >> r.shift)
+	for r.slots[i].idx != 0 && r.slots[i].asn != asn {
+		i = (i + 1) & (len(r.slots) - 1)
+	}
+	return i
+}
+
+// indexOf returns asn's dense index, or -1 for an AS not in the topology.
+func (r *Router) indexOf(asn topology.ASN) int32 { return r.slots[r.slot(asn)].idx - 1 }
+
+// row returns AS i's neighbours of one relationship.
+func (r *Router) row(i int32, rel int) []hop {
+	k := 3*int(i) + rel
+	return r.adj[r.off[k]:r.off[k+1]]
 }
 
 // Topology returns the topology this router operates on.
@@ -124,125 +205,116 @@ func (r *Router) TreeComputations() int64 { return r.computed.Load() }
 
 // CachedTrees reports how many destination trees are memoised.
 func (r *Router) CachedTrees() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.trees)
+	n := 0
+	for i := range r.trees {
+		if r.trees[i].Load() != nil {
+			n++
+		}
+	}
+	return n
 }
 
-// treeFor returns the routing tree toward dst, computing it on first use.
-// Concurrent callers for the same uncomputed destination are coalesced
-// onto a single computation.
-func (r *Router) treeFor(dst topology.ASN) (*tree, error) {
-	r.mu.RLock()
-	tr, ok := r.trees[dst]
-	r.mu.RUnlock()
-	if ok {
-		return tr, nil
+// treeFor returns the routing tree toward dense index di, computing it
+// on first use. Concurrent callers for the same uncomputed destination
+// are coalesced onto a single computation.
+func (r *Router) treeFor(di int32) *tree {
+	if tr := r.trees[di].Load(); tr != nil {
+		return tr
 	}
-	if _, known := r.index[dst]; !known {
-		return nil, fmt.Errorf("bgp: unknown destination AS %d", dst)
-	}
-
 	r.mu.Lock()
-	if tr, ok := r.trees[dst]; ok {
+	if tr := r.trees[di].Load(); tr != nil {
 		r.mu.Unlock()
-		return tr, nil
+		return tr
 	}
-	if c, ok := r.inflight[dst]; ok {
+	if c, ok := r.inflight[di]; ok {
 		r.mu.Unlock()
 		<-c.done
-		return c.tr, nil
+		return c.tr
 	}
 	c := &treeCall{done: make(chan struct{})}
-	r.inflight[dst] = c
+	r.inflight[di] = c
 	r.mu.Unlock()
 
-	tr = r.compute(dst)
+	tr := r.compute(di)
 	r.computed.Add(1)
 
 	r.mu.Lock()
-	r.trees[dst] = tr
-	delete(r.inflight, dst)
+	r.trees[di].Store(tr)
+	delete(r.inflight, di)
 	r.mu.Unlock()
 
 	c.tr = tr
 	close(c.done)
-	return tr, nil
+	return tr
 }
 
 // Warm precomputes the routing trees toward every given destination
-// on par.For (workers <= 0 means GOMAXPROCS), and stops claiming
-// destinations after the first error, which it returns.
+// on par.For (workers <= 0 means GOMAXPROCS). An unknown destination
+// is an error before any tree is computed.
 // Destinations already cached cost nothing; duplicates are deduplicated.
 // Warming the campaign's destination set at world build removes the
 // cold-start serialization otherwise paid during round 0.
 func (r *Router) Warm(dsts []topology.ASN, workers int) error {
 	// Dedupe and drop already-cached destinations up front.
-	seen := make(map[topology.ASN]bool, len(dsts))
-	var todo []topology.ASN
-	r.mu.RLock()
+	seen := make(map[int32]bool, len(dsts))
+	var todo []int32
 	for _, d := range dsts {
-		if seen[d] || r.trees[d] != nil {
-			continue
-		}
-		seen[d] = true
-		todo = append(todo, d)
-	}
-	r.mu.RUnlock()
-	for _, d := range todo {
-		if _, known := r.index[d]; !known {
+		di := r.indexOf(d)
+		if di < 0 {
 			return fmt.Errorf("bgp: warm: unknown destination AS %d", d)
 		}
+		if seen[di] || r.trees[di].Load() != nil {
+			continue
+		}
+		seen[di] = true
+		todo = append(todo, di)
 	}
 	return par.For(len(todo), workers, func(_, i int) error {
-		_, err := r.treeFor(todo[i])
-		return err
+		r.treeFor(todo[i])
+		return nil
 	})
 }
 
+// cand is an AS's best route of one class: its length and next hop.
+type cand struct {
+	dist int32
+	next hop
+}
+
+const inf = int32(1 << 30)
+
+var unset = cand{dist: inf, next: hop{as: -1, link: -1}}
+
 // computeScratch holds the per-computation working set. compute runs
-// once per destination and allocates six n-sized arrays plus a queue and
-// a heap; pooling the whole set removes that churn when thousands of
-// trees are computed (warmup, campaigns over many destinations).
+// once per destination and needs three n-sized candidate arrays plus a
+// queue and a heap; pooling the whole set removes that churn when
+// thousands of trees are computed (warmup, campaigns over many
+// destinations).
 type computeScratch struct {
-	custDist, custNext []int32
-	peerDist, peerNext []int32
-	provDist, provNext []int32
-	queue              []int32
-	heap               distHeap
+	cust, peer, prov []cand
+	queue            []int32
+	heap             distHeap
 }
 
 func (s *computeScratch) reset(n int) {
-	if cap(s.custDist) < n {
-		s.custDist = make([]int32, n)
-		s.custNext = make([]int32, n)
-		s.peerDist = make([]int32, n)
-		s.peerNext = make([]int32, n)
-		s.provDist = make([]int32, n)
-		s.provNext = make([]int32, n)
+	if cap(s.cust) < n {
+		s.cust, s.peer, s.prov = make([]cand, n), make([]cand, n), make([]cand, n)
 	}
-	s.custDist = s.custDist[:n]
-	s.custNext = s.custNext[:n]
-	s.peerDist = s.peerDist[:n]
-	s.peerNext = s.peerNext[:n]
-	s.provDist = s.provDist[:n]
-	s.provNext = s.provNext[:n]
-	for i := 0; i < n; i++ {
-		s.custDist[i], s.peerDist[i], s.provDist[i] = inf, inf, inf
-		s.custNext[i], s.peerNext[i], s.provNext[i] = -1, -1, -1
+	s.cust, s.peer, s.prov = s.cust[:n], s.peer[:n], s.prov[:n]
+	for i := range n {
+		s.cust[i], s.peer[i], s.prov[i] = unset, unset, unset
 	}
 	s.queue = s.queue[:0]
 	s.heap = s.heap[:0]
 }
 
-const inf = int32(1 << 30)
-
-// compute builds the valley-free routing tree toward dst using the
-// three-phase algorithm: customer routes spread up the provider hierarchy
-// from dst, peer routes take one lateral step, provider routes spread down
-// to customer cones via a Dijkstra pass keyed on each node's selected
-// best-route length.
-func (r *Router) compute(dst topology.ASN) *tree {
+// compute builds the valley-free routing tree toward dense index di
+// using the three-phase algorithm: customer routes spread up the
+// provider hierarchy from di, peer routes take one lateral step,
+// provider routes spread down to customer cones via a Dijkstra pass
+// keyed on each node's selected best-route length. Each selected next
+// hop records the link of the adjacency entry it was relaxed over.
+func (r *Router) compute(di int32) *tree {
 	n := len(r.asns)
 
 	s, _ := r.scratch.Get().(*computeScratch)
@@ -251,28 +323,23 @@ func (r *Router) compute(dst topology.ASN) *tree {
 	}
 	s.reset(n)
 	defer r.scratch.Put(s)
-	custDist, custNext := s.custDist, s.custNext
-	peerDist, peerNext := s.peerDist, s.peerNext
-	provDist, provNext := s.provDist, s.provNext
+	cust, peer, prov := s.cust, s.peer, s.prov
 
-	di := r.index[dst]
-
-	// Phase 1: customer routes. dst announces to its providers, who
+	// Phase 1: customer routes. di announces to its providers, who
 	// announce to their providers, and so on. BFS guarantees shortest
 	// paths; the ASN tie-break keeps trees deterministic.
-	custDist[di] = 0
+	cust[di].dist = 0
 	queue := append(s.queue, di)
 	for head := 0; head < len(queue); head++ {
 		x := queue[head]
-		for _, p := range r.topo.Providers(r.asns[x]) {
-			pi := r.index[p]
-			nd := custDist[x] + 1
-			if nd < custDist[pi] || (nd == custDist[pi] && better(r.asns[x], custNext[pi], r.asns)) {
-				if custDist[pi] == inf {
-					queue = append(queue, pi)
+		nd := cust[x].dist + 1
+		for _, h := range r.row(x, providers) {
+			c := &cust[h.as]
+			if nd < c.dist || (nd == c.dist && better(r.asns[x], c.next.as, r.asns)) {
+				if c.dist == inf {
+					queue = append(queue, h.as)
 				}
-				custDist[pi] = nd
-				custNext[pi] = x
+				*c = cand{nd, hop{x, h.link}}
 			}
 		}
 	}
@@ -280,16 +347,15 @@ func (r *Router) compute(dst topology.ASN) *tree {
 
 	// Phase 2: peer routes. One lateral step from any AS holding a
 	// customer route.
-	for x := 0; x < n; x++ {
-		if custDist[x] == inf {
+	for x := range int32(n) {
+		if cust[x].dist == inf {
 			continue
 		}
-		for _, q := range r.topo.Peers(r.asns[x]) {
-			qi := r.index[q]
-			nd := custDist[x] + 1
-			if nd < peerDist[qi] || (nd == peerDist[qi] && better(r.asns[x], peerNext[qi], r.asns)) {
-				peerDist[qi] = nd
-				peerNext[qi] = int32(x)
+		nd := cust[x].dist + 1
+		for _, h := range r.row(x, peers) {
+			c := &peer[h.as]
+			if nd < c.dist || (nd == c.dist && better(r.asns[x], c.next.as, r.asns)) {
+				*c = cand{nd, hop{x, h.link}}
 			}
 		}
 	}
@@ -299,39 +365,38 @@ func (r *Router) compute(dst topology.ASN) *tree {
 	// the length of each node's best customer-or-peer route; customers
 	// then extend whatever their provider selected.
 	pq := &s.heap
-	best := func(i int32) (RouteClass, int32) {
+	best := func(i int32) (RouteClass, cand) {
 		switch {
-		case custDist[i] != inf:
-			return ViaCustomer, custDist[i]
-		case peerDist[i] != inf:
-			return ViaPeer, peerDist[i]
-		case provDist[i] != inf:
-			return ViaProvider, provDist[i]
+		case cust[i].dist != inf:
+			return ViaCustomer, cust[i]
+		case peer[i].dist != inf:
+			return ViaPeer, peer[i]
+		case prov[i].dist != inf:
+			return ViaProvider, prov[i]
 		default:
-			return NoRoute, inf
+			return NoRoute, unset
 		}
 	}
-	for x := int32(0); x < int32(n); x++ {
-		if cls, d := best(x); cls == ViaCustomer || cls == ViaPeer {
-			pq.push(distEntry{node: x, dist: d})
+	for x := range int32(n) {
+		if cls, b := best(x); cls == ViaCustomer || cls == ViaPeer {
+			pq.push(distEntry{node: x, dist: b.dist})
 		}
 	}
 	for pq.Len() > 0 {
 		e := pq.pop()
-		if _, d := best(e.node); e.dist > d {
+		if _, b := best(e.node); e.dist > b.dist {
 			continue // stale entry
 		}
-		for _, c := range r.topo.Customers(r.asns[e.node]) {
-			ci := r.index[c]
-			nd := e.dist + 1
-			if nd < provDist[ci] || (nd == provDist[ci] && better(r.asns[e.node], provNext[ci], r.asns)) {
-				updated := nd < provDist[ci]
-				provDist[ci] = nd
-				provNext[ci] = e.node
+		nd := e.dist + 1
+		for _, h := range r.row(e.node, customers) {
+			c := &prov[h.as]
+			if nd < c.dist || (nd == c.dist && better(r.asns[e.node], c.next.as, r.asns)) {
+				updated := nd < c.dist
+				*c = cand{nd, hop{e.node, h.link}}
 				// Only re-queue when the provider route is the node's
 				// selected best; otherwise its forwarding is unchanged.
-				if cls, d := best(ci); updated && cls == ViaProvider {
-					pq.push(distEntry{node: ci, dist: d})
+				if cls, b := best(h.as); updated && cls == ViaProvider {
+					pq.push(distEntry{node: h.as, dist: b.dist})
 				}
 			}
 		}
@@ -339,23 +404,11 @@ func (r *Router) compute(dst topology.ASN) *tree {
 
 	tr := &tree{
 		class: make([]RouteClass, n),
-		dist:  make([]int32, n),
-		next:  make([]int32, n),
+		next:  make([]hop, n),
 	}
-	for i := int32(0); i < int32(n); i++ {
-		cls, d := best(i)
-		tr.class[i] = cls
-		tr.dist[i] = d
-		switch cls {
-		case ViaCustomer:
-			tr.next[i] = custNext[i]
-		case ViaPeer:
-			tr.next[i] = peerNext[i]
-		case ViaProvider:
-			tr.next[i] = provNext[i]
-		default:
-			tr.next[i] = -1
-		}
+	for i := range int32(n) {
+		cls, b := best(i)
+		tr.class[i], tr.next[i] = cls, b.next
 	}
 	return tr
 }
@@ -369,67 +422,41 @@ func better(a topology.ASN, incumbent int32, asns []topology.ASN) bool {
 	return a < asns[incumbent]
 }
 
+// route resolves a route's endpoints to dense indexes and returns the
+// tree toward dst, or nil when src == dst: that path is the one AS.
+func (r *Router) route(src, dst topology.ASN) (si, di int32, tr *tree, err error) {
+	if si = r.indexOf(src); si < 0 {
+		return 0, 0, nil, fmt.Errorf("bgp: unknown source AS %d", src)
+	}
+	if src == dst {
+		return si, si, nil, nil
+	}
+	if di = r.indexOf(dst); di < 0 {
+		return 0, 0, nil, fmt.Errorf("bgp: unknown destination AS %d", dst)
+	}
+	if tr = r.treeFor(di); tr.class[si] == NoRoute {
+		return 0, 0, nil, fmt.Errorf("bgp: no route from AS %d to AS %d", src, dst)
+	}
+	return si, di, tr, nil
+}
+
 // ASPath returns the AS-level path from src to dst, inclusive of both.
 // For src == dst the path is the single AS.
 func (r *Router) ASPath(src, dst topology.ASN) ([]topology.ASN, error) {
-	return r.asPathInto(nil, src, dst)
-}
-
-// asPathInto appends the AS path into buf (reset to length zero),
-// returning the grown slice: the allocation-free core of ASPath.
-func (r *Router) asPathInto(buf []topology.ASN, src, dst topology.ASN) ([]topology.ASN, error) {
-	si, ok := r.index[src]
-	if !ok {
-		return nil, fmt.Errorf("bgp: unknown source AS %d", src)
-	}
-	buf = append(buf[:0], src)
-	if src == dst {
-		return buf, nil
-	}
-	tr, err := r.treeFor(dst)
+	si, di, tr, err := r.route(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	if tr.class[si] == NoRoute {
-		return nil, fmt.Errorf("bgp: no route from AS %d to AS %d", src, dst)
-	}
-	cur := si
-	for r.asns[cur] != dst {
-		cur = tr.next[cur]
-		if cur < 0 {
+	path := []topology.ASN{src}
+	for at := si; at != di; {
+		if at = tr.next[at].as; at < 0 {
 			return nil, fmt.Errorf("bgp: broken tree from AS %d to AS %d", src, dst)
 		}
-		buf = append(buf, r.asns[cur])
-		if len(buf) > len(r.asns) {
+		if path = append(path, r.asns[at]); len(path) > len(r.asns) {
 			return nil, fmt.Errorf("bgp: path loop from AS %d to AS %d", src, dst)
 		}
 	}
-	return buf, nil
-}
-
-// RouteInfo describes how src reaches dst.
-type RouteInfo struct {
-	Class RouteClass
-	Hops  int // AS-path length in edges
-}
-
-// Route returns routing metadata for the pair.
-func (r *Router) Route(src, dst topology.ASN) (RouteInfo, error) {
-	si, ok := r.index[src]
-	if !ok {
-		return RouteInfo{}, fmt.Errorf("bgp: unknown source AS %d", src)
-	}
-	if src == dst {
-		return RouteInfo{Class: ViaCustomer, Hops: 0}, nil
-	}
-	tr, err := r.treeFor(dst)
-	if err != nil {
-		return RouteInfo{}, err
-	}
-	if tr.class[si] == NoRoute {
-		return RouteInfo{}, fmt.Errorf("bgp: no route from AS %d to AS %d", src, dst)
-	}
-	return RouteInfo{Class: tr.class[si], Hops: int(tr.dist[si])}, nil
+	return path, nil
 }
 
 // distEntry and distHeap implement the phase-3 priority queue as a typed

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"shortcuts/internal/datasets/apnic"
+	"shortcuts/internal/geo"
 	"shortcuts/internal/rng"
 	"shortcuts/internal/topology"
 	"shortcuts/internal/worlddata"
@@ -174,10 +175,14 @@ func TestCustomerRoutePreferredOverShorterProviderRoute(t *testing.T) {
 	if len(p) != 3 || p[0] != want[0] || p[1] != want[1] || p[2] != want[2] {
 		t.Fatalf("path = %v, want %v (customer route preferred over peer shortcut)", p, want)
 	}
-	info, err := r.Route(1, 3)
-	if err != nil || info.Class != ViaCustomer {
-		t.Fatalf("Route(1,3) = %+v, %v; want customer class", info, err)
+	if cls := classOf(r, 1, 3); cls != ViaCustomer {
+		t.Fatalf("class of 1 -> 3 = %v, want customer", cls)
 	}
+}
+
+// classOf reads the class of src's route from dst's routing tree.
+func classOf(r *Router, src, dst topology.ASN) RouteClass {
+	return r.treeFor(r.indexOf(dst)).class[r.indexOf(src)]
 }
 
 func TestPeerPreferredOverProvider(t *testing.T) {
@@ -186,12 +191,8 @@ func TestPeerPreferredOverProvider(t *testing.T) {
 	// AS 5 is a customer of 4; from 5 to 3: via provider 4 (which is 3's
 	// provider): 5 up to 4 down to 3, class provider. There is no peer or
 	// customer alternative, so class must be provider.
-	info, err := r.Route(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Class != ViaProvider {
-		t.Fatalf("Route(5,3).Class = %v, want provider", info.Class)
+	if cls := classOf(r, 5, 3); cls != ViaProvider {
+		t.Fatalf("class of 5 -> 3 = %v, want provider", cls)
 	}
 }
 
@@ -223,23 +224,23 @@ func TestExpandBasics(t *testing.T) {
 	topo := r.Topology()
 	eyes := topo.ASesOfType(topology.Eyeball)
 	src, dst := eyes[0], eyes[len(eyes)-1]
-	p, err := r.Expand(src.ASN, src.HomeCity(), dst.ASN, dst.HomeCity())
+	m, err := r.Walk(src.ASN, src.HomeCity(), dst.ASN, dst.HomeCity())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Cities[0] != src.HomeCity() {
-		t.Fatalf("path starts at city %d, want %d", p.Cities[0], src.HomeCity())
+	path, err := r.ASPath(src.ASN, dst.ASN)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.Cities[len(p.Cities)-1] != dst.HomeCity() {
-		t.Fatalf("path ends at city %d, want %d", p.Cities[len(p.Cities)-1], dst.HomeCity())
+	if m.ASHops != len(path)-1 {
+		t.Fatalf("AS hops = %d, want %d for path %v", m.ASHops, len(path)-1, path)
 	}
-	if p.DistanceKm <= 0 {
-		t.Fatalf("distance = %v, want > 0", p.DistanceKm)
+	if m.DistanceKm <= 0 {
+		t.Fatalf("distance = %v, want > 0", m.DistanceKm)
 	}
-	for i := 1; i < len(p.Cities); i++ {
-		if p.Cities[i] == p.Cities[i-1] {
-			t.Fatalf("consecutive duplicate city in %v", p.Cities)
-		}
+	// One segment at most per crossing, plus the final one.
+	if m.CityHops < 1 || m.CityHops > m.ASHops+1 {
+		t.Fatalf("city hops = %d for %d AS hops", m.CityHops, m.ASHops)
 	}
 }
 
@@ -256,15 +257,13 @@ func TestExpandSameAS(t *testing.T) {
 	if multi == nil {
 		t.Skip("no multi-PoP AS")
 	}
-	p, err := r.Expand(multi.ASN, multi.PoPs[0], multi.ASN, multi.PoPs[1])
+	m, err := r.Walk(multi.ASN, multi.PoPs[0], multi.ASN, multi.PoPs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.ASPath) != 1 || p.ASHops() != 0 {
-		t.Fatalf("intra-AS path = %v", p.ASPath)
-	}
-	if p.CityHops() != 1 {
-		t.Fatalf("intra-AS city hops = %d, want 1", p.CityHops())
+	want := geo.Distance(topo.CityLoc(multi.PoPs[0]), topo.CityLoc(multi.PoPs[1]))
+	if m != (PathMetrics{DistanceKm: want, ASHops: 0, CityHops: 1}) {
+		t.Fatalf("intra-AS walk = %+v, want one %v km segment", m, want)
 	}
 }
 
@@ -272,12 +271,12 @@ func TestExpandSameCity(t *testing.T) {
 	r := testRouter(t)
 	topo := r.Topology()
 	a := topo.ASes[0]
-	p, err := r.Expand(a.ASN, a.HomeCity(), a.ASN, a.HomeCity())
+	m, err := r.Walk(a.ASN, a.HomeCity(), a.ASN, a.HomeCity())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.DistanceKm != 0 || len(p.Cities) != 1 {
-		t.Fatalf("same-city path = %+v", p)
+	if m != (PathMetrics{}) {
+		t.Fatalf("same-city walk = %+v", m)
 	}
 }
 
@@ -292,13 +291,13 @@ func TestExpandDistanceAtLeastGeodesic(t *testing.T) {
 			if src.ASN == dst.ASN {
 				continue
 			}
-			p, err := r.Expand(src.ASN, src.HomeCity(), dst.ASN, dst.HomeCity())
+			m, err := r.Walk(src.ASN, src.HomeCity(), dst.ASN, dst.HomeCity())
 			if err != nil {
 				t.Fatal(err)
 			}
 			direct := topo.CityLoc(src.HomeCity()).DistanceTo(topo.CityLoc(dst.HomeCity()))
-			if p.DistanceKm < direct-1e-6 {
-				t.Fatalf("PoP path shorter than geodesic: %.1f < %.1f", p.DistanceKm, direct)
+			if m.DistanceKm < direct-1e-6 {
+				t.Fatalf("PoP path shorter than geodesic: %.1f < %.1f", m.DistanceKm, direct)
 			}
 			checked++
 		}
@@ -322,7 +321,7 @@ func TestPathInflationExists(t *testing.T) {
 			if src.ASN == dst.ASN || src.CC == dst.CC {
 				continue
 			}
-			p, err := r.Expand(src.ASN, src.HomeCity(), dst.ASN, dst.HomeCity())
+			m, err := r.Walk(src.ASN, src.HomeCity(), dst.ASN, dst.HomeCity())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,7 +330,7 @@ func TestPathInflationExists(t *testing.T) {
 				continue
 			}
 			total++
-			if p.DistanceKm > 1.25*direct {
+			if m.DistanceKm > 1.25*direct {
 				inflated++
 			}
 		}
@@ -342,29 +341,6 @@ func TestPathInflationExists(t *testing.T) {
 	frac := float64(inflated) / float64(total)
 	if frac < 0.10 {
 		t.Fatalf("only %.1f%% of inter-country paths inflated >25%%; TIVs cannot emerge", frac*100)
-	}
-}
-
-func TestRouteInfoConsistentWithPath(t *testing.T) {
-	r := testRouter(t)
-	all := r.Topology().ASes
-	for i := 0; i < len(all); i += 23 {
-		for j := 7; j < len(all); j += 29 {
-			if all[i].ASN == all[j].ASN {
-				continue
-			}
-			p, err := r.ASPath(all[i].ASN, all[j].ASN)
-			if err != nil {
-				t.Fatal(err)
-			}
-			info, err := r.Route(all[i].ASN, all[j].ASN)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Hops != len(p)-1 {
-				t.Fatalf("Route hops %d != path len %d for %v", info.Hops, len(p)-1, p)
-			}
-		}
 	}
 }
 
@@ -481,5 +457,23 @@ func TestWarmUnknownDestination(t *testing.T) {
 	r := New(buildMiniTopo(t))
 	if err := r.Warm([]topology.ASN{1, 999999}, 2); err == nil {
 		t.Fatal("Warm accepted an unknown destination")
+	}
+}
+
+func TestIndexOfEveryAS(t *testing.T) {
+	r := testRouter(t)
+	known := make(map[topology.ASN]bool, len(r.asns))
+	for i, asn := range r.asns {
+		if got := r.indexOf(asn); got != int32(i) {
+			t.Fatalf("indexOf(%d) = %d, want %d", asn, got, i)
+		}
+		known[asn] = true
+	}
+	for _, asn := range r.asns {
+		for _, probe := range []topology.ASN{asn + 1, asn - 1, -asn, asn << 20} {
+			if got := r.indexOf(probe); !known[probe] && got != -1 {
+				t.Fatalf("indexOf(%d) = %d for an AS not in the topology", probe, got)
+			}
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // refState is an endpoint pair's path state computed from its full
-// identity in one pass: both BGP expansions, the line factors drawn
+// identity in one pass: both BGP route walks, the line factors drawn
 // inline, the path midpoint and every draw taken from the canonical
 // endpoint pair, with no attachment cache, line binding or schedule in
 // between. The cache must reproduce it bit for bit.
@@ -41,17 +41,17 @@ func refPathState(t *testing.T, e *Engine, a, b Endpoint) refState {
 	if less(hi, lo) {
 		lo, hi = hi, lo
 	}
-	fwd, err := e.router.Expand(lo.AS, lo.City, hi.AS, hi.City)
+	fwd, err := e.router.Walk(lo.AS, lo.City, hi.AS, hi.City)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := e.router.Expand(hi.AS, hi.City, lo.AS, lo.City)
+	rev, err := e.router.Walk(hi.AS, hi.City, lo.AS, lo.City)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneway := func(p *bgp.PopPath) time.Duration {
+	oneway := func(p bgp.PathMetrics) time.Duration {
 		return geo.PropDelay(p.DistanceKm*e.p.RouteDirectness) +
-			time.Duration(p.ASHops())*e.p.PerASHop + time.Duration(p.CityHops())*e.p.PerCityHop
+			time.Duration(p.ASHops)*e.p.PerASHop + time.Duration(p.CityHops)*e.p.PerCityHop
 	}
 	wide := oneway(fwd) + oneway(rev)
 	lineFactor := func(k EndpointKey) float64 {

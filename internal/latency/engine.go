@@ -20,9 +20,12 @@
 // points; only the access delay belongs to the endpoint itself. The
 // path-state cache is therefore keyed by the attachment pair, and holds
 // the congestion-scaled wide-area RTT, the asymmetry draw, the diurnal
-// amplitude and the ordered city pair. Each resolve adds the two
-// endpoints' access terms on the stack, so every host behind the same
-// attachments shares one entry.
+// amplitude and the ordered city pair. Admitting a new attachment pair
+// is two bgp.Router.Walk calls, one per direction, each returning the
+// route's length and hop counts without building its polyline, plus the
+// pair's path draws. Each resolve adds the two endpoints' access terms
+// on the stack, so every host behind the same attachments shares one
+// entry.
 //
 // Every ping is priced one way: Engine.Line binds an endpoint to its
 // line, View.ResolveBatch resolves a batch of line pairs into
@@ -118,8 +121,7 @@ func netKeyOf(lo, hi *Line) netKey {
 
 // netState is the cached state of one attachment pair: everything about
 // a path that derives from its two (AS, city) points. It holds scalars
-// only: the PoP polylines are recomputed on demand (the router memoises
-// its routing trees, which makes re-expansion cheap).
+// only: the routes are walked once, at admission, and never stored.
 type netState struct {
 	wide       float64 // congestion-scaled wide-area RTT, in float ns
 	asym       float64 // asymmetry draw: 1+asym prices lo->hi, 1-asym hi->lo
@@ -223,28 +225,29 @@ func (e *Engine) netStateByHash(h uint64, key netKey) (*netState, error) {
 	return ns, nil
 }
 
-// computeNetState expands both BGP routes of an attachment pair and
+// computeNetState walks both BGP routes of an attachment pair and
 // draws its path traits. The wide-area component is scaled by a
 // per-path congestion factor derived from the attachment pair itself,
 // never from call order, so two hosts behind the same attachments share
 // traits and concurrent campaigns reproduce exactly.
 func (e *Engine) computeNetState(key netKey) (netState, error) {
 	lo, hi := key.lo, key.hi
-	var fwd, rev bgp.PopPath
-	if err := e.router.ExpandInto(&fwd, topology.ASN(lo.AS), int(lo.City), topology.ASN(hi.AS), int(hi.City)); err != nil {
+	fwd, err := e.router.Walk(topology.ASN(lo.AS), int(lo.City), topology.ASN(hi.AS), int(hi.City))
+	if err != nil {
 		return netState{}, err
 	}
-	if err := e.router.ExpandInto(&rev, topology.ASN(hi.AS), int(hi.City), topology.ASN(lo.AS), int(lo.City)); err != nil {
+	rev, err := e.router.Walk(topology.ASN(hi.AS), int(hi.City), topology.ASN(lo.AS), int(lo.City))
+	if err != nil {
 		return netState{}, err
 	}
 
-	oneway := func(p *bgp.PopPath) time.Duration {
+	oneway := func(p bgp.PathMetrics) time.Duration {
 		prop := geo.PropDelay(p.DistanceKm * e.p.RouteDirectness)
-		hops := time.Duration(p.ASHops())*e.p.PerASHop +
-			time.Duration(p.CityHops())*e.p.PerCityHop
+		hops := time.Duration(p.ASHops)*e.p.PerASHop +
+			time.Duration(p.CityHops)*e.p.PerCityHop
 		return prop + hops
 	}
-	wide := oneway(&fwd) + oneway(&rev)
+	wide := oneway(fwd) + oneway(rev)
 
 	g := e.pathPre.At(hashNetPath(key))
 	congestion := e.p.CongestionMedian * g.LogNormal(0, e.p.CoreCongestionSigma)

@@ -36,7 +36,7 @@ func (s *Server) routes() []route {
 		{"GET /v1/relays/best", "?src=<city|cc>&dst=<city|cc>", false, handleBest},
 		{"GET /v1/relays", "?type=&cc=&facility=&limit=&offset=", false, handleRelays},
 		{"GET /v1/relays/{id}", "", false, handleRelayShow},
-		{"GET /v1/facilities", "?cc=&city=&name=&cloud=&top10=", false, handleFacilities},
+		{"GET /v1/facilities", "?cc=&city=&name=&cloud=&top10=&limit=&offset=", false, handleFacilities},
 		{"GET /v1/facilities/{id}", "", false, handleFacilityShow},
 		{"GET /v1/plans", "?src=&dst=&improved=&limit=&offset=", false, handlePlans},
 		{"GET /v1/disruptions", "?active=", false, handleDisruptions},

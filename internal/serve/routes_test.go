@@ -27,7 +27,7 @@ type pinnedRequest struct {
 // and a limit at the int64 maximum) and every error path, including
 // which of two bad parameters a route reports first.
 var pinned = []pinnedRequest{
-	{"GET", "/", 200, "89243ccaf450fde5bf58016593e9eae0b769218f161dc717839dba02f46dd113"},
+	{"GET", "/", 200, "50bbdbc4d26516fb317efe8573b88bfdee4a32a0198067d5ddb19c1faf1e5372"},
 	{"GET", "/healthz", 200, "e5f1eb4d806641698a35efe20e098efd20d7d57a9b90ee69079d5bb650920726"},
 	{"GET", "/no/such/path", 404, "b16e15764b8bc06c5c3f9f19bc8b99fa48e7894aa5a6ccdad65da49bbf564793"},
 	{"GET", "/v1/admin/swap", 405, "c40aa69f0b306cea296dd1193c334bc0781587ed51aab579c0433698ba9e0c4b"},
