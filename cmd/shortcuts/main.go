@@ -32,7 +32,7 @@ func main() {
 		rounds  = flag.Int("rounds", 45, "measurement rounds (paper: 45 over one month)")
 		small   = flag.Bool("small", false, "use the reduced world for a fast run")
 		out     = flag.String("out", "", "directory for figure CSVs (omit to skip)")
-		stream  = flag.Bool("stream", false, "streaming mode: constant-memory aggregates, no per-observation tables")
+		stream  = flag.Bool("stream", false, "streaming mode: the headline table and in-text lines without retaining observations (no stability, coverage, Table 1, future-work lines or figure CSVs)")
 		seeds   = flag.String("seeds", "", "comma-separated campaign seeds: sweep them all over ONE shared world (sweeps always run in streaming mode, so -stream is implied)")
 		par     = flag.Int("parallel", 1, "campaigns running concurrently in a -seeds sweep")
 		budget  = flag.Int("pairbudget", 0, "endpoint pairs measured per round: 0 = exhaustive n*(n-1)/2, a positive budget switches to deterministic stratified sampling")
@@ -116,9 +116,10 @@ func main() {
 	}
 
 	if *stream {
-		// Streaming mode: observations are aggregated on the fly and
-		// never materialized, so memory stays flat however many rounds
-		// run. Only the incremental headline statistics are reported.
+		// Streaming mode: observations are folded into the statistics
+		// on the fly and never materialized. The summary prints batch
+		// mode's table and lines through direction symmetry; what ranks
+		// the whole campaign needs batch mode.
 		start = time.Now()
 		stats, err := campaign.RunStream(shortcuts.RoundProgressSink(progress))
 		if err != nil {

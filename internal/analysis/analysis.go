@@ -1,10 +1,11 @@
-// Package analysis computes the paper's published artifacts from campaign
-// results: the Figure-2 improvement CDFs, the Figure-3 top-relay coverage
-// curves, the Figure-4 threshold curves, the Table-1 facility ranking, and
-// the in-text statistics (country-change effect, VoIP threshold fractions,
-// temporal stability, ping symmetry, relay redundancy). All percentages
-// are fractions in [0, 1] unless a name says otherwise; latencies are
-// milliseconds.
+// Package analysis computes the paper's artifacts that need a whole
+// retained campaign: the relay ranking and what is built on it (the
+// Figure-3 top-relay coverage curves, the Figure-4 threshold curves, the
+// Table-1 facility ranking, coverage by top relays), the temporal
+// stability of pairwise medians, and the future-work analyses. The
+// statistics that fold from the observation stream live in
+// measure.Stats. All percentages are fractions in [0, 1] unless a name
+// says otherwise; latencies are milliseconds.
 package analysis
 
 import (
@@ -14,85 +15,6 @@ import (
 	"shortcuts/internal/measure"
 	"shortcuts/internal/relays"
 )
-
-// ImprovedFraction returns the share of all measured pairs whose best
-// relay of the given type beat the direct path (Fig. 2 headline: COR 76%,
-// RAR_other 58%, PLR 43%, RAR_eye 35%).
-func ImprovedFraction(res *measure.Results, t relays.Type) float64 {
-	if len(res.Observations) == 0 {
-		return 0
-	}
-	improved := 0
-	for i := range res.Observations {
-		if res.Observations[i].ImprovementMs(t) > 0 {
-			improved++
-		}
-	}
-	return float64(improved) / float64(len(res.Observations))
-}
-
-// CDFPoint is one point of a cumulative distribution.
-type CDFPoint struct {
-	X float64 // improvement threshold, ms
-	Y float64 // fraction of all cases with improvement <= X
-}
-
-// ImprovementCDF computes the Figure-2 CDF for one relay type: the
-// cumulative fraction of *all* cases whose best-relay improvement is at
-// most x, evaluated on the given grid. Cases without a valid relayed path
-// count as improvement zero.
-func ImprovementCDF(res *measure.Results, t relays.Type, xs []float64) []CDFPoint {
-	imps := make([]float64, 0, len(res.Observations))
-	for i := range res.Observations {
-		imp := res.Observations[i].ImprovementMs(t)
-		if imp < 0 {
-			imp = 0
-		}
-		imps = append(imps, imp)
-	}
-	sort.Float64s(imps)
-	out := make([]CDFPoint, 0, len(xs))
-	for _, x := range xs {
-		y := 0.0
-		if len(imps) > 0 {
-			y = float64(sort.SearchFloat64s(imps, x+1e-9)) / float64(len(imps))
-		}
-		out = append(out, CDFPoint{X: x, Y: y})
-	}
-	return out
-}
-
-// MedianImprovementMs returns the median improvement among improved cases
-// (the paper reports 12-14 ms across types).
-func MedianImprovementMs(res *measure.Results, t relays.Type) float64 {
-	var imps []float64
-	for i := range res.Observations {
-		if imp := res.Observations[i].ImprovementMs(t); imp > 0 {
-			imps = append(imps, imp)
-		}
-	}
-	return measure.Median(imps)
-}
-
-// ImprovedOverFraction returns, among improved cases of the type, the
-// share whose improvement exceeds ms (the paper: >100 ms in 6% of COR and
-// RAR_other improved cases).
-func ImprovedOverFraction(res *measure.Results, t relays.Type, ms float64) float64 {
-	over, improved := 0, 0
-	for i := range res.Observations {
-		imp := res.Observations[i].ImprovementMs(t)
-		if imp > 0 {
-			improved++
-			if imp > ms {
-				over++
-			}
-		}
-	}
-	if improved == 0 {
-		return 0
-	}
-	return float64(over) / float64(improved)
-}
 
 // RelayRank is one relay's improvement frequency.
 type RelayRank struct {
@@ -201,7 +123,7 @@ func RelaysForCoverage(res *measure.Results, t relays.Type, fracOfMax float64) (
 // ThresholdPoint is one point of the Figure-4 curves for a type.
 type ThresholdPoint struct {
 	ThresholdMs float64
-	Top         float64 // fraction of all cases improved by > threshold using top-N relays
+	TopN        float64 // fraction of all cases improved by > threshold using top-N relays
 	All         float64 // same using every relay of the type
 }
 
@@ -239,7 +161,7 @@ func ThresholdCurves(res *measure.Results, t relays.Type, topN int, thresholds [
 		}
 		for k := range out {
 			if bestTop > out[k].ThresholdMs {
-				out[k].Top++
+				out[k].TopN++
 			}
 			if bestAll > out[k].ThresholdMs {
 				out[k].All++
@@ -248,7 +170,7 @@ func ThresholdCurves(res *measure.Results, t relays.Type, topN int, thresholds [
 	}
 	if total > 0 {
 		for k := range out {
-			out[k].Top /= total
+			out[k].TopN /= total
 			out[k].All /= total
 		}
 	}

@@ -32,62 +32,73 @@ func testResults(t *testing.T) *measure.Results {
 	return anRes
 }
 
+// bothWays counts the observations with both directions measured.
+func bothWays(res *measure.Results) int {
+	n := 0
+	for i := range res.Observations {
+		if res.Observations[i].DirectMs != 0 && res.Observations[i].RevDirectMs != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func allTypes() []relays.Type {
 	return []relays.Type{relays.COR, relays.PLR, relays.RAREye, relays.RAROther}
 }
 
 func TestImprovedFractionBounds(t *testing.T) {
-	res := testResults(t)
+	st := testResults(t).Stats()
 	for _, ty := range allTypes() {
-		f := ImprovedFraction(res, ty)
+		f := st.ImprovedFraction(ty)
 		if f < 0 || f > 1 {
 			t.Fatalf("%v improved fraction %v out of [0,1]", ty, f)
 		}
 	}
-	if ImprovedFraction(&measure.Results{}, relays.COR) != 0 {
+	if (&measure.Results{}).Stats().ImprovedFraction(relays.COR) != 0 {
 		t.Fatal("empty results should yield 0")
 	}
 }
 
 func TestCDFMonotoneAndAnchored(t *testing.T) {
-	res := testResults(t)
+	st := testResults(t).Stats()
 	xs := []float64{0, 1, 5, 10, 20, 50, 100, 200, 1e9}
 	for _, ty := range allTypes() {
-		pts := ImprovementCDF(res, ty, xs)
+		pts := st.ImprovementCDF(ty, xs)
 		for i := 1; i < len(pts); i++ {
-			if pts[i].Y < pts[i-1].Y {
-				t.Fatalf("%v CDF decreasing at %v", ty, pts[i].X)
+			if pts[i].Fraction < pts[i-1].Fraction {
+				t.Fatalf("%v CDF decreasing at %v", ty, pts[i].ImprovementMs)
 			}
 		}
-		if last := pts[len(pts)-1].Y; math.Abs(last-1) > 1e-9 {
+		if last := pts[len(pts)-1].Fraction; math.Abs(last-1) > 1e-9 {
 			t.Fatalf("%v CDF does not reach 1: %v", ty, last)
 		}
 		// CDF at zero equals the non-improved fraction.
-		want := 1 - ImprovedFraction(res, ty)
-		if math.Abs(pts[0].Y-want) > 1e-9 {
-			t.Fatalf("%v CDF(0) = %v, want %v", ty, pts[0].Y, want)
+		want := 1 - st.ImprovedFraction(ty)
+		if math.Abs(pts[0].Fraction-want) > 1e-9 {
+			t.Fatalf("%v CDF(0) = %v, want %v", ty, pts[0].Fraction, want)
 		}
 	}
 }
 
 func TestMedianImprovementPositive(t *testing.T) {
-	res := testResults(t)
+	st := testResults(t).Stats()
 	for _, ty := range allTypes() {
-		if ImprovedFraction(res, ty) == 0 {
+		if st.ImprovedFraction(ty) == 0 {
 			continue
 		}
-		if med := MedianImprovementMs(res, ty); med <= 0 {
+		if med := st.MedianImprovementMs(ty); med <= 0 {
 			t.Fatalf("%v median improvement %v, want > 0", ty, med)
 		}
 	}
 }
 
 func TestImprovedOverFractionMonotone(t *testing.T) {
-	res := testResults(t)
+	st := testResults(t).Stats()
 	for _, ty := range allTypes() {
 		prev := 1.1
 		for _, ms := range []float64{0, 10, 50, 100, 500} {
-			f := ImprovedOverFraction(res, ty, ms)
+			f := st.ImprovedOverFraction(ty, ms)
 			if f > prev {
 				t.Fatalf("%v over-fraction increases with threshold", ty)
 			}
@@ -131,7 +142,7 @@ func TestTopRelayCurveProperties(t *testing.T) {
 		full := TopRelayCurve(res, ty, len(RankRelays(res, ty)))
 		if len(full) > 0 {
 			top := full[len(full)-1].FracTotal
-			want := ImprovedFraction(res, ty)
+			want := res.Stats().ImprovedFraction(ty)
 			if math.Abs(top-want) > 1e-9 {
 				t.Fatalf("%v full coverage %v != improved fraction %v", ty, top, want)
 			}
@@ -145,15 +156,15 @@ func TestThresholdCurvesProperties(t *testing.T) {
 	for _, ty := range allTypes() {
 		pts := ThresholdCurves(res, ty, 10, ths)
 		for i, p := range pts {
-			if p.Top > p.All+1e-9 {
+			if p.TopN > p.All+1e-9 {
 				t.Fatalf("%v top-10 coverage exceeds all-relays at %v ms", ty, p.ThresholdMs)
 			}
-			if i > 0 && (p.Top > pts[i-1].Top || p.All > pts[i-1].All) {
+			if i > 0 && (p.TopN > pts[i-1].TopN || p.All > pts[i-1].All) {
 				t.Fatalf("%v threshold curve increasing at %v ms", ty, p.ThresholdMs)
 			}
 		}
 		// At threshold zero, "all" equals the improved fraction.
-		if math.Abs(pts[0].All-ImprovedFraction(res, ty)) > 1e-9 {
+		if math.Abs(pts[0].All-res.Stats().ImprovedFraction(ty)) > 1e-9 {
 			t.Fatalf("%v All(0) = %v != improved fraction", ty, pts[0].All)
 		}
 	}
@@ -183,26 +194,44 @@ func TestTopFacilitiesRows(t *testing.T) {
 
 func TestCountryChangeCounts(t *testing.T) {
 	res := testResults(t)
-	s := CountryChange(res, relays.COR)
-	withBest := 0
+	diff, same := res.Stats().CountryChange(relays.COR)
+	// Every case with a best COR relay falls in exactly one group.
+	var n, improved [2]int
 	for i := range res.Observations {
-		if res.Observations[i].BestRelay[relays.COR] >= 0 {
-			withBest++
+		o := &res.Observations[i]
+		ri := o.BestRelay[relays.COR]
+		if ri < 0 {
+			continue
+		}
+		g := 0
+		if cc := res.World.Catalog.CC(int(ri)); cc == o.SrcCC || cc == o.DstCC {
+			g = 1
+		}
+		n[g]++
+		if o.ImprovementMs(relays.COR) > 0 {
+			improved[g]++
 		}
 	}
-	if s.DiffCount+s.SameCount != withBest {
-		t.Fatalf("country-change partitions %d cases, want %d", s.DiffCount+s.SameCount, withBest)
+	if n[0] == 0 || n[1] == 0 {
+		t.Fatalf("country-change groups hold %d and %d cases", n[0], n[1])
+	}
+	if want := float64(improved[0]) / float64(n[0]); diff != want {
+		t.Fatalf("third-country share %v over %d cases, want %v", diff, n[0], want)
+	}
+	if want := float64(improved[1]) / float64(n[1]); same != want {
+		t.Fatalf("same-country share %v over %d cases, want %v", same, n[1], want)
 	}
 }
 
 func TestVoIPBounds(t *testing.T) {
 	res := testResults(t)
-	v := VoIP(res)
+	st := res.Stats()
+	v := st.VoIP()
 	if v.WithCOROver > v.DirectOver {
 		t.Fatalf("COR relaying increased the >320ms fraction: %v -> %v", v.DirectOver, v.WithCOROver)
 	}
-	if v.PairsConsidered != len(res.Observations) {
-		t.Fatalf("VoIP considered %d pairs, want %d", v.PairsConsidered, len(res.Observations))
+	if st.Pairs() != len(res.Observations) {
+		t.Fatalf("VoIP considered %d pairs, want %d", st.Pairs(), len(res.Observations))
 	}
 }
 
@@ -219,20 +248,19 @@ func TestStabilityCVBounds(t *testing.T) {
 
 func TestSymmetryBounds(t *testing.T) {
 	res := testResults(t)
-	s := Symmetry(res)
-	if s.Pairs == 0 {
+	if bothWays(res) == 0 {
 		t.Fatal("no pairs with both directions")
 	}
-	if s.FracWithin5 < 0.3 {
-		t.Fatalf("FracWithin5 = %v, suspiciously asymmetric", s.FracWithin5)
+	if f := res.Stats().SymmetryWithin5(); f < 0.3 {
+		t.Fatalf("FracWithin5 = %v, suspiciously asymmetric", f)
 	}
 }
 
 func TestRedundancyCountsImprovingOnly(t *testing.T) {
-	res := testResults(t)
+	st := testResults(t).Stats()
 	for _, ty := range allTypes() {
-		med := RelayRedundancyMedian(res, ty)
-		if ImprovedFraction(res, ty) > 0 && med < 1 {
+		med := st.RelayRedundancyMedian(ty)
+		if st.ImprovedFraction(ty) > 0 && med < 1 {
 			t.Fatalf("%v redundancy median %v below 1 despite improvements", ty, med)
 		}
 	}
@@ -240,7 +268,7 @@ func TestRedundancyCountsImprovingOnly(t *testing.T) {
 
 func TestPerRoundImprovedLength(t *testing.T) {
 	res := testResults(t)
-	perRound := PerRoundImproved(res, relays.COR)
+	perRound := res.Stats().PerRoundImproved(relays.COR)
 	if len(perRound) != len(res.Rounds) {
 		t.Fatalf("per-round series has %d entries, want %d", len(perRound), len(res.Rounds))
 	}

@@ -40,19 +40,20 @@ func checkFinite(t *testing.T, label string, v float64) {
 // empty Results: no panics, no NaN/Inf, zero-valued aggregates.
 func TestEmptyResultsAllAnalyses(t *testing.T) {
 	res := emptyResults(t)
+	st := res.Stats()
 	xs := []float64{0, 10, 100}
 	for _, ty := range allTypes() {
-		if f := ImprovedFraction(res, ty); f != 0 {
+		if f := st.ImprovedFraction(ty); f != 0 {
 			t.Errorf("%v: ImprovedFraction = %v on empty results", ty, f)
 		}
-		for _, p := range ImprovementCDF(res, ty, xs) {
-			checkFinite(t, "ImprovementCDF.Y", p.Y)
-			if p.Y != 0 {
-				t.Errorf("%v: CDF(%v) = %v on empty results, want 0", ty, p.X, p.Y)
+		for _, p := range st.ImprovementCDF(ty, xs) {
+			checkFinite(t, "ImprovementCDF.Fraction", p.Fraction)
+			if p.Fraction != 0 {
+				t.Errorf("%v: CDF(%v) = %v on empty results, want 0", ty, p.ImprovementMs, p.Fraction)
 			}
 		}
-		checkFinite(t, "MedianImprovementMs", MedianImprovementMs(res, ty))
-		if f := ImprovedOverFraction(res, ty, 50); f != 0 {
+		checkFinite(t, "MedianImprovementMs", st.MedianImprovementMs(ty))
+		if f := st.ImprovedOverFraction(ty, 50); f != 0 {
 			t.Errorf("%v: ImprovedOverFraction = %v on empty results", ty, f)
 		}
 		if r := RankRelays(res, ty); len(r) != 0 {
@@ -66,10 +67,10 @@ func TestEmptyResultsAllAnalyses(t *testing.T) {
 			t.Errorf("%v: RelaysForCoverage = (%d, %v) on empty results", ty, n, facs)
 		}
 		for _, p := range ThresholdCurves(res, ty, 10, xs) {
-			checkFinite(t, "ThresholdCurves.Top", p.Top)
+			checkFinite(t, "ThresholdCurves.TopN", p.TopN)
 			checkFinite(t, "ThresholdCurves.All", p.All)
 		}
-		checkFinite(t, "RelayRedundancyMedian", RelayRedundancyMedian(res, ty))
+		checkFinite(t, "RelayRedundancyMedian", st.RelayRedundancyMedian(ty))
 	}
 
 	if rows := TopFacilities(res, 20); len(rows) != 0 {
@@ -78,31 +79,30 @@ func TestEmptyResultsAllAnalyses(t *testing.T) {
 	for _, f := range FacilityFeatureAttribution(res) {
 		checkFinite(t, "FacilityFeatureAttribution."+f.Name, f.Correlation)
 	}
-	checkFinite(t, "IntercontinentalFraction", IntercontinentalFraction(res))
-	v := VoIP(res)
+	checkFinite(t, "IntercontinentalFraction", st.IntercontinentalFraction())
+	v := st.VoIP()
 	checkFinite(t, "VoIP.DirectOver", v.DirectOver)
 	checkFinite(t, "VoIP.WithCOROver", v.WithCOROver)
-	if v.PairsConsidered != 0 {
-		t.Errorf("VoIP considered %d pairs on empty results", v.PairsConsidered)
+	if st.Pairs() != 0 {
+		t.Errorf("VoIP considered %d pairs on empty results", st.Pairs())
 	}
 	cv := StabilityCV(res)
 	if cv.Pairs != 0 || cv.FracBelow10 != 0 {
 		t.Errorf("StabilityCV = %+v on empty results", cv)
 	}
-	sym := Symmetry(res)
-	if sym.Pairs != 0 || sym.FracWithin5 != 0 {
-		t.Errorf("Symmetry = %+v on empty results", sym)
+	if sym := st.SymmetryWithin5(); sym != 0 {
+		t.Errorf("SymmetryWithin5 = %v on empty results", sym)
 	}
-	cc := CountryChange(res, relays.COR)
-	checkFinite(t, "CountryChange.Diff", cc.DiffCountryImproved)
-	checkFinite(t, "CountryChange.Same", cc.SameCountryImproved)
+	diff, same := st.CountryChange(relays.COR)
+	checkFinite(t, "CountryChange.Diff", diff)
+	checkFinite(t, "CountryChange.Same", same)
 	for _, b := range LandingPointProximity(res, []float64{100, 500}) {
 		if b.Improvements != 0 {
 			t.Errorf("LandingPointProximity bucket %v has %d improvements on empty results",
 				b.MaxDistanceKm, b.Improvements)
 		}
 	}
-	if n := PerRoundImproved(res, relays.COR); len(n) != 0 {
+	if n := st.PerRoundImproved(relays.COR); len(n) != 0 {
 		t.Errorf("PerRoundImproved returned %d rounds on empty results", len(n))
 	}
 }
@@ -115,34 +115,34 @@ func TestSingleRoundResultsAllAnalyses(t *testing.T) {
 	if len(res.Rounds) != 1 {
 		t.Fatalf("expected 1 round, got %d", len(res.Rounds))
 	}
+	st := res.Stats()
 	xs := []float64{0, 10, 100}
 	for _, ty := range allTypes() {
-		f := ImprovedFraction(res, ty)
+		f := st.ImprovedFraction(ty)
 		checkFinite(t, "ImprovedFraction", f)
 		if f < 0 || f > 1 {
 			t.Errorf("%v: ImprovedFraction = %v out of [0,1]", ty, f)
 		}
 		prev := -1.0
-		for _, p := range ImprovementCDF(res, ty, xs) {
-			checkFinite(t, "CDF.Y", p.Y)
-			if p.Y < prev {
+		for _, p := range st.ImprovementCDF(ty, xs) {
+			checkFinite(t, "CDF.Fraction", p.Fraction)
+			if p.Fraction < prev {
 				t.Errorf("%v: single-round CDF not monotone", ty)
 			}
-			prev = p.Y
+			prev = p.Fraction
 		}
 		for _, p := range ThresholdCurves(res, ty, 10, xs) {
-			if p.Top < 0 || p.Top > 1 || p.All < 0 || p.All > 1 {
+			if p.TopN < 0 || p.TopN > 1 || p.All < 0 || p.All > 1 {
 				t.Errorf("%v: threshold point out of range: %+v", ty, p)
 			}
 		}
 	}
 	cv := StabilityCV(res)
 	checkFinite(t, "StabilityCV.FracBelow10", cv.FracBelow10)
-	if rounds := PerRoundImproved(res, relays.COR); len(rounds) != 1 {
+	if rounds := st.PerRoundImproved(relays.COR); len(rounds) != 1 {
 		t.Errorf("PerRoundImproved = %d entries for a 1-round campaign", len(rounds))
 	}
-	sym := Symmetry(res)
-	if sym.Pairs == 0 {
+	if bothWays(res) == 0 {
 		t.Error("single-round campaign yielded no symmetric pairs")
 	}
 }

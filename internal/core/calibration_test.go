@@ -39,11 +39,11 @@ func calibrationResults(t *testing.T) *measure.Results {
 }
 
 func TestImprovedFractionOrdering(t *testing.T) {
-	res := calibrationResults(t)
-	cor := analysis.ImprovedFraction(res, relays.COR)
-	other := analysis.ImprovedFraction(res, relays.RAROther)
-	plr := analysis.ImprovedFraction(res, relays.PLR)
-	eye := analysis.ImprovedFraction(res, relays.RAREye)
+	st := calibrationResults(t).Stats()
+	cor := st.ImprovedFraction(relays.COR)
+	other := st.ImprovedFraction(relays.RAROther)
+	plr := st.ImprovedFraction(relays.PLR)
+	eye := st.ImprovedFraction(relays.RAREye)
 	t.Logf("improved: COR %.2f RAR_other %.2f PLR %.2f RAR_eye %.2f", cor, other, plr, eye)
 	if !(cor > other && other > plr && plr >= eye-0.03) {
 		t.Fatalf("ordering broken: COR %.2f, RAR_other %.2f, PLR %.2f, RAR_eye %.2f",
@@ -52,7 +52,7 @@ func TestImprovedFractionOrdering(t *testing.T) {
 }
 
 func TestImprovedFractionBands(t *testing.T) {
-	res := calibrationResults(t)
+	st := calibrationResults(t).Stats()
 	cases := []struct {
 		t        relays.Type
 		lo, hi   float64
@@ -64,7 +64,7 @@ func TestImprovedFractionBands(t *testing.T) {
 		{relays.RAREye, 0.22, 0.45, 35},
 	}
 	for _, c := range cases {
-		got := analysis.ImprovedFraction(res, c.t)
+		got := st.ImprovedFraction(c.t)
 		if got < c.lo || got > c.hi {
 			t.Errorf("%v improved fraction = %.2f, want [%.2f, %.2f] (paper %.0f%%)",
 				c.t, got, c.lo, c.hi, c.paperPct)
@@ -73,9 +73,9 @@ func TestImprovedFractionBands(t *testing.T) {
 }
 
 func TestMedianImprovementBand(t *testing.T) {
-	res := calibrationResults(t)
+	st := calibrationResults(t).Stats()
 	for _, ty := range []relays.Type{relays.COR, relays.PLR, relays.RAREye, relays.RAROther} {
-		med := analysis.MedianImprovementMs(res, ty)
+		med := st.MedianImprovementMs(ty)
 		// Paper: 12-14 ms; accept the same order of magnitude.
 		if med < 5 || med > 40 {
 			t.Errorf("%v median improvement = %.1f ms, want 5-40 (paper 12-14)", ty, med)
@@ -101,15 +101,15 @@ func TestCORHeavyHitters(t *testing.T) {
 	}
 	otherCurve := analysis.TopRelayCurve(res, relays.RAROther, 100)
 	otherTen := otherCurve[9].FracTotal
-	otherAll := analysis.ImprovedFraction(res, relays.RAROther)
+	otherAll := res.Stats().ImprovedFraction(relays.RAROther)
 	if otherTen > 0.9*otherAll {
 		t.Errorf("top-10 RAR_other covers %.2f of %.2f: should need many more relays", otherTen, otherAll)
 	}
 }
 
 func TestVoIPShape(t *testing.T) {
-	res := calibrationResults(t)
-	v := analysis.VoIP(res)
+	st := calibrationResults(t).Stats()
+	v := st.VoIP()
 	t.Logf("VoIP >320ms: direct %.2f -> with COR %.2f (paper 0.19 -> 0.11)", v.DirectOver, v.WithCOROver)
 	if v.DirectOver < 0.08 || v.DirectOver > 0.30 {
 		t.Errorf("direct >320ms = %.2f, want ~0.19", v.DirectOver)
@@ -124,8 +124,8 @@ func TestVoIPShape(t *testing.T) {
 }
 
 func TestIntercontinentalShape(t *testing.T) {
-	res := calibrationResults(t)
-	frac := analysis.IntercontinentalFraction(res)
+	st := calibrationResults(t).Stats()
+	frac := st.IntercontinentalFraction()
 	if frac < 0.6 || frac > 0.85 {
 		t.Errorf("intercontinental fraction = %.2f, want ~0.74", frac)
 	}
@@ -133,23 +133,34 @@ func TestIntercontinentalShape(t *testing.T) {
 
 func TestCountryChangeShape(t *testing.T) {
 	res := calibrationResults(t)
-	s := analysis.CountryChange(res, relays.COR)
+	diff, same := res.Stats().CountryChange(relays.COR)
+	// The group sizes, for the log and the empty-group guard.
+	var nDiff, nSame int
+	for i := range res.Observations {
+		o := &res.Observations[i]
+		if ri := o.BestRelay[relays.COR]; ri >= 0 {
+			if cc := res.World.Catalog.CC(int(ri)); cc != o.SrcCC && cc != o.DstCC {
+				nDiff++
+			} else {
+				nSame++
+			}
+		}
+	}
 	t.Logf("COR country change: diff %.2f (n=%d) vs same %.2f (n=%d) (paper 0.75 vs 0.50)",
-		s.DiffCountryImproved, s.DiffCount, s.SameCountryImproved, s.SameCount)
-	if s.DiffCount == 0 || s.SameCount == 0 {
+		diff, nDiff, same, nSame)
+	if nDiff == 0 || nSame == 0 {
 		t.Skip("one of the groups is empty under this seed")
 	}
-	if s.DiffCountryImproved <= s.SameCountryImproved {
+	if diff <= same {
 		t.Errorf("different-country relays (%.2f) should outperform same-country (%.2f)",
-			s.DiffCountryImproved, s.SameCountryImproved)
+			diff, same)
 	}
 }
 
 func TestSymmetryShape(t *testing.T) {
-	res := calibrationResults(t)
-	s := analysis.Symmetry(res)
-	if s.FracWithin5 < 0.6 {
-		t.Errorf("only %.2f of pairs within 5%% across directions, paper ~0.80", s.FracWithin5)
+	st := calibrationResults(t).Stats()
+	if within := st.SymmetryWithin5(); within < 0.6 {
+		t.Errorf("only %.2f of pairs within 5%% across directions, paper ~0.80", within)
 	}
 }
 
@@ -163,7 +174,7 @@ func TestStabilityShape(t *testing.T) {
 	if s.FracBelow10 < 0.6 {
 		t.Errorf("only %.2f of recurring pairs have CV < 10%%, paper ~0.90", s.FracBelow10)
 	}
-	perRound := analysis.PerRoundImproved(res, relays.COR)
+	perRound := res.Stats().PerRoundImproved(relays.COR)
 	for r, f := range perRound {
 		if f < 0.60 {
 			t.Errorf("round %d COR improved fraction %.2f; paper stays above ~0.75", r, f)
@@ -172,9 +183,9 @@ func TestStabilityShape(t *testing.T) {
 }
 
 func TestRedundancyShape(t *testing.T) {
-	res := calibrationResults(t)
-	cor := analysis.RelayRedundancyMedian(res, relays.COR)
-	eye := analysis.RelayRedundancyMedian(res, relays.RAREye)
+	st := calibrationResults(t).Stats()
+	cor := st.RelayRedundancyMedian(relays.COR)
+	eye := st.RelayRedundancyMedian(relays.RAREye)
 	t.Logf("redundancy: COR %.0f, RAR_eye %.0f (paper 8 vs 2)", cor, eye)
 	if cor <= eye {
 		t.Errorf("COR redundancy (%.0f) should exceed RAR_eye (%.0f)", cor, eye)
@@ -236,7 +247,7 @@ func TestCampaignScaleMatchesPaper(t *testing.T) {
 	if perRound < 80_000 || perRound > 400_000 {
 		t.Errorf("pings per round = %d, want ~190k", perRound)
 	}
-	rf := res.ResponsiveFraction()
+	rf := res.Stats().ResponsiveFraction()
 	if rf < 0.75 || rf > 0.92 {
 		t.Errorf("responsive fraction = %.2f, want ~0.84", rf)
 	}

@@ -53,15 +53,3 @@ func FeasibleRelay(n1, relay, n2 Coord, directRTT time.Duration) bool {
 	ideal := 2 * (PropDelayBetween(n1, relay) + PropDelayBetween(relay, n2))
 	return ideal <= directRTT
 }
-
-// StretchFactor returns the ratio of an observed RTT to the speed-of-light
-// lower bound for the coordinate pair. Values below 1 indicate an
-// inconsistent measurement; large values indicate path inflation. Returns 0
-// when the lower bound is zero (co-located coordinates).
-func StretchFactor(a, b Coord, rtt time.Duration) float64 {
-	min := MinRTT(a, b)
-	if min <= 0 {
-		return 0
-	}
-	return float64(rtt) / float64(min)
-}

@@ -97,19 +97,6 @@ func TestFeasibleRelayNeverOnGeodesicExcluded(t *testing.T) {
 	}
 }
 
-func TestStretchFactor(t *testing.T) {
-	min := MinRTT(london, newYork)
-	if got := StretchFactor(london, newYork, min); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("stretch of exact minimum = %v, want 1", got)
-	}
-	if got := StretchFactor(london, newYork, 2*min); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("stretch of 2x minimum = %v, want 2", got)
-	}
-	if got := StretchFactor(london, london, time.Second); got != 0 {
-		t.Fatalf("stretch of co-located pair = %v, want 0", got)
-	}
-}
-
 func TestFiberSpeedConstant(t *testing.T) {
 	want := 299792.458 * 2.0 / 3.0
 	if math.Abs(FiberSpeedKmPerSec-want) > 1e-9 {

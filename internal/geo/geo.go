@@ -80,14 +80,3 @@ func Midpoint(a, b Coord) Coord {
 	lonDeg := math.Mod(lon*180/math.Pi+540, 360) - 180
 	return Coord{Lat: lat * 180 / math.Pi, Lon: lonDeg}
 }
-
-// PathLengthKm returns the total great-circle length of a polyline through
-// the given coordinates, in kilometres. An empty or single-point path has
-// length zero.
-func PathLengthKm(points []Coord) float64 {
-	var total float64
-	for i := 1; i < len(points); i++ {
-		total += Distance(points[i-1], points[i])
-	}
-	return total
-}

@@ -103,24 +103,6 @@ func TestMidpointValid(t *testing.T) {
 	}
 }
 
-func TestPathLengthKm(t *testing.T) {
-	if got := PathLengthKm(nil); got != 0 {
-		t.Fatalf("empty path length = %v", got)
-	}
-	if got := PathLengthKm([]Coord{london}); got != 0 {
-		t.Fatalf("single-point path length = %v", got)
-	}
-	direct := Distance(london, newYork)
-	via := PathLengthKm([]Coord{london, frankfrt, newYork})
-	if via <= direct {
-		t.Fatalf("detour path %.0f not longer than direct %.0f", via, direct)
-	}
-	twoHop := PathLengthKm([]Coord{london, newYork})
-	if math.Abs(twoHop-direct) > 1e-9 {
-		t.Fatalf("two-point path %.4f != direct %.4f", twoHop, direct)
-	}
-}
-
 func TestValid(t *testing.T) {
 	cases := []struct {
 		c    Coord

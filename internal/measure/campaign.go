@@ -6,9 +6,11 @@
 // median-of-at-least-3 validity, under the Atlas credit budget.
 //
 // The campaign is a streaming producer: RunStream pushes each
-// Observation into a Sink the moment its round is stitched, so peak
-// memory is bounded by one round regardless of campaign length. Run is
-// the batch wrapper that collects the stream into a Results.
+// Observation into a Sink the moment its round is stitched, so the
+// campaign's own memory is bounded by one round regardless of campaign
+// length; what a sink keeps is its own. Run is the batch wrapper that
+// collects the stream into a Results, and Stats folds either form into
+// the paper's statistics.
 //
 // The round loop pays for pair and relay structure once per world or
 // campaign, not once per round: the feasibility filter reads a shared
@@ -276,7 +278,7 @@ type pairStitch struct {
 // so a sink appending to one copies instead of clobbering a neighbour.
 // Retention note: a sink that holds any observation of a block keeps the
 // whole block alive; the two usual sinks sit at the harmless extremes
-// (Results retains every observation, StreamStats retains none).
+// (Results retains every observation, a StatsSink retains none).
 type improveArena struct {
 	block []ImproveEntry
 }

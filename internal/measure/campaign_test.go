@@ -195,7 +195,7 @@ func TestFeasibilityFilterPrunesOnlyLosers(t *testing.T) {
 
 func TestResponsiveFractionBand(t *testing.T) {
 	_, res := testCampaign(t)
-	rf := res.ResponsiveFraction()
+	rf := res.Stats().ResponsiveFraction()
 	if rf < 0.7 || rf > 0.95 {
 		t.Fatalf("responsive fraction = %.2f, want ~0.84", rf)
 	}

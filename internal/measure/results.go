@@ -86,7 +86,8 @@ type RoundInfo struct {
 
 // Results is the full campaign output. It is itself a Sink: Run wires
 // it to RunStream, and callers composing their own sink stacks can tee
-// into a Results to keep the slice-backed analyses available.
+// into a Results to keep the analyses that rank the whole campaign
+// available. Stats folds it into the paper's statistics.
 type Results struct {
 	Config       Config
 	World        *sim.World
@@ -116,19 +117,6 @@ func (r *Results) RoundDone(info RoundInfo) {
 	r.Rounds = append(r.Rounds, info)
 	r.TotalPings += info.PingsSent
 	r.PairsAttempted += info.PairsAttempted
-}
-
-// ResponsiveFraction returns the share of attempted pairs that yielded a
-// valid direct median.
-func (r *Results) ResponsiveFraction() float64 {
-	if r.PairsAttempted == 0 {
-		return 0
-	}
-	usable := 0
-	for _, ri := range r.Rounds {
-		usable += ri.PairsUsable
-	}
-	return float64(usable) / float64(r.PairsAttempted)
 }
 
 // RelayedPathsStudied counts stitched relay paths evaluated across the

@@ -1,19 +1,15 @@
 package measure
 
 import (
-	"math"
 	"testing"
 
-	"shortcuts/internal/relays"
 	"shortcuts/internal/scenario"
 )
 
-// TestStreamStatsUnderDisruption pins the streaming aggregator against
-// a full Results recomputation on scenario-disrupted streams: loss
-// spikes and blackholes (outage preset) and relay churn (churn preset)
-// shrink and reshape the stream, and every funnel counter must keep
-// agreeing with the slice-backed ground truth observation-for-
-// observation.
+// TestStreamStatsUnderDisruption holds the aggregate to the reference
+// scans on scenario-disrupted streams, bit for bit: loss spikes and
+// blackholes (outage preset) and relay churn (churn preset) shrink and
+// reshape the stream.
 func TestStreamStatsUnderDisruption(t *testing.T) {
 	w := buildSelfHealWorld(t)
 	for _, tc := range []struct {
@@ -26,30 +22,9 @@ func TestStreamStatsUnderDisruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := QuickConfig(8)
 			cfg.Scenario = tc.sc
-			ss := NewStreamStats()
-			res := NewResults(cfg, w)
-			if err := RunStream(w, cfg, MultiSink(ss, res)); err != nil {
-				t.Fatal(err)
-			}
+			ss, res := foldCampaign(t, w, cfg)
+			checkStats(t, tc.name, ss, res, statThresholds())
 
-			if got, want := ss.Rounds(), len(res.Rounds); got != want {
-				t.Errorf("Rounds = %d, want %d", got, want)
-			}
-			if got, want := ss.Pairs(), len(res.Observations); got != want {
-				t.Errorf("Pairs = %d, want %d", got, want)
-			}
-			if got, want := ss.TotalPings(), res.TotalPings; got != want {
-				t.Errorf("TotalPings = %d, want %d", got, want)
-			}
-			if got, want := ss.PairsAttempted(), res.PairsAttempted; got != want {
-				t.Errorf("PairsAttempted = %d, want %d", got, want)
-			}
-			if got, want := ss.RelayedPathsStudied(), res.RelayedPathsStudied(); got != want {
-				t.Errorf("RelayedPathsStudied = %d, want %d", got, want)
-			}
-			if got, want := ss.ResponsiveFraction(), res.ResponsiveFraction(); math.Abs(got-want) > 1e-12 {
-				t.Errorf("ResponsiveFraction = %v, want %v", got, want)
-			}
 			// The funnel can only narrow: usable <= attempted, and a
 			// disrupted stream must still attempt pairs every round.
 			if ss.Pairs() > ss.PairsAttempted() {
@@ -61,32 +36,6 @@ func TestStreamStatsUnderDisruption(t *testing.T) {
 				}
 				if info.PairsUsable > info.PairsAttempted {
 					t.Errorf("round %d: usable %d > attempted %d", info.Round, info.PairsUsable, info.PairsAttempted)
-				}
-			}
-
-			// Improved fractions and intercontinental share against a
-			// direct recomputation from the retained observations.
-			intercont := 0
-			var improved [relays.NumTypes]int
-			for i := range res.Observations {
-				o := &res.Observations[i]
-				if o.Intercontinental() {
-					intercont++
-				}
-				for tt := 0; tt < relays.NumTypes; tt++ {
-					if o.ImprovementMs(relays.Type(tt)) > 0 {
-						improved[tt]++
-					}
-				}
-			}
-			if got, want := ss.IntercontinentalFraction(), float64(intercont)/float64(len(res.Observations)); math.Abs(got-want) > 1e-12 {
-				t.Errorf("IntercontinentalFraction = %v, want %v", got, want)
-			}
-			for tt := 0; tt < relays.NumTypes; tt++ {
-				got := ss.ImprovedFraction(relays.Type(tt))
-				want := float64(improved[tt]) / float64(len(res.Observations))
-				if math.Abs(got-want) > 1e-12 {
-					t.Errorf("ImprovedFraction(%v) = %v, want %v", relays.Type(tt), got, want)
 				}
 			}
 

@@ -110,17 +110,6 @@ func (r *Registry) Sites() []*Site { return r.sites }
 // Nodes returns all allocated nodes.
 func (r *Registry) Nodes() []*Node { return r.nodes }
 
-// NodesAt returns the nodes of one site.
-func (r *Registry) NodesAt(site *Site) []*Node {
-	var out []*Node
-	for _, n := range r.nodes {
-		if n.Site == site {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Usable reports whether the node is accessible and pingable for the
 // given round; a pure function of (registry seed, node, round). The
 // coin's stream label, "node-" and the ID in decimal, is formatted into

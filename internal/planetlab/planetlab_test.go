@@ -62,22 +62,6 @@ func TestNodesBelongToSites(t *testing.T) {
 	}
 }
 
-func TestNodesAtPartitionsNodes(t *testing.T) {
-	_, r := testRegistry(t)
-	total := 0
-	for _, s := range r.Sites() {
-		for _, n := range r.NodesAt(s) {
-			if n.Site != s {
-				t.Fatal("NodesAt returned foreign node")
-			}
-			total++
-		}
-	}
-	if total != len(r.Nodes()) {
-		t.Fatalf("site partition covers %d of %d nodes", total, len(r.Nodes()))
-	}
-}
-
 func TestUsableFlaky(t *testing.T) {
 	_, r := testRegistry(t)
 	down, total := 0, 0

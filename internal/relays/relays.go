@@ -153,6 +153,14 @@ func (c *Catalog) City(i int) int {
 	return c.fleet.City(c.rows[i-len(c.relays)])
 }
 
+// CC returns relay i's country code without assembling the relay.
+func (c *Catalog) CC(i int) string {
+	if i < len(c.relays) {
+		return c.relays[i].CC
+	}
+	return c.fleet.CC(c.rows[i-len(c.relays)])
+}
+
 // Relay returns relay i: a copy of a stored COR or PLR relay, or a RAR
 // relay assembled from its atlas row.
 func (c *Catalog) Relay(i int) Relay {

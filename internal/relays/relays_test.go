@@ -121,8 +121,8 @@ func ofType(c *relays.Catalog, t relays.Type) []int {
 
 // TestCatalogIndicesStable: a relay's index is its catalog position.
 // Each type's span lists only relays of that type, as many as Count
-// reports, the four lists together cover the catalog, and relay IDs are
-// unique.
+// reports, the four lists together cover the catalog, relay IDs are
+// unique, and CC reads each relay's country.
 func TestCatalogIndicesStable(t *testing.T) {
 	w := testWorld(t)
 	listed := 0
@@ -143,11 +143,14 @@ func TestCatalogIndicesStable(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for i := range w.Catalog.Len() {
-		id := w.Catalog.Relay(i).ID()
-		if seen[id] {
-			t.Fatalf("duplicate relay ID %s", id)
+		r := w.Catalog.Relay(i)
+		if seen[r.ID()] {
+			t.Fatalf("duplicate relay ID %s", r.ID())
 		}
-		seen[id] = true
+		seen[r.ID()] = true
+		if cc := w.Catalog.CC(i); cc != r.CC {
+			t.Fatalf("CC(%d) = %q, relay is in %q", i, cc, r.CC)
+		}
 	}
 }
 
@@ -320,7 +323,7 @@ func TestRARRelaysAreAtlasRows(t *testing.T) {
 				}
 				prev = row
 				if r.Endpoint != fleet.Endpoint(row) || r.CC != fleet.CC(row) || r.City != fleet.City(row) ||
-					r.ProbeID != fleet.ID(row) || cat.City(i) != r.City {
+					r.ProbeID != fleet.ID(row) || cat.City(i) != r.City || cat.CC(i) != r.CC {
 					t.Fatalf("relay %d = %+v, row %d is %+v", i, r, row, fleet.Probe(row))
 				}
 				want := relays.RAROther
@@ -367,8 +370,8 @@ func TestBuildCatalogAllocs(t *testing.T) {
 	}
 }
 
-// TestCatalogAccessorsAllocateNothing: reading a relay, its type and
-// city, and looking up an ID, found or malformed, allocate nothing.
+// TestCatalogAccessorsAllocateNothing: reading a relay, its type,
+// city and country, and looking up an ID, found or malformed, allocate nothing.
 func TestCatalogAccessorsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc budget is pinned in the plain test run")
@@ -386,6 +389,7 @@ func TestCatalogAccessorsAllocateNothing(t *testing.T) {
 		_ = cat.Relay(last)
 		_ = cat.Type(last)
 		_ = cat.City(last)
+		_ = cat.CC(last)
 	})
 	if allocs != 0 {
 		t.Errorf("catalog accessors make %.1f allocations, want 0", allocs)

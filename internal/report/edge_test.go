@@ -19,8 +19,8 @@ func TestReportsOnEmptyResults(t *testing.T) {
 		name string
 		fn   func(*bytes.Buffer) error
 	}{
-		{"Summary", func(b *bytes.Buffer) error { return Summary(b, empty) }},
-		{"Fig2", func(b *bytes.Buffer) error { return Fig2(b, empty) }},
+		{"Summary", func(b *bytes.Buffer) error { return Summary(b, empty.Stats(), empty) }},
+		{"Fig2", func(b *bytes.Buffer) error { return Fig2(b, empty.Stats()) }},
 		{"Fig3", func(b *bytes.Buffer) error { return Fig3(b, empty, 10) }},
 		{"Fig4", func(b *bytes.Buffer) error { return Fig4(b, empty, 10) }},
 		{"Table1", func(b *bytes.Buffer) error { return Table1(b, empty, 20) }},
@@ -41,15 +41,20 @@ func TestReportsOnEmptyResults(t *testing.T) {
 	}
 }
 
-// TestStreamSummaryOnEmptyStats renders the streaming summary over a
-// stream that saw no rounds.
+// TestStreamSummaryOnEmptyStats renders the summary of a stream that
+// saw no rounds, with no retained observations: no NaN, and no line
+// that needs the observations.
 func TestStreamSummaryOnEmptyStats(t *testing.T) {
 	var buf bytes.Buffer
-	if err := StreamSummary(&buf, measure.NewStreamStats()); err != nil {
-		t.Fatalf("StreamSummary on empty stats: %v", err)
+	if err := Summary(&buf, new(measure.Stats), nil); err != nil {
+		t.Fatalf("Summary on empty stats: %v", err)
 	}
-	if s := buf.String(); strings.Contains(s, "NaN") || strings.Contains(s, "Inf") {
-		t.Fatalf("StreamSummary on empty stats emitted NaN/Inf:\n%s", s)
+	s := buf.String()
+	if strings.Contains(s, "NaN") || strings.Contains(s, "Inf") {
+		t.Fatalf("Summary on empty stats emitted NaN/Inf:\n%s", s)
+	}
+	if !strings.Contains(s, "direction symmetry") || strings.Contains(s, "stability") {
+		t.Fatalf("Summary without observations must end at direction symmetry:\n%s", s)
 	}
 }
 
@@ -65,8 +70,8 @@ func TestReportsOnSingleRound(t *testing.T) {
 		name string
 		fn   func(*bytes.Buffer) error
 	}{
-		{"Summary", func(b *bytes.Buffer) error { return Summary(b, res) }},
-		{"Fig2", func(b *bytes.Buffer) error { return Fig2(b, res) }},
+		{"Summary", func(b *bytes.Buffer) error { return Summary(b, res.Stats(), res) }},
+		{"Fig2", func(b *bytes.Buffer) error { return Fig2(b, res.Stats()) }},
 		{"Fig3", func(b *bytes.Buffer) error { return Fig3(b, res, 10) }},
 		{"Fig4", func(b *bytes.Buffer) error { return Fig4(b, res, 10) }},
 		{"Table1", func(b *bytes.Buffer) error { return Table1(b, res, 20) }},

@@ -71,7 +71,7 @@ func CSV(w io.Writer, headers []string, rows [][]string) error {
 var allTypes = []relays.Type{relays.COR, relays.PLR, relays.RAROther, relays.RAREye}
 
 // paperImprovedPct holds the paper's Figure-2 headline improved
-// percentages, shown next to this run's in both summary renderers.
+// percentages, shown next to this run's in the summary.
 var paperImprovedPct = map[relays.Type]string{
 	relays.COR: "76", relays.RAROther: "58", relays.PLR: "43", relays.RAREye: "35",
 }
@@ -97,14 +97,14 @@ func Fig1(w io.Writer, ds *apnic.Dataset) error {
 
 // Fig2 renders the improvement CDFs per relay type as CSV: one row per
 // improvement threshold, one column per type.
-func Fig2(w io.Writer, res *measure.Results) error {
+func Fig2(w io.Writer, s *measure.Stats) error {
 	var xs []float64
 	for x := 0.0; x <= 200; x += 2 {
 		xs = append(xs, x)
 	}
-	curves := make(map[relays.Type][]analysis.CDFPoint, len(allTypes))
+	curves := make(map[relays.Type][]measure.CDFPoint, len(allTypes))
 	for _, t := range allTypes {
-		curves[t] = analysis.ImprovementCDF(res, t, xs)
+		curves[t] = s.ImprovementCDF(t, xs)
 	}
 	headers := []string{"improvement_ms"}
 	for _, t := range allTypes {
@@ -114,7 +114,7 @@ func Fig2(w io.Writer, res *measure.Results) error {
 	for i, x := range xs {
 		row := []string{fmt.Sprintf("%.0f", x)}
 		for _, t := range allTypes {
-			row = append(row, fmt.Sprintf("%.4f", curves[t][i].Y))
+			row = append(row, fmt.Sprintf("%.4f", curves[t][i].Fraction))
 		}
 		rows = append(rows, row)
 	}
@@ -169,7 +169,7 @@ func Fig4(w io.Writer, res *measure.Results, topN int) error {
 	for i, th := range ths {
 		row := []string{fmt.Sprintf("%.0f", th)}
 		for _, t := range allTypes {
-			row = append(row, fmt.Sprintf("%.4f", curves[t][i].Top),
+			row = append(row, fmt.Sprintf("%.4f", curves[t][i].TopN),
 				fmt.Sprintf("%.4f", curves[t][i].All))
 		}
 		rows = append(rows, row)
@@ -206,50 +206,12 @@ func check(b bool) string {
 	return "no"
 }
 
-// Summary renders the headline numbers with their paper counterparts.
-func Summary(w io.Writer, res *measure.Results) error {
-	rows := [][]string{}
-	for _, t := range allTypes {
-		rows = append(rows, []string{
-			t.String(),
-			fmt.Sprintf("%.1f", analysis.ImprovedFraction(res, t)*100),
-			paperImprovedPct[t],
-			fmt.Sprintf("%.1f", analysis.MedianImprovementMs(res, t)),
-			fmt.Sprintf("%.1f", analysis.ImprovedOverFraction(res, t, 100)*100),
-			fmt.Sprintf("%.0f", analysis.RelayRedundancyMedian(res, t)),
-		})
-	}
-	if err := Table(w, []string{
-		"type", "improved %", "paper %", "median gain ms", ">100ms % of improved", "median #improving",
-	}, rows); err != nil {
-		return err
-	}
-	v := analysis.VoIP(res)
-	cc := analysis.CountryChange(res, relays.COR)
-	sym := analysis.Symmetry(res)
-	cv := analysis.StabilityCV(res)
-	fmt.Fprintf(w, "\npairs: %d over %d rounds, %d pings, responsive %.0f%% (paper ~84%%)\n",
-		len(res.Observations), len(res.Rounds), res.TotalPings, res.ResponsiveFraction()*100)
-	fmt.Fprintf(w, "relayed paths studied: %d (paper ~29M at full scale)\n", res.RelayedPathsStudied())
-	fmt.Fprintf(w, "intercontinental pairs: %.0f%% (paper 74%%)\n",
-		analysis.IntercontinentalFraction(res)*100)
-	fmt.Fprintf(w, "VoIP >320ms: direct %.0f%% -> with COR %.0f%% (paper 19%% -> 11%%)\n",
-		v.DirectOver*100, v.WithCOROver*100)
-	fmt.Fprintf(w, "COR country-change: different %.0f%% vs same %.0f%% improved (paper 75%% vs 50%%)\n",
-		cc.DiffCountryImproved*100, cc.SameCountryImproved*100)
-	fmt.Fprintf(w, "direction symmetry: %.0f%% of pairs within 5%% (paper ~80%%)\n", sym.FracWithin5*100)
-	fmt.Fprintf(w, "stability: CV<10%% for %.0f%% of %d recurring pairs (paper 90%%)\n",
-		cv.FracBelow10*100, cv.Pairs)
-	n, facs := analysis.RelaysForCoverage(res, relays.COR, 0.75)
-	fmt.Fprintf(w, "75%% of COR coverage: %d relays in %d facilities (paper: 10 relays, 6 colos)\n",
-		n, len(facs))
-	return nil
-}
-
-// StreamSummary renders the headline numbers available from the
-// incremental stream aggregates — the subset of Summary that needs no
-// materialized observations.
-func StreamSummary(w io.Writer, s *measure.StreamStats) error {
+// Summary renders the headline numbers with their paper counterparts,
+// for a batch or a streamed campaign alike: the table and every line
+// through direction symmetry come from s. The stability and coverage
+// lines rank the whole campaign, so they need its retained observations
+// and print only when res is non-nil.
+func Summary(w io.Writer, s *measure.Stats, res *measure.Results) error {
 	rows := [][]string{}
 	for _, t := range allTypes {
 		rows = append(rows, []string{
@@ -258,17 +220,34 @@ func StreamSummary(w io.Writer, s *measure.StreamStats) error {
 			paperImprovedPct[t],
 			fmt.Sprintf("%.1f", s.MedianImprovementMs(t)),
 			fmt.Sprintf("%.1f", s.ImprovedOverFraction(t, 100)*100),
+			fmt.Sprintf("%.0f", s.RelayRedundancyMedian(t)),
 		})
 	}
 	if err := Table(w, []string{
-		"type", "improved %", "paper %", "median gain ms", ">100ms % of improved",
+		"type", "improved %", "paper %", "median gain ms", ">100ms % of improved", "median #improving",
 	}, rows); err != nil {
 		return err
 	}
+	v := s.VoIP()
+	diff, same := s.CountryChange(relays.COR)
 	fmt.Fprintf(w, "\npairs: %d over %d rounds, %d pings, responsive %.0f%% (paper ~84%%)\n",
 		s.Pairs(), s.Rounds(), s.TotalPings(), s.ResponsiveFraction()*100)
 	fmt.Fprintf(w, "relayed paths studied: %d (paper ~29M at full scale)\n", s.RelayedPathsStudied())
 	fmt.Fprintf(w, "intercontinental pairs: %.0f%% (paper 74%%)\n", s.IntercontinentalFraction()*100)
+	fmt.Fprintf(w, "VoIP >320ms: direct %.0f%% -> with COR %.0f%% (paper 19%% -> 11%%)\n",
+		v.DirectOver*100, v.WithCOROver*100)
+	fmt.Fprintf(w, "COR country-change: different %.0f%% vs same %.0f%% improved (paper 75%% vs 50%%)\n",
+		diff*100, same*100)
+	fmt.Fprintf(w, "direction symmetry: %.0f%% of pairs within 5%% (paper ~80%%)\n", s.SymmetryWithin5()*100)
+	if res == nil {
+		return nil
+	}
+	cv := analysis.StabilityCV(res)
+	fmt.Fprintf(w, "stability: CV<10%% for %.0f%% of %d recurring pairs (paper 90%%)\n",
+		cv.FracBelow10*100, cv.Pairs)
+	n, facs := analysis.RelaysForCoverage(res, relays.COR, 0.75)
+	fmt.Fprintf(w, "75%% of COR coverage: %d relays in %d facilities (paper: 10 relays, 6 colos)\n",
+		n, len(facs))
 	return nil
 }
 

@@ -82,7 +82,7 @@ func TestFig1Renders(t *testing.T) {
 func TestFig2Renders(t *testing.T) {
 	_, res := testResults(t)
 	var buf bytes.Buffer
-	if err := Fig2(&buf, res); err != nil {
+	if err := Fig2(&buf, res.Stats()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -130,11 +130,11 @@ func TestTable1Renders(t *testing.T) {
 func TestSummaryMentionsPaperBaselines(t *testing.T) {
 	_, res := testResults(t)
 	var buf bytes.Buffer
-	if err := Summary(&buf, res); err != nil {
+	if err := Summary(&buf, res.Stats(), res); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, needle := range []string{"COR", "RAR_other", "paper", "VoIP", "responsive"} {
+	for _, needle := range []string{"COR", "RAR_other", "paper", "VoIP", "responsive", "stability", "COR coverage"} {
 		if !strings.Contains(out, needle) {
 			t.Fatalf("summary missing %q:\n%s", needle, out)
 		}

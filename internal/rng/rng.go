@@ -203,15 +203,6 @@ func (g *Rand) Exp(mean float64) float64 {
 	return g.r.ExpFloat64() * mean
 }
 
-// Choice returns a uniform random index into a collection of size n, or -1
-// if n <= 0.
-func (g *Rand) Choice(n int) int {
-	if n <= 0 {
-		return -1
-	}
-	return g.r.Intn(n)
-}
-
 // SampleInts returns k distinct integers drawn uniformly from [0, n). If
 // k >= n it returns all of [0, n) in random order.
 func (g *Rand) SampleInts(n, k int) []int {

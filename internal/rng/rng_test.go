@@ -224,18 +224,6 @@ func TestWeightedChoiceProportions(t *testing.T) {
 	}
 }
 
-func TestChoice(t *testing.T) {
-	g := New(18)
-	if got := g.Choice(0); got != -1 {
-		t.Fatalf("Choice(0) = %d, want -1", got)
-	}
-	for i := 0; i < 100; i++ {
-		if v := g.Choice(5); v < 0 || v >= 5 {
-			t.Fatalf("Choice(5) = %d out of range", v)
-		}
-	}
-}
-
 func TestQuickSplitDeterministic(t *testing.T) {
 	f := func(seed int64, label string) bool {
 		a := New(seed).Split(label)

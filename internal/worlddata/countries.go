@@ -55,28 +55,6 @@ func CountryContinent(cc string) (string, bool) {
 	return "", false
 }
 
-// CitiesIn returns all registry cities located in the given country.
-func CitiesIn(cc string) []City {
-	var out []City
-	for _, c := range cities {
-		if c.CC == cc {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// CitiesOn returns all registry cities located on the given continent.
-func CitiesOn(continent string) []City {
-	var out []City
-	for _, c := range cities {
-		if c.Continent == continent {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // HubCities returns the cities with HubRank > 0, ordered by rank (densest
 // hub first).
 func HubCities() []City {

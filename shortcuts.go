@@ -38,7 +38,8 @@
 //
 // Sweep runs that loop for you — multi-seed, optionally multi-config,
 // over a shared or per-seed world, streaming each campaign through the
-// Sink layer into constant-memory StreamStats:
+// Sink layer into a StreamStats that retains no observation and no
+// world:
 //
 //	sweep := shortcuts.Sweep{
 //		Config: shortcuts.Config{Rounds: 4, SmallWorld: true},
@@ -57,6 +58,7 @@ import (
 	"io"
 
 	"shortcuts/internal/core"
+	"shortcuts/internal/datasets/apnic"
 	"shortcuts/internal/detect"
 	"shortcuts/internal/measure"
 	"shortcuts/internal/relays"
@@ -189,26 +191,13 @@ func (c *Campaign) Run() (*Results, error) {
 // Funnel describes the COR selection pipeline counts (Section 2.2; the
 // paper's funnel is 2675 -> 1008 -> 764 -> 725 -> 725 -> 356 over 58
 // facilities in 36 cities).
-type Funnel struct {
-	Initial                int
-	SingleFacilityActive   int
-	Pingable               int
-	SameOwnership          int
-	ActiveFacilityPresence int
-	Geolocated             int
-	Facilities             int
-	Cities                 int
-}
+type Funnel = relays.FunnelStats
 
 // Funnel returns the campaign world's COR pipeline counts.
 func (c *Campaign) Funnel() Funnel { return c.World().Funnel() }
 
 // CutoffPoint is one point of the Figure-1 eyeball-selection curve.
-type CutoffPoint struct {
-	Cutoff    float64 // user-coverage threshold, percent
-	ASes      int
-	Countries int
-}
+type CutoffPoint = apnic.CutoffPoint
 
 // EyeballCutoffCurve computes Figure 1 over the campaign's APNIC dataset.
 func (c *Campaign) EyeballCutoffCurve(cutoffs []float64) []CutoffPoint {

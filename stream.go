@@ -37,22 +37,26 @@ type Sink = measure.Sink
 
 // RunStream executes the campaign in streaming mode: observations are
 // pushed into sink as rounds complete and are never materialized, so
-// peak memory is bounded by one round regardless of Rounds. The
-// returned StreamStats aggregates the paper's headline statistics
-// incrementally. sink may be nil to collect aggregates only.
+// the campaign's own memory is bounded by one round regardless of
+// Rounds. The returned StreamStats folds the stream into the paper's
+// statistics; it keeps each improved case's exact gain (4 bytes per
+// improved case and relay type) and counters otherwise. sink may be nil
+// to collect the statistics only; it receives each observation before
+// the statistics do.
 //
 // Equal seeds produce streams bit-for-bit identical to Run's results,
-// for any Concurrency and engine shard count.
+// for any Concurrency and engine shard count, and a StreamStats reports
+// exactly the numbers the Results of the same campaign does.
 func (c *Campaign) RunStream(sink Sink) (*StreamStats, error) {
-	stats := measure.NewStreamStats()
-	var ms Sink = stats
+	st := new(measure.Stats)
+	ms := measure.StatsSink(st, c.world.Catalog)
 	if sink != nil {
-		ms = measure.MultiSink(stats, sink)
+		ms = measure.MultiSink(sink, ms)
 	}
 	if err := measure.RunStream(c.world, c.mc, ms); err != nil {
 		return nil, err
 	}
-	return &StreamStats{s: stats}, nil
+	return &StreamStats{st}, nil
 }
 
 // RoundProgressSink returns a Sink that invokes f after each round and
@@ -76,69 +80,36 @@ func (c *Campaign) RunWithProgress(onRound func(RoundInfo)) (*Results, error) {
 	if err := measure.RunStream(c.world, c.mc, ms); err != nil {
 		return nil, err
 	}
-	return &Results{res: res}, nil
+	return &Results{stats: res.Stats(), res: res}, nil
 }
 
-// StreamStats holds the paper's headline aggregates computed
-// incrementally from a streamed campaign, in memory that does not grow
-// with campaign length. Improvement distributions are quantized into
-// 0.25 ms bins.
+// StreamStats holds the paper's statistics over one streamed campaign:
+// Pairs, Rounds, TotalPings, PairsAttempted, RelayedPathsStudied and
+// ResponsiveFraction; per relay type ImprovedFraction, ImprovementCDF,
+// MedianImprovementMs, ImprovedOverFraction, RelayRedundancyMedian,
+// CountryChange and PerRoundImproved; and IntercontinentalFraction,
+// VoIP and SymmetryWithin5. Each method is the one implementation that
+// Results also reports, so both give the same numbers for the same
+// campaign. It keeps no reference to the campaign's world.
 type StreamStats struct {
-	s *measure.StreamStats
+	*stats
 }
 
-// Rounds returns the number of completed rounds.
-func (s *StreamStats) Rounds() int { return s.s.Rounds() }
+// stats names the aggregate that StreamStats and Results embed, so its
+// methods are theirs.
+type stats = measure.Stats
 
-// Pairs returns the number of usable pair observations streamed.
-func (s *StreamStats) Pairs() int { return s.s.Pairs() }
+// CDFPoint is one point of a Figure-2 improvement CDF: the fraction of
+// all cases whose gain is at most ImprovementMs.
+type CDFPoint = measure.CDFPoint
 
-// TotalPings returns the number of pings sent.
-func (s *StreamStats) TotalPings() int64 { return s.s.TotalPings() }
+// VoIPStats is the ITU G.114 threshold analysis: the shares of cases
+// above ThresholdMs, direct and with COR relaying.
+type VoIPStats = measure.VoIPStats
 
-// ResponsiveFraction returns the share of attempted pairs that produced
-// a valid direct median (paper: ~84%).
-func (s *StreamStats) ResponsiveFraction() float64 { return s.s.ResponsiveFraction() }
-
-// RelayedPathsStudied counts the stitched overlay paths evaluated.
-func (s *StreamStats) RelayedPathsStudied() int64 { return s.s.RelayedPathsStudied() }
-
-// IntercontinentalFraction returns the share of pairs crossing
-// continents (paper: 74%).
-func (s *StreamStats) IntercontinentalFraction() float64 { return s.s.IntercontinentalFraction() }
-
-// ImprovedFraction returns the share of pairs improved by the best
-// relay of the type, identical to Results.ImprovedFraction over the
-// same campaign.
-func (s *StreamStats) ImprovedFraction(t RelayType) float64 {
-	return s.s.ImprovedFraction(t)
-}
-
-// MedianImprovementMs returns the median gain among improved cases,
-// resolved to the stream histogram's bin midpoint.
-func (s *StreamStats) MedianImprovementMs(t RelayType) float64 {
-	return s.s.MedianImprovementMs(t)
-}
-
-// ImprovedOverFraction returns, among the type's improved cases, the
-// share improving by more than ms (bin-quantized).
-func (s *StreamStats) ImprovedOverFraction(t RelayType, ms float64) float64 {
-	return s.s.ImprovedOverFraction(t, ms)
-}
-
-// ImprovementCDF computes the Figure-2 CDF for the type on the given
-// millisecond grid from the stream histogram.
-func (s *StreamStats) ImprovementCDF(t RelayType, xs []float64) []CDFPoint {
-	ys := s.s.ImprovementCDF(t, xs)
-	out := make([]CDFPoint, len(xs))
-	for i := range xs {
-		out[i] = CDFPoint{ImprovementMs: xs[i], Fraction: ys[i]}
-	}
-	return out
-}
-
-// WriteSummary renders the streaming headline numbers next to the
-// paper's.
+// WriteSummary renders the headline numbers next to the paper's: the
+// table and in-text lines of Results.WriteSummary through direction
+// symmetry.
 func (s *StreamStats) WriteSummary(w io.Writer) error {
-	return report.StreamSummary(w, s.s)
+	return report.Summary(w, s.stats, nil)
 }

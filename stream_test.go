@@ -1,7 +1,6 @@
 package shortcuts
 
 import (
-	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -133,31 +132,42 @@ func TestStreamCDFCloseToBatch(t *testing.T) {
 		batch := res.ImprovementCDF(ty, xs)
 		stream := stats.ImprovementCDF(ty, xs)
 		for i := range xs {
-			// The stream CDF quantizes improvements into 0.25 ms bins;
-			// with a small campaign each point may shift by a few cases.
-			if math.Abs(batch[i].Fraction-stream[i].Fraction) > 0.05 {
+			// Both fold the same exact gains: the points are equal.
+			if batch[i] != stream[i] {
 				t.Fatalf("%v CDF at %vms: batch %v vs stream %v",
 					ty, xs[i], batch[i].Fraction, stream[i].Fraction)
 			}
 		}
+		if got, want := stats.MedianImprovementMs(ty), res.MedianImprovementMs(ty); got != want {
+			t.Fatalf("%v median gain: stream %v vs batch %v", ty, got, want)
+		}
 	}
 }
 
+// TestStreamSummaryRenders: the stream summary is the batch summary up
+// to and including its direction-symmetry line, byte for byte.
 func TestStreamSummaryRenders(t *testing.T) {
-	camp, _ := apiResults(t)
+	camp, res := apiResults(t)
 	stats, err := camp.RunStream(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
+	var sb, bb strings.Builder
 	if err := stats.WriteSummary(&sb); err != nil {
 		t.Fatal(err)
 	}
+	if err := res.WriteSummary(&bb); err != nil {
+		t.Fatal(err)
+	}
 	out := sb.String()
-	for _, want := range []string{"improved %", "COR", "responsive"} {
+	for _, want := range []string{"improved %", "COR", "responsive", "median #improving", "direction symmetry"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("stream summary missing %q:\n%s", want, out)
 		}
+	}
+	batch, _, _ := strings.Cut(bb.String(), "stability:")
+	if out != batch {
+		t.Fatalf("stream summary:\n%s\ndiffers from the batch summary:\n%s", out, batch)
 	}
 }
 

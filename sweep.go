@@ -9,7 +9,9 @@ import (
 
 // Sweep fans a multi-campaign workload — one campaign per seed — over
 // the measurement substrate, streaming every campaign through the Sink
-// layer into constant-memory StreamStats.
+// layer into a StreamStats. A result keeps its statistics but no
+// observation and no world: each improved (case, relay type) costs 4
+// bytes, so a rebuilt world is freed once its campaign ends.
 //
 // With World set, every campaign shares that one built world and the
 // seeds vary only the campaigns' stochastic draws (endpoint and relay

@@ -84,28 +84,11 @@ func NewCampaignWith(w *World, cfg Config) (*Campaign, error) {
 func (c *Campaign) World() *World { return &World{inner: c.world} }
 
 // Funnel returns the world's COR pipeline counts (Section 2.2).
-func (w *World) Funnel() Funnel {
-	f := w.inner.Catalog.Funnel
-	return Funnel{
-		Initial:                f.Initial,
-		SingleFacilityActive:   f.SingleFacilityActive,
-		Pingable:               f.Pingable,
-		SameOwnership:          f.SameOwnership,
-		ActiveFacilityPresence: f.ActiveFacilityPresence,
-		Geolocated:             f.Geolocated,
-		Facilities:             f.Facilities,
-		Cities:                 f.Cities,
-	}
-}
+func (w *World) Funnel() Funnel { return w.inner.Catalog.Funnel }
 
 // EyeballCutoffCurve computes Figure 1 over the world's APNIC dataset.
 func (w *World) EyeballCutoffCurve(cutoffs []float64) []CutoffPoint {
-	pts := w.inner.Apnic.CutoffCurve(cutoffs)
-	out := make([]CutoffPoint, len(pts))
-	for i, p := range pts {
-		out[i] = CutoffPoint{Cutoff: p.Cutoff, ASes: p.ASes, Countries: p.Countries}
-	}
-	return out
+	return w.inner.Apnic.CutoffCurve(cutoffs)
 }
 
 // WriteFig1CSV writes the Figure-1 series.
