@@ -287,13 +287,16 @@ var unset = cand{dist: inf, next: hop{as: -1, link: -1}}
 
 // computeScratch holds the per-computation working set. compute runs
 // once per destination and needs three n-sized candidate arrays plus a
-// queue and a heap; pooling the whole set removes that churn when
-// thousands of trees are computed (warmup, campaigns over many
+// queue and phase 3's buckets; pooling the whole set removes that churn
+// when thousands of trees are computed (warmup, campaigns over many
 // destinations).
 type computeScratch struct {
 	cust, peer, prov []cand
 	queue            []int32
-	heap             distHeap
+	// buckets is phase 3's bucket queue: bucket d, at words*d, is the
+	// bitset of nodes queued at route length d.
+	buckets []uint64
+	words   int
 }
 
 func (s *computeScratch) reset(n int) {
@@ -305,15 +308,25 @@ func (s *computeScratch) reset(n int) {
 		s.cust[i], s.peer[i], s.prov[i] = unset, unset, unset
 	}
 	s.queue = s.queue[:0]
-	s.heap = s.heap[:0]
+	s.buckets, s.words = s.buckets[:0], (n+63)/64
+}
+
+// push queues node x in bucket d, growing the queue by zeroed buckets
+// up to d.
+func (s *computeScratch) push(x, d int32) {
+	k := int(d)*s.words + int(x>>6)
+	if k >= len(s.buckets) {
+		s.buckets = append(s.buckets, make([]uint64, (int(d)+1)*s.words-len(s.buckets))...)
+	}
+	s.buckets[k] |= 1 << (x & 63)
 }
 
 // compute builds the valley-free routing tree toward dense index di
 // using the three-phase algorithm: customer routes spread up the
 // provider hierarchy from di, peer routes take one lateral step,
-// provider routes spread down to customer cones via a Dijkstra pass
-// keyed on each node's selected best-route length. Each selected next
-// hop records the link of the adjacency entry it was relaxed over.
+// provider routes spread down to customer cones via a shortest-path
+// pass keyed on each node's selected best-route length. Each selected
+// next hop records the link of the adjacency entry it was relaxed over.
 func (r *Router) compute(di int32) *tree {
 	n := len(r.asns)
 
@@ -361,10 +374,13 @@ func (r *Router) compute(di int32) *tree {
 	}
 
 	// Phase 3: provider routes. An AS forwards along its own selected
-	// best route, so the distance seeded into the downhill Dijkstra is
-	// the length of each node's best customer-or-peer route; customers
-	// then extend whatever their provider selected.
-	pq := &s.heap
+	// best route, so the distance seeded into the downhill pass is the
+	// length of each node's best customer-or-peer route; customers then
+	// extend whatever their provider selected. Every edge weighs 1, so
+	// a bucket queue keyed by length (Dial's algorithm) pops nodes in
+	// (length, node) order: a node taken from bucket d queues its
+	// customers in bucket d+1, and each bucket's bitset is walked in
+	// ascending node order.
 	best := func(i int32) (RouteClass, cand) {
 		switch {
 		case cust[i].dist != inf:
@@ -379,24 +395,30 @@ func (r *Router) compute(di int32) *tree {
 	}
 	for x := range int32(n) {
 		if cls, b := best(x); cls == ViaCustomer || cls == ViaPeer {
-			pq.push(distEntry{node: x, dist: b.dist})
+			s.push(x, b.dist)
 		}
 	}
-	for pq.Len() > 0 {
-		e := pq.pop()
-		if _, b := best(e.node); e.dist > b.dist {
-			continue // stale entry
-		}
-		nd := e.dist + 1
-		for _, h := range r.row(e.node, customers) {
-			c := &prov[h.as]
-			if nd < c.dist || (nd == c.dist && better(r.asns[e.node], c.next.as, r.asns)) {
-				updated := nd < c.dist
-				*c = cand{nd, hop{e.node, h.link}}
-				// Only re-queue when the provider route is the node's
-				// selected best; otherwise its forwarding is unchanged.
-				if cls, b := best(h.as); updated && cls == ViaProvider {
-					pq.push(distEntry{node: h.as, dist: b.dist})
+	for d := int32(0); int(d)*s.words < len(s.buckets); d++ {
+		bucket := int(d) * s.words
+		for j := range s.words {
+			// Relaxing pushes only to bucket d+1, so this word is final.
+			for w := s.buckets[bucket+j]; w != 0; w &= w - 1 {
+				x := int32(j<<6 + bits.TrailingZeros64(w))
+				if _, b := best(x); d > b.dist {
+					continue // stale entry
+				}
+				nd := d + 1
+				for _, h := range r.row(x, customers) {
+					c := &prov[h.as]
+					if nd < c.dist || (nd == c.dist && better(r.asns[x], c.next.as, r.asns)) {
+						updated := nd < c.dist
+						*c = cand{nd, hop{x, h.link}}
+						// Only re-queue when the provider route is the node's
+						// selected best; otherwise its forwarding is unchanged.
+						if cls, b := best(h.as); updated && cls == ViaProvider {
+							s.push(h.as, b.dist)
+						}
+					}
 				}
 			}
 		}
@@ -457,69 +479,6 @@ func (r *Router) ASPath(src, dst topology.ASN) ([]topology.ASN, error) {
 		}
 	}
 	return path, nil
-}
-
-// distEntry and distHeap implement the phase-3 priority queue as a typed
-// binary min-heap: no container/heap indirection, no interface boxing of
-// entries, and the backing array lives in the pooled computeScratch.
-// Ordering is (dist, node) ascending; the node tie-break keeps pop order
-// — and therefore tree construction — fully deterministic.
-type distEntry struct {
-	node int32
-	dist int32
-}
-
-type distHeap []distEntry
-
-// Len reports the number of queued entries.
-func (h distHeap) Len() int { return len(h) }
-
-func (h distHeap) less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	return h[i].node < h[j].node
-}
-
-func (h *distHeap) push(e distEntry) {
-	*h = append(*h, e)
-	s := *h
-	// Sift up.
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *distHeap) pop() distEntry {
-	s := *h
-	n := len(s) - 1
-	top := s[0]
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	return top
 }
 
 var _ fmt.Stringer = NoRoute

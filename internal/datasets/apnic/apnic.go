@@ -15,7 +15,9 @@
 package apnic
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"shortcuts/internal/rng"
@@ -71,7 +73,8 @@ func Generate(g *rng.Rand, p Params) *Dataset {
 	countries = append(countries, p.RealCountries...)
 	countries = append(countries, syntheticCCs(p.RealCountries, p.TotalCountries-len(countries))...)
 
-	ds := &Dataset{byCountry: make(map[string][]Record, len(countries))}
+	// Room for the heads (at most 8 a country) and the tail.
+	ds := &Dataset{Records: make([]Record, 0, max(p.TotalASes, 8*len(countries)))}
 	asn := p.FirstASN
 
 	// Two countries get no AS above the 10% cutoff, reproducing the
@@ -110,7 +113,7 @@ func Generate(g *rng.Rand, p Params) *Dataset {
 			}
 		}
 		for _, cov := range head {
-			ds.add(Record{ASN: asn, CC: cc, Coverage: cov})
+			ds.Records = append(ds.Records, Record{ASN: asn, CC: cc, Coverage: cov})
 			asn++
 		}
 	}
@@ -122,25 +125,35 @@ func Generate(g *rng.Rand, p Params) *Dataset {
 		if cov > 3 {
 			cov = g.Uniform(0.01, 3)
 		}
-		ds.add(Record{ASN: asn, CC: cc, Coverage: cov})
+		ds.Records = append(ds.Records, Record{ASN: asn, CC: cc, Coverage: cov})
 		asn++
 	}
 
-	for cc := range ds.byCountry {
-		recs := ds.byCountry[cc]
-		sort.Slice(recs, func(i, j int) bool {
-			if recs[i].Coverage != recs[j].Coverage {
-				return recs[i].Coverage > recs[j].Coverage
+	// Rank each country's records, coverage descending then ASN, in a
+	// slice sized to the country.
+	size := make(map[string]int, len(countries))
+	for _, r := range ds.Records {
+		size[r.CC]++
+	}
+	ds.byCountry = make(map[string][]Record, len(size))
+	for cc, n := range size {
+		ds.byCountry[cc] = make([]Record, 0, n)
+	}
+	for _, r := range ds.Records {
+		ds.byCountry[r.CC] = append(ds.byCountry[r.CC], r)
+	}
+	for _, recs := range ds.byCountry {
+		slices.SortFunc(recs, func(a, b Record) int {
+			switch {
+			case a.Coverage > b.Coverage:
+				return -1
+			case a.Coverage < b.Coverage:
+				return 1
 			}
-			return recs[i].ASN < recs[j].ASN
+			return cmp.Compare(a.ASN, b.ASN)
 		})
 	}
 	return ds
-}
-
-func (d *Dataset) add(r Record) {
-	d.Records = append(d.Records, r)
-	d.byCountry[r.CC] = append(d.byCountry[r.CC], r)
 }
 
 // syntheticCCs returns n two-letter codes that do not collide with the

@@ -134,8 +134,15 @@ func newCampaign(w *sim.World, cfg Config) (*campaign, error) {
 	}, nil
 }
 
+// maxPingsPerPair bounds PingsPerPair at the 16 packets a RIPE Atlas
+// ping measurement sends at most (the paper sends 6). Each slot schedule
+// tables cities² × PingsPerPair loads, and a campaign may keep one per
+// round.
+const maxPingsPerPair = 16
+
 // checkPings rejects ping settings under which a median could be taken
-// over no replies at all.
+// over no replies at all, or whose slot schedules would outgrow a real
+// ping train.
 func checkPings(cfg Config) error {
 	if cfg.MinValidPings < 1 {
 		return fmt.Errorf("measure: MinValidPings must be >= 1, got %d", cfg.MinValidPings)
@@ -143,6 +150,9 @@ func checkPings(cfg Config) error {
 	if cfg.PingsPerPair < cfg.MinValidPings {
 		return fmt.Errorf("measure: PingsPerPair (%d) below MinValidPings (%d)",
 			cfg.PingsPerPair, cfg.MinValidPings)
+	}
+	if cfg.PingsPerPair > maxPingsPerPair {
+		return fmt.Errorf("measure: PingsPerPair must be <= %d, got %d", maxPingsPerPair, cfg.PingsPerPair)
 	}
 	return nil
 }

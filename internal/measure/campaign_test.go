@@ -269,6 +269,20 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := TwoRelayExperiment(w, bad, 0, 10, 5); err == nil {
 		t.Fatal("MinValidPings 0 accepted by TwoRelayExperiment")
 	}
+	// Pings per pair stop at a RIPE Atlas measurement's 16 packets.
+	bad = QuickConfig(1)
+	bad.PingsPerPair = 17
+	if _, err := Run(w, bad); err == nil || !strings.Contains(err.Error(), "PingsPerPair") {
+		t.Fatalf("PingsPerPair 17: error %v, want one naming the field", err)
+	}
+	if _, err := TwoRelayExperiment(w, bad, 0, 10, 5); err == nil || !strings.Contains(err.Error(), "PingsPerPair") {
+		t.Fatalf("PingsPerPair 17 in TwoRelayExperiment: error %v, want one naming the field", err)
+	}
+	ok := QuickConfig(1)
+	ok.PingsPerPair = 16
+	if _, err := Run(w, ok); err != nil {
+		t.Fatalf("PingsPerPair 16 rejected: %v", err)
+	}
 }
 
 func TestCreditBudgetEnforced(t *testing.T) {

@@ -13,7 +13,8 @@ type Config struct {
 	// RoundInterval separates round starts (12 h, to catch diurnal
 	// patterns).
 	RoundInterval time.Duration
-	// PingsPerPair is the number of pings per node pair per round (6).
+	// PingsPerPair is the number of pings per node pair per round (6),
+	// at most 16, as in a RIPE Atlas ping measurement.
 	PingsPerPair int
 	// PingInterval separates consecutive pings to a pair (5 min). The
 	// round's pings span PingsPerPair x PingInterval: the paper's 30-min

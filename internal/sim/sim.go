@@ -4,14 +4,18 @@
 // the RIPE Atlas fleet, PlanetLab, the relay catalog and the endpoint
 // selector. One seed builds one world, bit-for-bit reproducibly.
 //
-// Construction is a staged DAG: after topology generation, independent
-// generators (PeeringDB, prefix2as -> facmap, Periscope, Atlas,
-// PlanetLab) run concurrently. Every stage draws from its own named
-// rng.Split — a pure function of (seed, label) — so the schedule cannot
-// perturb any stream and parallel builds are bit-identical to
-// sequential ones. A built World is immutable apart from internal
-// caches (BGP trees, latency path state), all safe for concurrent use,
-// so one World can back arbitrarily many campaigns at once.
+// Construction is a staged DAG, but in effect one chain: apnic ->
+// topology -> prefix2as -> facmap -> relays, then the route warm-up.
+// Only the short generators (PeeringDB, latency -> Periscope, Atlas ->
+// eyeball selector, PlanetLab) run beside the prefix2as -> facmap
+// branch; at the scale tiers the sharded Atlas fleet is the long branch
+// and facmap runs beside it. The warm-up computes its trees on par.For.
+// Every stage draws from its own named rng.Split — a pure function of
+// (seed, label) — so the schedule cannot perturb any stream and
+// parallel builds are bit-identical to sequential ones. A built World
+// is immutable apart from internal caches (BGP trees, latency path
+// state), all safe for concurrent use, so one World can back
+// arbitrarily many campaigns at once.
 package sim
 
 import (

@@ -416,7 +416,8 @@ func (b *builder) makeFacilities() {
 }
 
 // populateFacilityMembers fills member lists: each AS with a PoP in a
-// facility's city joins with a type- and size-dependent probability.
+// facility's city joins with a type- and size-dependent probability. It
+// also indexes each AS's facilities, in ascending ID order.
 func (b *builder) populateFacilityMembers(g *rng.Rand) {
 	// Pre-index ASes by city.
 	byCity := make(map[int][]*AS)
@@ -425,6 +426,7 @@ func (b *builder) populateFacilityMembers(g *rng.Rand) {
 			byCity[c] = append(byCity[c], a)
 		}
 	}
+	b.t.facsOf = make(map[ASN][]int, len(b.t.ASes))
 	for _, f := range b.t.Facilities {
 		sizeFactor := 0.45
 		switch {
@@ -438,6 +440,7 @@ func (b *builder) populateFacilityMembers(g *rng.Rand) {
 		for _, a := range byCity[f.City] {
 			if g.Bool(b.p.MemberProb[a.Type] * sizeFactor) {
 				f.Members = append(f.Members, a.ASN)
+				b.t.facsOf[a.ASN] = append(b.t.facsOf[a.ASN], f.ID)
 			}
 		}
 	}

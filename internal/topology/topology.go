@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"shortcuts/internal/geo"
@@ -24,6 +25,7 @@ type Topology struct {
 	peers      map[ASN][]ASN
 	linkIndex  map[[2]ASN]*Link
 	facsByCity map[int][]*Facility
+	facsOf     map[ASN][]int // ascending IDs of the facilities each AS belongs to
 }
 
 // NewManual returns an empty topology over the given cities for callers
@@ -181,17 +183,26 @@ func (t *Topology) SharedPoPCities(a, b *AS) []int {
 }
 
 // SharedFacilityCities returns the cities containing a facility where both
-// ASes are members.
+// ASes are members, ascending and without repeats, or nil. It merges the
+// two ASes' facility lists.
 func (t *Topology) SharedFacilityCities(a, b ASN) []int {
-	seen := make(map[int]bool)
+	fa, fb := t.facsOf[a], t.facsOf[b]
 	var out []int
-	for _, f := range t.Facilities {
-		if f.HasMember(a) && f.HasMember(b) && !seen[f.City] {
-			seen[f.City] = true
-			out = append(out, f.City)
+	for i, j := 0, 0; i < len(fa) && j < len(fb); {
+		switch {
+		case fa[i] < fb[j]:
+			i++
+		case fa[i] > fb[j]:
+			j++
+		default:
+			if c := t.Facilities[fa[i]].City; !slices.Contains(out, c) {
+				out = append(out, c)
+			}
+			i++
+			j++
 		}
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 

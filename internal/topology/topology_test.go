@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"shortcuts/internal/datasets/apnic"
@@ -366,5 +368,57 @@ func TestAddLinkMergesDuplicates(t *testing.T) {
 	}
 	if len(topo.Links) != 1 {
 		t.Fatalf("links = %d, want 1", len(topo.Links))
+	}
+}
+
+// refSharedFacilityCities is the facility scan that SharedFacilityCities
+// replaced, kept verbatim as its reference: it walks every facility's
+// member list.
+func refSharedFacilityCities(t *Topology, a, b ASN) []int {
+	seen := make(map[int]bool)
+	var out []int
+	for _, f := range t.Facilities {
+		if f.HasMember(a) && f.HasMember(b) && !seen[f.City] {
+			seen[f.City] = true
+			out = append(out, f.City)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestSharedFacilityCitiesMatchesScan holds the per-AS facility index to
+// the scan on every AS pair of the small and default topologies: the
+// same cities in the same order, and nil exactly when the scan is nil.
+// The topology stream draws a coin only when the answer is non-empty,
+// so one differing answer would shift every later draw.
+func TestSharedFacilityCitiesMatchesScan(t *testing.T) {
+	g := rng.New(1)
+	ds := apnic.Generate(g.Split("apnic"), apnic.DefaultParams(worlddata.CountryCodes()))
+	small, err := Generate(g, SmallParams(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []*Topology{small, testWorld(t)} {
+		shared := 0
+		for i, a := range topo.ASes {
+			for _, b := range topo.ASes[i:] {
+				got, want := topo.SharedFacilityCities(a.ASN, b.ASN), refSharedFacilityCities(topo, a.ASN, b.ASN)
+				if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+					t.Fatalf("SharedFacilityCities(%d, %d) = %#v, scan %#v", a.ASN, b.ASN, got, want)
+				}
+				if len(got) > 0 {
+					shared++
+				}
+			}
+		}
+		if shared == 0 {
+			t.Fatalf("no AS pair of the %d-AS topology shares a facility", len(topo.ASes))
+		}
+	}
+	manual := NewManual(worlddata.Cities())
+	manual.AddAS(&AS{ASN: 1, PoPs: []int{0}})
+	if got := manual.SharedFacilityCities(1, 1); got != nil {
+		t.Fatalf("manual topology without facilities shares %v", got)
 	}
 }
